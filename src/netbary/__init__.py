@@ -15,14 +15,12 @@ from .netgraph import (
     Laplacian,
     NetworkSchedule,
     SpectralBounds,
-    apply_communication,
     laplacian_from_edges,
     schedule_laplacian,
     spectral_bounds,
 )
 from .adom import (
     AdomParams,
-    BaselineParams,
     DualOracle,
     NumericalDivergenceError,
     QuadraticOracle,
@@ -30,8 +28,6 @@ from .adom import (
     Trajectory,
     TrajectoryRecord,
     adom_step,
-    baseline_run,
-    baseline_step,
     c2_bound,
     derive_baseline_params,
     derive_params,
@@ -65,7 +61,6 @@ from .harness import (
     IdxFormatError,
     MetricsRow,
     analytic_barycenter,
-    consensus_metric,
     gen_truncated_gaussian,
     load_config,
     load_mnist,
@@ -80,13 +75,11 @@ __all__ = [
     "Laplacian",
     "NetworkSchedule",
     "SpectralBounds",
-    "apply_communication",
     "laplacian_from_edges",
     "schedule_laplacian",
     "spectral_bounds",
     # adom
     "AdomParams",
-    "BaselineParams",
     "DualOracle",
     "NumericalDivergenceError",
     "QuadraticOracle",
@@ -94,8 +87,6 @@ __all__ = [
     "Trajectory",
     "TrajectoryRecord",
     "adom_step",
-    "baseline_run",
-    "baseline_step",
     "c2_bound",
     "derive_baseline_params",
     "derive_params",
@@ -127,7 +118,6 @@ __all__ = [
     "IdxFormatError",
     "MetricsRow",
     "analytic_barycenter",
-    "consensus_metric",
     "gen_truncated_gaussian",
     "load_config",
     "load_mnist",

@@ -1,21 +1,18 @@
 """Accelerated decentralized dual solver over time-varying networks.
 
-The solver minimizes a sum of strongly convex node objectives subject to
-consensus, working entirely in the dual. Each node i exposes the gradient of
-the Fenchel conjugate of its objective through a :class:`DualOracle`. The
-method runs two coupled dual sequences plus a momentum stack, communicates
-through the current epoch's Laplacian twice per iteration, and evaluates the
-stacked oracle exactly once per iteration.
+The solver minimizes a sum of gamma-strongly-convex node objectives subject
+to consensus, working entirely in the dual. Each node i exposes the gradient
+of the Fenchel conjugate of its objective through a :class:`DualOracle`.
+The dual is smoothed by ``r/2 |z|^2`` (:func:`smoothed_oracle`), which is
+equivalent to a Moreau-Yosida regularization of the primal with parameter
+r. The method runs two coupled dual sequences plus a momentum stack,
+communicates through the current epoch's Laplacian twice per iteration, and
+evaluates the stacked oracle exactly once per iteration.
 
-Two variants share the same update body:
-
-* :func:`run` / :func:`adom_step` — the primary solver. Node objectives are
-  gamma-strongly-convex; the dual is additionally smoothed by ``r/2 |z|^2``,
-  which is equivalent to a Moreau-Yosida regularization of the primal with
-  parameter r. Step sizes come from :func:`derive_params`.
-* :func:`baseline_run` / :func:`baseline_step` — same dynamics for a generic
-  L-smooth, mu-strongly-convex dual gradient supplied directly, with step
-  sizes from :func:`derive_baseline_params`.
+There is one update, :func:`adom_step`, one loop, :func:`run`, and one
+parameter type, :class:`AdomParams`. :func:`derive_params` computes the step
+parameters from (r, gamma); :func:`derive_baseline_params` computes the same
+parameters from the smoothed dual's (L, mu) by an independent closed form.
 
 The dual iterates z, z_f, z_g live in the zero-mean subspace (node-sums
 vanish); the momentum stack does not.
@@ -36,7 +33,6 @@ __all__ = [
     "DualOracle",
     "QuadraticOracle",
     "AdomParams",
-    "BaselineParams",
     "SolverState",
     "TrajectoryRecord",
     "Trajectory",
@@ -47,9 +43,7 @@ __all__ = [
     "strongly_convex_surrogate",
     "initial_state",
     "adom_step",
-    "baseline_step",
     "run",
-    "baseline_run",
     "c2_bound",
     "iteration_estimate",
     "mean_pairwise_sq_dist",
@@ -143,8 +137,8 @@ def strongly_convex_surrogate(oracle_factory, eps: float) -> DualOracle:
 
 @dataclass(frozen=True)
 class AdomParams:
-    """Step parameters of the primary solver, all derived from (r, gamma)
-    and the schedule's spectral bounds."""
+    """Step parameters of the solver, derived from (r, gamma) or from the
+    smoothed dual's (L, mu), and from the schedule's spectral bounds."""
 
     r: float
     gamma: float
@@ -163,29 +157,8 @@ class AdomParams:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
 
 
-@dataclass(frozen=True)
-class BaselineParams:
-    """Step parameters of the baseline variant for an L-smooth,
-    mu-strongly-convex dual gradient."""
-
-    smoothness: float
-    strong_convexity: float
-    alpha: float
-    eta: float
-    theta: float
-    sigma: float
-    tau: float
-    bounds: SpectralBounds
-
-    def __post_init__(self):
-        if self.smoothness < self.strong_convexity:
-            raise ValueError("need smoothness >= strong_convexity")
-        if not (0.0 < self.tau < 1.0):
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-
-
 def derive_params(r: float, gamma: float, bounds: SpectralBounds) -> AdomParams:
-    """Closed-form step parameters of the primary solver.
+    """Closed-form step parameters of the solver.
 
     With lam = bounds and rg = r*gamma:
 
@@ -212,14 +185,21 @@ def derive_params(r: float, gamma: float, bounds: SpectralBounds) -> AdomParams:
 
 def derive_baseline_params(
     smoothness: float, strong_convexity: float, bounds: SpectralBounds
-) -> BaselineParams:
-    """Step parameters of the baseline variant from (L, mu) directly.
+) -> AdomParams:
+    """Step parameters from the smoothed dual's (L, mu) directly.
 
-    Substituting L = 1/r and mu = gamma / (1 + r gamma) reproduces
-    :func:`derive_params` exactly.
+    The smoothed dual is L-smooth and mu-strongly convex with L = 1/r and
+    mu = gamma / (1 + r gamma); inverting gives r = 1/L and
+    gamma = mu L / (L - mu), so L must exceed mu. The step sizes below are
+    the generic (L, mu) closed forms, an independent check on
+    :func:`derive_params`.
     """
     if strong_convexity <= 0 or smoothness <= 0:
         raise ValueError("smoothness and strong_convexity must be positive")
+    if not smoothness > strong_convexity:
+        raise ValueError(
+            f"need smoothness > strong_convexity, got {smoothness} <= {strong_convexity}"
+        )
     lam_min, lam_max = bounds.lambda_min_plus, bounds.lambda_max
     big_l, mu = smoothness, strong_convexity
     alpha = 1.0 / (2.0 * big_l)
@@ -227,9 +207,9 @@ def derive_baseline_params(
     theta = mu / lam_max
     sigma = 1.0 / lam_max
     tau = (lam_min / (7.0 * lam_max)) * math.sqrt(mu / big_l)
-    return BaselineParams(
-        smoothness=big_l, strong_convexity=mu, alpha=alpha, eta=eta, theta=theta,
-        sigma=sigma, tau=tau, bounds=bounds,
+    return AdomParams(
+        r=1.0 / big_l, gamma=mu * big_l / (big_l - mu), alpha=alpha, eta=eta,
+        theta=theta, sigma=sigma, tau=tau, bounds=bounds,
     )
 
 
@@ -299,72 +279,37 @@ def initial_state(m: int, dim: int) -> SolverState:
     )
 
 
-def _check_finite(name: str, arr: np.ndarray, iteration: int) -> None:
-    if not np.isfinite(arr).all():
-        raise NumericalDivergenceError(name, iteration)
-
-
-def _advance(
-    state: SolverState,
-    lap: Laplacian,
-    alpha: float,
-    eta: float,
-    theta: float,
-    sigma: float,
-    tau: float,
-    grad_at,
-) -> SolverState:
-    # One stacked oracle evaluation, two Laplacian applications. Overflow
-    # surfaces as non-finite entries, which the checks below turn into
-    # NumericalDivergenceError; the transient warnings carry no information.
-    z_g = tau * state.z + (1.0 - tau) * state.z_f
-    g = grad_at(z_g)
-    _check_finite("grad", np.asarray(g), state.n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        delta = sigma * lap.apply(state.momentum - eta * g)
-        momentum = state.momentum - eta * g - delta
-        z = state.z + (eta * alpha) * (z_g - state.z) + delta
-        z_f = z_g - theta * lap.apply(g)
-    _check_finite("momentum", momentum, state.n)
-    _check_finite("z", z, state.n)
-    _check_finite("z_f", z_f, state.n)
-    return SolverState(z=z, z_f=z_f, z_g=z_g, momentum=momentum, x=g, n=state.n + 1)
+def _check_finite(iteration: int, **iterates: np.ndarray) -> None:
+    """Raise on the first non-finite iterate, in argument order."""
+    for name, arr in iterates.items():
+        if not np.isfinite(arr).all():
+            raise NumericalDivergenceError(name, iteration)
 
 
 def adom_step(
     state: SolverState, lap: Laplacian, params: AdomParams, oracle: DualOracle
 ) -> SolverState:
-    """One iteration of the primary solver.
+    """One iteration of the solver.
 
     Evaluates the stacked oracle exactly once (at z_g, with the r z_g
     smoothing term added) and applies the Laplacian exactly twice. Raises
-    :class:`NumericalDivergenceError` if any updated iterate is non-finite.
+    :class:`NumericalDivergenceError` naming the first non-finite one of
+    grad, momentum, z and z_f.
     """
-    r = params.r
-
-    def grad_at(z_g):
-        return oracle.grad_conj_stack(z_g) + r * z_g
-
-    return _advance(
-        state, lap, params.alpha, params.eta, params.theta, params.sigma,
-        params.tau, grad_at,
-    )
-
-
-def baseline_step(
-    state: SolverState, lap: Laplacian, params: BaselineParams, grad_stack
-) -> SolverState:
-    """One iteration of the baseline variant; ``grad_stack`` maps an (m, d)
-    dual stack to the stacked dual gradient."""
-    return _advance(
-        state, lap, params.alpha, params.eta, params.theta, params.sigma,
-        params.tau, grad_stack,
-    )
-
-
-def _record_iterations(n_iters: int, record_every: int):
-    for n in range(n_iters):
-        yield n, (n % record_every == 0 or n == n_iters - 1)
+    alpha, eta, theta = params.alpha, params.eta, params.theta
+    sigma, tau = params.sigma, params.tau
+    z_g = tau * state.z + (1.0 - tau) * state.z_f
+    g = smoothed_oracle(oracle, params.r)(z_g)
+    # Overflow surfaces as non-finite entries, which the check below turns
+    # into NumericalDivergenceError; the transient warnings carry no
+    # information.
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = sigma * lap.apply(state.momentum - eta * g)
+        momentum = state.momentum - eta * g - delta
+        z = state.z + (eta * alpha) * (z_g - state.z) + delta
+        z_f = z_g - theta * lap.apply(g)
+    _check_finite(state.n, grad=g, momentum=momentum, z=z, z_f=z_f)
+    return SolverState(z=z, z_f=z_f, z_g=z_g, momentum=momentum, x=g, n=state.n + 1)
 
 
 def run(
@@ -374,7 +319,7 @@ def run(
     n_iters: int,
     record_every: int = 1,
 ) -> Trajectory:
-    """Run the primary solver for ``n_iters`` iterations from the zero state.
+    """Run the solver for ``n_iters`` iterations from the zero state.
 
     Records the output stack x^n at every ``record_every``-th iteration and
     at the final one, reusing the in-step oracle evaluation (the run performs
@@ -388,71 +333,19 @@ def run(
     state = initial_state(schedule.m, oracle.dim)
     records: list[TrajectoryRecord] = []
     start = time.perf_counter()
-    for n, want in _record_iterations(n_iters, record_every):
+    for n in range(n_iters):
         lap = schedule_laplacian(schedule, n)
         try:
             state = adom_step(state, lap, params, oracle)
         except NumericalDivergenceError as err:
             err.records = records
             raise
-        if want:
+        if n % record_every == 0 or n == n_iters - 1:
             records.append(
                 TrajectoryRecord(
                     iteration=n,
                     x=state.x.copy(),
                     recovered=state.x - params.r * state.z_g,
-                    consensus=mean_pairwise_sq_dist(state.x),
-                    wall_time=time.perf_counter() - start,
-                )
-            )
-    return Trajectory(records=records, state=state)
-
-
-def baseline_run(
-    schedule: NetworkSchedule,
-    grad_stack,
-    params: BaselineParams,
-    dim: int,
-    n_iters: int,
-    record_every: int = 1,
-    z0: np.ndarray | None = None,
-    m0: np.ndarray | None = None,
-) -> Trajectory:
-    """Run the baseline variant. ``z0`` must have zero node-sum; both ``z0``
-    and ``m0`` default to zero stacks."""
-    if n_iters < 1:
-        raise ValueError(f"n_iters must be >= 1, got {n_iters}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
-    state = initial_state(schedule.m, dim)
-    if z0 is not None:
-        z0 = np.asarray(z0, dtype=float)
-        drift = np.linalg.norm(z0.sum(axis=0))
-        if drift > 1e-8 * max(1.0, float(np.linalg.norm(z0))):
-            raise ValueError(f"z0 must have zero node-sum, drift {drift}")
-        state = SolverState(
-            z=z0.copy(), z_f=z0.copy(), z_g=None, momentum=state.momentum, x=None, n=0
-        )
-    if m0 is not None:
-        state = SolverState(
-            z=state.z, z_f=state.z_f, z_g=None,
-            momentum=np.asarray(m0, dtype=float).copy(), x=None, n=0,
-        )
-    records: list[TrajectoryRecord] = []
-    start = time.perf_counter()
-    for n, want in _record_iterations(n_iters, record_every):
-        lap = schedule_laplacian(schedule, n)
-        try:
-            state = baseline_step(state, lap, params, grad_stack)
-        except NumericalDivergenceError as err:
-            err.records = records
-            raise
-        if want:
-            records.append(
-                TrajectoryRecord(
-                    iteration=n,
-                    x=state.x.copy(),
-                    recovered=state.x.copy(),
                     consensus=mean_pairwise_sq_dist(state.x),
                     wall_time=time.perf_counter() - start,
                 )

@@ -4,7 +4,8 @@ Subcommands:
 
 * ``run`` — one experiment from a config file and/or flag overrides.
 * ``sweep`` — the same base config across a grid of topology families or
-  epoch lengths, runs executed concurrently.
+  epoch lengths, runs executed concurrently; a failing variant is reported
+  by its label and does not stop the others.
 * ``spectra`` — print the spectral bounds of a schedule.
 * ``oracle-check`` — finite-difference and simplex self-test of the
   transport dual oracle on a random instance.
@@ -16,13 +17,14 @@ on success, 1 on failure with a diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import adom, entot, harness, netgraph
+from . import entot, harness, netgraph
 
 __all__ = ["cli", "main"]
 
@@ -30,29 +32,18 @@ _FD_THRESHOLD = 1e-6
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """``--config`` plus one flag per ExperimentConfig field. Flag values
+    are read by the same coercion as config-file values."""
     parser.add_argument("--config", type=str, default=None, help="key = value config file")
-    parser.add_argument("--dataset", choices=["gaussians", "mnist"], default=None)
-    parser.add_argument("--m", type=int, default=None, help="node count")
-    parser.add_argument("--d", type=int, default=None, help="support size")
-    parser.add_argument("--family", choices=list(netgraph.FAMILIES), default=None)
-    parser.add_argument("--p", type=float, default=None, help="edge probability")
-    parser.add_argument("--epoch-len", type=str, default=None,
-                        help="iterations per topology epoch, or 'static'")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--gamma", type=float, default=None)
-    parser.add_argument("--r", type=float, default=None)
-    parser.add_argument("--n-iters", type=int, default=None)
-    parser.add_argument("--record-every", type=int, default=None)
-    parser.add_argument("--delta", type=float, default=None)
-    parser.add_argument("--mean-low", type=float, default=None)
-    parser.add_argument("--mean-high", type=float, default=None)
-    parser.add_argument("--std-low", type=float, default=None)
-    parser.add_argument("--std-high", type=float, default=None)
-    parser.add_argument("--mnist-images", type=str, default=None)
-    parser.add_argument("--mnist-labels", type=str, default=None)
-    parser.add_argument("--digit", type=int, default=None)
-    parser.add_argument("--measure-walltime", action="store_const", const=True, default=None)
-    parser.add_argument("--out", type=str, default=None, help="output directory")
+    for field in dataclasses.fields(harness.ExperimentConfig):
+        flag = "--" + field.name.replace("_", "-")
+        if harness.CONFIG_TYPES[field.name][0] is bool:
+            parser.add_argument(flag, action="store_const", const=True, default=None)
+        else:
+            parser.add_argument(
+                flag, default=None, choices=field.metadata.get("choices"),
+                help=field.metadata.get("help"),
+            )
 
 
 def _config_from_args(args: argparse.Namespace) -> harness.ExperimentConfig:
@@ -84,45 +75,49 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     if cfg.out is None:
         raise ValueError("sweep needs --out (or out in the config) as the parent directory")
-    variants: list[tuple[str, harness.ExperimentConfig]] = []
+    variants: list[tuple[str, dict]] = []
     if args.families:
         for family in args.families.split(","):
             family = family.strip()
             label = f"family-{family}"
             raw = dict(cfg.to_dict(), family=family, out=str(Path(cfg.out) / label))
-            variants.append((label, harness.ExperimentConfig.from_dict(raw)))
+            variants.append((label, raw))
     if args.epoch_lens:
         for epoch_len in args.epoch_lens.split(","):
             epoch_len = epoch_len.strip()
             label = f"epoch-{epoch_len}"
             raw = dict(cfg.to_dict(), epoch_len=epoch_len, out=str(Path(cfg.out) / label))
-            variants.append((label, harness.ExperimentConfig.from_dict(raw)))
+            variants.append((label, raw))
     if not variants:
         raise ValueError("sweep needs --families and/or --epoch-lens")
 
-    def one(item):
-        label, variant = item
-        result = harness.run_experiment(variant)
-        last = result.rows[-1]
-        return label, last
+    def one(raw):
+        result = harness.run_experiment(harness.ExperimentConfig.from_dict(raw))
+        return result.rows[-1]
 
+    # Every variant runs to its end; one that fails is reported by its label
+    # and leaves the others' artifacts and summary lines in place.
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        outcomes = list(pool.map(one, variants))
-    for label, last in outcomes:
+        futures = [(label, pool.submit(one, raw)) for label, raw in variants]
+    failed = 0
+    for label, future in futures:
+        try:
+            last = future.result()
+        except (ValueError, OSError, RuntimeError) as err:
+            print(f"{label}: error: {err}", file=sys.stderr)
+            failed += 1
+            continue
         print(
             f"{label}: final objective_gap={last.objective_gap:.6g} "
             f"consensus={last.consensus:.6g}"
         )
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_spectra(args: argparse.Namespace) -> int:
-    epoch_len = None
-    if args.epoch_len is not None and args.epoch_len.lower() not in ("static", "none", "inf"):
-        epoch_len = int(args.epoch_len)
     schedule = netgraph.NetworkSchedule(
-        family=args.family, m=args.m, epoch_len=epoch_len, seed=args.seed,
-        p=args.p if args.family in ("erdos_renyi", "mst_of_er") else None,
+        family=args.family, m=args.m, seed=args.seed, p=args.p,
+        epoch_len=harness.config_value("epoch_len", args.epoch_len),
     )
     bounds = netgraph.spectral_bounds(schedule, args.horizon)
     print(f"family = {args.family}, m = {args.m}, horizon = {args.horizon}")
@@ -136,9 +131,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     d, gamma = args.d, args.gamma
     points = np.sort(rng.random(d))
     cost = entot.cost_matrix(points, normalize=True)
-    q = entot.floor_histogram(
-        np.full(d, 1.0 / d) if d < 2 else _random_histogram(rng, d), 1e-4
-    )
+    q = entot.floor_histogram(_random_histogram(rng, d), 1e-4)
     z = 0.5 * rng.standard_normal(d)
 
     grad = entot.dual_grad(q, cost, gamma, z)
@@ -176,7 +169,7 @@ def _fd_gradient(q, cost, gamma, z, step: float = 1e-6) -> np.ndarray:
     return out
 
 
-def cli(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netbary",
         description="Decentralized entropic Wasserstein barycenters over "
@@ -211,8 +204,11 @@ def cli(argv=None) -> int:
     p_check.add_argument("--gamma", type=float, default=0.05)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=_cmd_oracle_check)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def cli(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as err:

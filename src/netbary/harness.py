@@ -23,7 +23,8 @@ import io
 import json
 import struct
 import subprocess
-from dataclasses import dataclass, asdict
+import typing
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,8 @@ from . import adom, entot, netgraph
 
 __all__ = [
     "DELTA_DEFAULT",
+    "DATASETS",
+    "CONFIG_TYPES",
     "GaussianSpec",
     "ExperimentConfig",
     "MetricsRow",
@@ -43,12 +46,14 @@ __all__ = [
     "analytic_barycenter",
     "draw_gaussian_specs",
     "load_mnist",
-    "consensus_metric",
+    "config_value",
     "load_config",
     "run_experiment",
 ]
 
 DELTA_DEFAULT = 1e-6
+
+DATASETS = ("gaussians", "mnist")
 
 CSV_COLUMNS = ["iteration", "objective_gap", "consensus", "wall_time"]
 
@@ -211,56 +216,28 @@ def load_mnist(
     return hists, entot.cost_matrix(points, normalize=True)
 
 
-def consensus_metric(stack: np.ndarray) -> float:
-    """Mean over node pairs of squared distances between rows of an (m, d)
-    stack; zero iff all rows agree."""
-    stack = np.asarray(stack, dtype=float)
-    if stack.ndim != 2 or stack.shape[0] < 2:
-        raise ValueError(f"need an (m >= 2, d) stack, got shape {stack.shape}")
-    return adom.mean_pairwise_sq_dist(stack)
-
-
 # --------------------------------------------------------------------------
 # Configuration
 
 
-_CONFIG_DEFAULTS = {
-    "dataset": "gaussians",
-    "m": 10,
-    "d": 100,
-    "family": "cycle",
-    "p": 0.9,
-    "epoch_len": None,
-    "seed": 0,
-    "gamma": 0.01,
-    "r": 0.001,
-    "n_iters": 1000,
-    "record_every": 100,
-    "delta": DELTA_DEFAULT,
-    "mean_low": MEAN_RANGE_DEFAULT[0],
-    "mean_high": MEAN_RANGE_DEFAULT[1],
-    "std_low": STD_RANGE_DEFAULT[0],
-    "std_high": STD_RANGE_DEFAULT[1],
-    "mnist_images": None,
-    "mnist_labels": None,
-    "digit": 4,
-    "measure_walltime": False,
-    "out": None,
-}
-
-_INT_KEYS = {"m", "d", "seed", "n_iters", "record_every", "digit"}
-_FLOAT_KEYS = {"p", "gamma", "r", "delta", "mean_low", "mean_high", "std_low", "std_high"}
-_BOOL_KEYS = {"measure_walltime"}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    dataset: str = "gaussians"
-    m: int = 10
-    d: int = 100
-    family: str = "cycle"
-    p: float = 0.9
-    epoch_len: int | None = None
+    """One experiment's settings.
+
+    Each field is one config key: a ``key = value`` line of a config file
+    and a ``--key`` flag of ``netbary run`` and ``sweep`` (underscores
+    become dashes). The field's annotation sets how a text value is read;
+    its metadata holds the flag's help and choices.
+    """
+
+    dataset: str = field(default="gaussians", metadata={"choices": DATASETS})
+    m: int = field(default=10, metadata={"help": "node count"})
+    d: int = field(default=100, metadata={"help": "support size"})
+    family: str = field(default="cycle", metadata={"choices": netgraph.FAMILIES})
+    p: float = field(default=0.9, metadata={"help": "edge probability"})
+    epoch_len: int | None = field(
+        default=None, metadata={"help": "iterations per topology epoch, or 'static'"}
+    )
     seed: int = 0
     gamma: float = 0.01
     r: float = 0.001
@@ -275,42 +252,51 @@ class ExperimentConfig:
     mnist_labels: str | None = None
     digit: int = 4
     measure_walltime: bool = False
-    out: str | None = None
+    out: str | None = field(default=None, metadata={"help": "output directory"})
 
     def __post_init__(self):
-        if self.dataset not in ("gaussians", "mnist"):
+        if self.dataset not in DATASETS:
             raise ValueError(f"dataset must be 'gaussians' or 'mnist', got {self.dataset!r}")
         if self.dataset == "mnist" and (self.mnist_images is None or self.mnist_labels is None):
             raise ValueError("mnist dataset needs mnist_images and mnist_labels paths")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        merged = dict(_CONFIG_DEFAULTS)
-        for key, value in raw.items():
-            if key not in merged:
+        """Config from raw values, text or typed; a None value keeps the
+        key's default."""
+        for key in raw:
+            if key not in CONFIG_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
-            if value is not None:
-                merged[key] = value
-        return cls(**{k: _coerce(k, v) for k, v in merged.items()})
+        return cls(**{k: config_value(k, v) for k, v in raw.items() if v is not None})
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def _coerce(key: str, value):
+def _value_type(hint) -> tuple[type, bool]:
+    """(type, may be None) of a field annotation such as ``int | None``."""
+    args = typing.get_args(hint) or (hint,)
+    return next(a for a in args if a is not type(None)), type(None) in args
+
+
+# Value type of each config key, and whether it may be None, read from
+# ExperimentConfig's annotations.
+CONFIG_TYPES = {
+    name: _value_type(hint)
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+}
+
+
+def config_value(key: str, value):
+    """Read a raw config value, text or typed, as the type of ``key``.
+
+    Booleans read true/1/yes and false/0/no. An integer key that may be None
+    (epoch_len) reads 'static', 'none' and 'inf' as None.
+    """
     if value is None:
         return None
-    if key == "epoch_len":
-        if isinstance(value, str):
-            if value.lower() in ("static", "none", "inf"):
-                return None
-            value = int(value)
-        return int(value)
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _BOOL_KEYS:
+    kind, nullable = CONFIG_TYPES[key]
+    if kind is bool:
         if isinstance(value, str):
             lowered = value.lower()
             if lowered in ("true", "1", "yes"):
@@ -319,7 +305,13 @@ def _coerce(key: str, value):
                 return False
             raise ValueError(f"cannot parse boolean {key}={value!r}")
         return bool(value)
-    return value
+    if kind is int and nullable and isinstance(value, str):
+        if value.lower() in ("static", "none", "inf"):
+            return None
+    try:
+        return kind(value)
+    except ValueError as err:
+        raise ValueError(f"cannot parse {kind.__name__} {key}={value!r}") from err
 
 
 def load_config(path: str | Path) -> dict:
@@ -355,7 +347,6 @@ class ExperimentResult:
     histograms: np.ndarray
     manifest: dict
     out_dir: Path | None
-    diverged: bool = False
 
 
 def git_describe() -> str:
@@ -447,7 +438,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     marginals, cost, reference = _build_dataset(cfg)
     schedule = netgraph.NetworkSchedule(
         family=cfg.family, m=cfg.m, epoch_len=cfg.epoch_len, seed=cfg.seed,
-        p=cfg.p if cfg.family in ("erdos_renyi", "mst_of_er") else None,
+        p=cfg.p,
     )
     bounds = netgraph.spectral_bounds(schedule, cfg.n_iters)
     params = adom.derive_params(cfg.r, cfg.gamma, bounds)

@@ -30,7 +30,6 @@ __all__ = [
     "laplacian_from_edges",
     "schedule_laplacian",
     "spectral_bounds",
-    "apply_communication",
 ]
 
 FAMILIES = ("cycle", "star", "complete", "erdos_renyi", "mst_of_er")
@@ -349,8 +348,3 @@ def spectral_bounds(schedule: NetworkSchedule, horizon: int) -> SpectralBounds:
         lam_min_plus = min(lam_min_plus, lo)
         lam_max = max(lam_max, hi)
     return SpectralBounds(lambda_min_plus=lam_min_plus, lambda_max=lam_max)
-
-
-def apply_communication(lap: Laplacian, stack: np.ndarray) -> np.ndarray:
-    """One communication round: mix an (m, d) node stack through ``lap``."""
-    return lap.apply(stack)

@@ -178,8 +178,10 @@ class TestDeriveParams:
                     bounds=bounds,
                 )
                 np.testing.assert_allclose(
-                    [ours.alpha, ours.eta, ours.theta, ours.sigma, ours.tau],
-                    [base.alpha, base.eta, base.theta, base.sigma, base.tau],
+                    [ours.r, ours.gamma, ours.alpha, ours.eta, ours.theta,
+                     ours.sigma, ours.tau],
+                    [base.r, base.gamma, base.alpha, base.eta, base.theta,
+                     base.sigma, base.tau],
                     rtol=1e-12,
                 )
 
@@ -190,10 +192,7 @@ class TestDeriveParams:
                 tau=1.5, bounds=PAIR_BOUNDS,
             )
         with pytest.raises(ValueError, match="smoothness"):
-            adom.BaselineParams(
-                smoothness=0.5, strong_convexity=1.0, alpha=1.0, eta=0.1,
-                theta=0.1, sigma=0.5, tau=0.5, bounds=PAIR_BOUNDS,
-            )
+            adom.derive_baseline_params(0.5, 1.0, PAIR_BOUNDS)
 
 
 class TestStepByHand:
@@ -402,50 +401,6 @@ class TestDivergence:
         params = adom.derive_params(r=0.1, gamma=1.0, bounds=PAIR_BOUNDS)
         with pytest.raises(adom.NumericalDivergenceError, match="grad"):
             adom.adom_step(adom.initial_state(2, 2), lap, params, BadOracle())
-
-
-class TestBaselineEquivalence:
-    def test_same_parameters_give_identical_trajectories(self):
-        # The two variants share one update body: feeding the baseline the
-        # smoothed stacked gradient and the exact same float parameters must
-        # reproduce the primary trajectory bit for bit.
-        rng = np.random.default_rng(11)
-        m, d = 5, 6
-        oracle = _wb_setup(rng, m=m, d=d, gamma=0.1)
-        sched = NetworkSchedule(family="erdos_renyi", m=m, epoch_len=5, seed=4, p=0.6)
-        bounds = spectral_bounds(sched, 120)
-        params = adom.derive_params(r=0.02, gamma=0.1, bounds=bounds)
-        base_params = adom.BaselineParams(
-            smoothness=1.0 / 0.02,
-            strong_convexity=0.1 / (1.0 + 0.02 * 0.1),
-            alpha=params.alpha, eta=params.eta, theta=params.theta,
-            sigma=params.sigma, tau=params.tau, bounds=bounds,
-        )
-        primary = adom.run(sched, oracle, params, n_iters=120, record_every=30)
-        generic = adom.baseline_run(
-            sched, adom.smoothed_oracle(oracle, 0.02), base_params, dim=d,
-            n_iters=120, record_every=30,
-        )
-        np.testing.assert_array_equal(primary.state.z, generic.state.z)
-        np.testing.assert_array_equal(primary.state.z_f, generic.state.z_f)
-        np.testing.assert_array_equal(primary.state.momentum, generic.state.momentum)
-        for ra, rb in zip(primary.records, generic.records):
-            np.testing.assert_array_equal(ra.x, rb.x)
-
-    def test_baseline_accepts_warm_start_and_validates_drift(self):
-        rng = np.random.default_rng(12)
-        grad = adom.smoothed_oracle(adom.QuadraticOracle(gamma=0.5, dim=3), 0.1)
-        sched = NetworkSchedule(family="cycle", m=4, epoch_len=None, seed=0)
-        base = adom.derive_baseline_params(
-            smoothness=10.0, strong_convexity=0.476,
-            bounds=spectral_bounds(sched, 1),
-        )
-        z0 = adom.project_zero_sum(rng.standard_normal((4, 3)))
-        traj = adom.baseline_run(sched, grad, base, dim=3, n_iters=5, z0=z0)
-        assert traj.state.n == 5
-        bad = z0 + 1.0
-        with pytest.raises(ValueError, match="node-sum"):
-            adom.baseline_run(sched, grad, base, dim=3, n_iters=5, z0=bad)
 
 
 class TestGuaranteeConstants:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 import netbary
-from netbary import netgraph
-from netbary.cli import cli
+from netbary import harness, netgraph
+from netbary.cli import _build_parser, _config_from_args, cli
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -28,6 +29,32 @@ record_every = 10
 delta = 1e-4
 seed = 5
 """
+
+
+# One value per config key, as text, each different from the key's default.
+NON_DEFAULTS = {
+    "dataset": "mnist",
+    "m": "7",
+    "d": "12",
+    "family": "star",
+    "p": "0.25",
+    "epoch_len": "3",
+    "seed": "9",
+    "gamma": "0.2",
+    "r": "0.03",
+    "n_iters": "17",
+    "record_every": "4",
+    "delta": "1e-5",
+    "mean_low": "0.3",
+    "mean_high": "0.7",
+    "std_low": "0.1",
+    "std_high": "0.3",
+    "mnist_images": "images.idx",
+    "mnist_labels": "labels.idx",
+    "digit": "2",
+    "measure_walltime": "true",
+    "out": "results",
+}
 
 
 def _write_config(tmp_path, text=SMALL_CONFIG):
@@ -161,6 +188,40 @@ class TestRun:
         )
 
 
+class TestConfigFlags:
+    def test_every_key_is_a_flag_that_parses_like_the_config_file(self, tmp_path):
+        keys = [field.name for field in dataclasses.fields(harness.ExperimentConfig)]
+        assert sorted(keys) == sorted(NON_DEFAULTS)
+        cfg_path = _write_config(
+            tmp_path, "".join(f"{key} = {text}\n" for key, text in NON_DEFAULTS.items())
+        )
+        from_file = harness.ExperimentConfig.from_dict(harness.load_config(cfg_path))
+        default = harness.ExperimentConfig()
+        for key in keys:
+            assert getattr(from_file, key) != getattr(default, key), key
+        flags = []
+        for key, text in NON_DEFAULTS.items():
+            flags.append("--" + key.replace("_", "-"))
+            if key != "measure_walltime":  # a switch, it takes no value
+                flags.append(text)
+        for command in ("run", "sweep"):
+            args = _build_parser().parse_args([command, *flags])
+            assert _config_from_args(args) == from_file
+
+    def test_static_epoch_len_flag_matches_config_file(self, tmp_path):
+        cfg_path = _write_config(tmp_path, "epoch_len = static\n")
+        from_file = harness.ExperimentConfig.from_dict(harness.load_config(cfg_path))
+        args = _build_parser().parse_args(["run", "--epoch-len", "static"])
+        assert _config_from_args(args) == from_file
+        assert from_file.epoch_len is None
+
+    def test_bad_flag_value_names_the_key(self, capsys):
+        code = cli(["run", "--m", "three"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "m='three'" in captured.err
+
+
 class TestSweep:
     def test_family_sweep_writes_subdirectories(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path)
@@ -201,6 +262,26 @@ class TestSweep:
         five = json.loads((out_dir / "epoch-5" / "manifest.json").read_text())
         assert static["config"]["epoch_len"] is None
         assert five["config"]["epoch_len"] == 5
+
+    def test_failing_variant_keeps_the_others(self, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path)
+        out_dir = tmp_path / "sweep"
+        code = cli(
+            [
+                "sweep",
+                "--config", str(cfg_path),
+                "--families", "cycle,hypercube,complete",
+                "--out", str(out_dir),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        lines = captured.out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["family-cycle", "family-complete"]
+        assert "family-hypercube: error: unknown family 'hypercube'" in captured.err
+        for label in ("family-cycle", "family-complete"):
+            assert (out_dir / label / "metrics.csv").exists()
+            assert (out_dir / label / "histograms.npy").exists()
 
     def test_sweep_requires_out(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path)

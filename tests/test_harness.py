@@ -13,7 +13,6 @@ from netbary.harness import (
     GaussianSpec,
     IdxFormatError,
     analytic_barycenter,
-    consensus_metric,
     draw_gaussian_specs,
     gaussian_grid,
     gen_truncated_gaussian,
@@ -235,20 +234,6 @@ class TestLoadMnist:
             load_mnist(img_path, lab_path, digit=1, count=1)
 
 
-class TestConsensusMetric:
-    def test_requires_two_rows(self):
-        with pytest.raises(ValueError, match="m >= 2"):
-            consensus_metric(np.ones((1, 4)))
-
-    def test_equal_rows_give_zero(self):
-        stack = np.tile(np.array([0.2, 0.3, 0.5]), (4, 1))
-        assert consensus_metric(stack) == 0.0
-
-    def test_two_basis_vectors(self):
-        stack = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(consensus_metric(stack), 2.0)
-
-
 class TestExperimentConfig:
     def test_defaults(self):
         cfg = ExperimentConfig.from_dict({})
@@ -346,7 +331,6 @@ class TestRunExperiment:
         np.testing.assert_allclose(result.histograms.sum(axis=1), 1.0, atol=1e-9)
         assert result.histograms.min() >= 0.0
         assert result.out_dir is None
-        assert result.diverged is False
 
     def test_manifest_contents(self):
         result = run_experiment(_small_config())

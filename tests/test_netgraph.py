@@ -9,7 +9,6 @@ from netbary.netgraph import (
     Laplacian,
     NetworkSchedule,
     SpectralBounds,
-    apply_communication,
     laplacian_from_edges,
     schedule_laplacian,
     spectral_bounds,
@@ -87,12 +86,6 @@ class TestLaplacianApply:
         lap = laplacian_from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError, match="shape"):
             lap.apply(np.zeros(3))
-
-    def test_apply_communication_is_laplacian_apply(self):
-        rng = np.random.default_rng(8)
-        lap = laplacian_from_edges(3, [(0, 1), (1, 2)])
-        stack = rng.standard_normal((3, 6))
-        np.testing.assert_array_equal(apply_communication(lap, stack), lap.apply(stack))
 
 
 class TestEigenvalues:
