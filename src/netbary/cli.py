@@ -31,11 +31,15 @@ __all__ = ["cli", "main"]
 _FD_THRESHOLD = 1e-6
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """``--config`` plus one flag per ExperimentConfig field. Flag values
-    are read by the same coercion as config-file values."""
-    parser.add_argument("--config", type=str, default=None, help="key = value config file")
+def _add_config_flags(parser: argparse.ArgumentParser, names=None) -> None:
+    """``--config`` plus one flag per ExperimentConfig field; with ``names``,
+    only those fields' flags. Flag values are read by the same coercion as
+    config-file values, and an absent flag keeps the field's default."""
+    if names is None:
+        parser.add_argument("--config", type=str, default=None, help="key = value config file")
     for field in dataclasses.fields(harness.ExperimentConfig):
+        if names is not None and field.name not in names:
+            continue
         flag = "--" + field.name.replace("_", "-")
         if harness.CONFIG_TYPES[field.name][0] is bool:
             parser.add_argument(flag, action="store_const", const=True, default=None)
@@ -48,7 +52,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> harness.ExperimentConfig:
     raw = {}
-    if args.config is not None:
+    if getattr(args, "config", None) is not None:
         raw.update(harness.load_config(args.config))
     for key in harness.ExperimentConfig.__dataclass_fields__:
         value = getattr(args, key, None)
@@ -72,6 +76,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError("jobs must be >= 1")
     cfg = _config_from_args(args)
     if cfg.out is None:
         raise ValueError("sweep needs --out (or out in the config) as the parent directory")
@@ -97,7 +103,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     # Every variant runs to its end; one that fails is reported by its label
     # and leaves the others' artifacts and summary lines in place.
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         futures = [(label, pool.submit(one, raw)) for label, raw in variants]
     failed = 0
     for label, future in futures:
@@ -115,12 +121,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectra(args: argparse.Namespace) -> int:
+    cfg = _config_from_args(args)
     schedule = netgraph.NetworkSchedule(
-        family=args.family, m=args.m, seed=args.seed, p=args.p,
-        epoch_len=harness.config_value("epoch_len", args.epoch_len),
+        family=cfg.family, m=cfg.m, seed=cfg.seed, p=cfg.p, epoch_len=cfg.epoch_len,
     )
     bounds = netgraph.spectral_bounds(schedule, args.horizon)
-    print(f"family = {args.family}, m = {args.m}, horizon = {args.horizon}")
+    print(f"family = {cfg.family}, m = {cfg.m}, horizon = {args.horizon}")
     print(f"lambda_min_plus = {bounds.lambda_min_plus!r}")
     print(f"lambda_max = {bounds.lambda_max!r}")
     return 0
@@ -193,9 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectra", help="print spectral bounds of a schedule")
     p_spec.add_argument("--family", choices=list(netgraph.FAMILIES), required=True)
     p_spec.add_argument("--m", type=int, required=True)
-    p_spec.add_argument("--p", type=float, default=0.9)
-    p_spec.add_argument("--epoch-len", type=str, default=None)
-    p_spec.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p_spec, ("p", "epoch_len", "seed"))
     p_spec.add_argument("--horizon", type=int, default=1000)
     p_spec.set_defaults(func=_cmd_spectra)
 

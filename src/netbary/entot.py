@@ -318,10 +318,13 @@ def _entropic_cost(plan: np.ndarray, cost: np.ndarray, gamma: float) -> float:
 
 
 def exact_ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray) -> float:
-    """Unregularized transport cost via the transportation linear program.
+    """Unregularized transport cost between p and q.
 
     Used for metrics only, never inside the solver loop. Marginals are
-    renormalized to unit mass before the solve to absorb 1e-16-level drift.
+    renormalized to unit mass to absorb 1e-16-level drift. A cost with the
+    Monge property (squared distances between sorted points on a line, for
+    one) is solved in closed form by the north-west-corner coupling; any
+    other cost by the transportation linear program.
     """
     p = validate_histogram(p, "p")
     q = validate_histogram(q, "q")
@@ -333,29 +336,56 @@ def exact_ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray) -> float:
     q = np.maximum(q, 0.0)
     p = p / p.sum()
     q = q / q.sum()
-    # Row-sum constraints for all i, column sums for j < d-1 (the last is
-    # implied), keeping the equality system full rank.
-    rows = []
-    cols = []
-    data = []
-    for i in range(d):
-        for j in range(d):
-            rows.append(i)
-            cols.append(i * d + j)
-            data.append(1.0)
-    for j in range(d - 1):
-        for i in range(d):
-            rows.append(d + j)
-            cols.append(i * d + j)
-            data.append(1.0)
-    a_eq = scipy.sparse.csr_matrix(
-        (data, (rows, cols)), shape=(2 * d - 1, d * d)
-    )
+    if _is_monge(cost):
+        return _north_west_corner_cost(p, q, cost)
+    return _transport_lp(p, q, cost)
+
+
+def _is_monge(cost: np.ndarray) -> bool:
+    """cost[i,j] + cost[i+1,j+1] <= cost[i,j+1] + cost[i+1,j] for all
+    adjacent i, j, which makes the north-west-corner coupling optimal for
+    every pair of marginals (Hoffman, 1963)."""
+    return bool(np.all(cost[:-1, :-1] + cost[1:, 1:] <= cost[:-1, 1:] + cost[1:, :-1]))
+
+
+def _north_west_corner_cost(p: np.ndarray, q: np.ndarray, cost: np.ndarray) -> float:
+    """Cost of the monotone coupling of the two CDFs.
+
+    The merged CDF breakpoints cut [0, 1] into segments; each segment's mass
+    moves from the first row whose CDF reaches its right end to the first
+    such column. Zero-mass entries own no segment.
+    """
+    cdf_p = np.minimum(np.cumsum(p), 1.0)
+    cdf_q = np.minimum(np.cumsum(q), 1.0)
+    cdf_p[-1] = cdf_q[-1] = 1.0
+    ends = np.sort(np.concatenate([cdf_p, cdf_q]))
+    mass = np.diff(ends, prepend=0.0)
+    rows = np.searchsorted(cdf_p, ends)
+    cols = np.searchsorted(cdf_q, ends)
+    return float(np.dot(mass, cost[rows, cols]))
+
+
+def _transport_lp(p: np.ndarray, q: np.ndarray, cost: np.ndarray) -> float:
+    """Optimal value of the transportation linear program, by HiGHS."""
     b_eq = np.concatenate([p, q[:-1]])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(
+        cost.ravel(), A_eq=_transport_constraints(p.shape[0]), b_eq=b_eq,
+        bounds=(0, None), method="highs",
+    )
     if res.status != 0:
         raise RuntimeError(f"transport LP failed with status {res.status}: {res.message}")
     return float(res.fun)
+
+
+def _transport_constraints(d: int) -> scipy.sparse.csr_matrix:
+    """Equality rows of the d x d transportation LP over the row-major plan:
+    row sums for all i, column sums for j < d-1 (the last is implied),
+    keeping the system full rank."""
+    cells = np.arange(d * d)
+    rows = np.concatenate([cells // d, d + np.repeat(np.arange(d - 1), d)])
+    cols = np.concatenate([cells, (np.arange(d) * d + np.arange(d - 1)[:, None]).ravel()])
+    data = np.ones(rows.shape[0])
+    return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(2 * d - 1, d * d))
 
 
 def k_bound(

@@ -291,7 +291,8 @@ def config_value(key: str, value):
     """Read a raw config value, text or typed, as the type of ``key``.
 
     Booleans read true/1/yes and false/0/no. An integer key that may be None
-    (epoch_len) reads 'static', 'none' and 'inf' as None.
+    (epoch_len) reads 'static', 'none' and 'inf' as None. An integer key
+    rejects a float with a fractional part, as it rejects the text '5.5'.
     """
     if value is None:
         return None
@@ -308,6 +309,8 @@ def config_value(key: str, value):
     if kind is int and nullable and isinstance(value, str):
         if value.lower() in ("static", "none", "inf"):
             return None
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"cannot parse int {key}={value!r}")
     try:
         return kind(value)
     except ValueError as err:
@@ -431,7 +434,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     Derives step parameters from the schedule's spectral bounds over the
     run's horizon, solves, computes metrics at the recorded iterations
-    (transport LPs run only there), and persists CSV, manifest, and final
+    (exact transport runs only there), and persists CSV, manifest, and final
     histograms under ``cfg.out`` when it is set. On solver divergence the
     partial CSV is still written before the error propagates.
     """

@@ -96,6 +96,12 @@ class TestSpectra:
         with pytest.raises(SystemExit):
             cli(["spectra", "--family", "hypercube", "--m", "6"])
 
+    def test_defaults_are_the_config_defaults(self):
+        args = _build_parser().parse_args(["spectra", "--family", "cycle", "--m", "4"])
+        cfg = _config_from_args(args)
+        default = harness.ExperimentConfig()
+        assert (cfg.p, cfg.seed, cfg.epoch_len) == (default.p, default.seed, default.epoch_len)
+
 
 class TestOracleCheck:
     def test_default_instance_passes(self, capsys):
@@ -290,6 +296,25 @@ class TestSweep:
         assert code == 1
         assert "error:" in captured.err
         assert "--out" in captured.err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected_before_any_variant(self, tmp_path, capsys, jobs):
+        cfg_path = _write_config(tmp_path)
+        out_dir = tmp_path / "sweep"
+        code = cli(
+            [
+                "sweep",
+                "--config", str(cfg_path),
+                "--families", "cycle",
+                "--out", str(out_dir),
+                "--jobs", jobs,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: jobs must be >= 1" in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
 
     def test_sweep_requires_a_grid(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path)

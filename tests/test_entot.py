@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -316,6 +317,21 @@ class TestSinkhorn:
         assert res.iterations == 3
 
 
+def _loop_constraints(d):
+    """The transportation LP's equality rows, built entry by entry."""
+    rows, cols = [], []
+    for i in range(d):
+        for j in range(d):
+            rows.append(i)
+            cols.append(i * d + j)
+    for j in range(d - 1):
+        for i in range(d):
+            rows.append(d + j)
+            cols.append(i * d + j)
+    data = [1.0] * len(rows)
+    return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(2 * d - 1, d * d))
+
+
 class TestExactOT:
     def test_identical_marginals_cost_zero(self):
         rng = np.random.default_rng(18)
@@ -356,6 +372,51 @@ class TestExactOT:
         cost = entot.cost_matrix(np.sort(rng.random(4)))
         # Product coupling is feasible, so it upper bounds the optimum.
         assert entot.exact_ot(p, q, cost) <= float(p @ cost @ q) + 1e-12
+
+    def test_lp_constraints_match_the_entrywise_build(self):
+        for d in (2, 3, 7, 196):
+            got = entot._transport_constraints(d)
+            want = _loop_constraints(d)
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr))
+                assert getattr(got, attr).dtype == getattr(want, attr).dtype
+            assert got.shape == want.shape
+
+
+class TestExactOTClosedForm:
+    """Monge costs take the north-west-corner value, checked against the LP
+    on the same instance. A seeded permutation of the support makes the cost
+    non-Monge, so exact_ot solves the permuted instance by the LP."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 20, 100])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_lp_on_a_line(self, d, reverse):
+        rng = np.random.default_rng([21, d, reverse])
+        grid = np.linspace(0.0, 1.0, d)
+        cost = entot.cost_matrix(grid[::-1] if reverse else grid)
+        assert entot._is_monge(cost)
+        for _ in range(5):
+            p = rng.random(d) * (rng.random(d) > 0.3)
+            q = rng.random(d) * (rng.random(d) > 0.3)
+            p[rng.integers(d)] += 0.1
+            q[rng.integers(d)] += 0.1
+            p, q = p / p.sum(), q / q.sum()
+            got = entot.exact_ot(p, q, cost)
+            if d == 2:
+                # Every 2x2 zero-diagonal symmetric cost is Monge.
+                ref = entot._transport_lp(p, q, cost)
+            else:
+                perm = rng.permutation(d)
+                while entot._is_monge(cost[np.ix_(perm, perm)]):
+                    perm = rng.permutation(d)
+                ref = entot.exact_ot(p[perm], q[perm], cost[np.ix_(perm, perm)])
+            assert abs(got - ref) <= 1e-12 * ref
+
+    def test_hand_value_with_zero_mass_entries(self):
+        cost = entot.cost_matrix(np.arange(4.0), normalize=False)
+        p = np.array([0.5, 0.0, 0.0, 0.5])
+        q = np.array([0.0, 0.5, 0.5, 0.0])
+        assert entot.exact_ot(p, q, cost) == pytest.approx(1.0, rel=1e-15)
 
 
 class TestKBound:

@@ -193,6 +193,13 @@ class TestLoadMnist:
         np.testing.assert_allclose(cost, expected, atol=1e-15)
         assert cost.max() == 1.0
 
+    def test_raster_cost_is_not_monge(self, tmp_path):
+        # A row-major pixel grid wraps from the end of one row to the start
+        # of the next, so exact_ot keeps the LP for image costs.
+        img_path, lab_path = self._fixture(tmp_path)
+        _, cost = load_mnist(img_path, lab_path, digit=7, count=1)
+        assert not entot._is_monge(cost)
+
     def test_not_enough_images_of_digit(self, tmp_path):
         img_path, lab_path = self._fixture(tmp_path)
         with pytest.raises(ValueError, match="found only 1"):
@@ -258,6 +265,13 @@ class TestExperimentConfig:
         for token in ("static", "none", "inf", "STATIC"):
             cfg = ExperimentConfig.from_dict({"epoch_len": token})
             assert cfg.epoch_len is None
+
+    def test_fractional_float_for_integer_key_rejected(self):
+        with pytest.raises(ValueError, match=r"cannot parse int m=5\.5"):
+            ExperimentConfig.from_dict({"m": 5.5})
+        with pytest.raises(ValueError, match="cannot parse int m='5.5'"):
+            ExperimentConfig.from_dict({"m": "5.5"})
+        assert ExperimentConfig.from_dict({"m": 5.0}).m == 5
 
     def test_bad_boolean_rejected(self):
         with pytest.raises(ValueError, match="boolean"):
@@ -331,6 +345,20 @@ class TestRunExperiment:
         np.testing.assert_allclose(result.histograms.sum(axis=1), 1.0, atol=1e-9)
         assert result.histograms.min() >= 0.0
         assert result.out_dir is None
+
+    def test_one_exact_transport_per_node_per_record_plus_reference(self, monkeypatch):
+        # The benchmark checks exactly this count when it traces exact_ot.
+        calls = []
+        solve = entot.exact_ot
+
+        def counting(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(entot, "exact_ot", counting)
+        cfg = _small_config()
+        result = run_experiment(cfg)
+        assert len(calls) == cfg.m * (len(result.rows) + 1)
 
     def test_manifest_contents(self):
         result = run_experiment(_small_config())
