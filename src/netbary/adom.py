@@ -52,26 +52,21 @@ __all__ = [
 
 
 class DualOracle(abc.ABC):
-    """Per-node gradient oracle for the conjugates of the node objectives.
+    """Stacked gradient oracle for the conjugates of the node objectives.
 
-    ``grad_conj(i, z)`` returns the gradient of node i's conjugate objective
-    at the dual point z; ``gamma`` is the strong-convexity modulus of the
-    primal objectives, and ``dim`` the ambient dimension. Implementations
-    must be pure: node evaluations may run concurrently on distinct indices.
+    ``gamma`` is the strong-convexity modulus of the primal objectives, and
+    ``dim`` the ambient dimension. Implementations validate their data when
+    they are built, so an evaluation inside the solver loop checks no more
+    than the shape of its argument.
     """
 
     gamma: float
     dim: int
 
     @abc.abstractmethod
-    def grad_conj(self, i: int, z: np.ndarray) -> np.ndarray:
-        """Gradient of the i-th conjugate objective at z, shape (dim,)."""
-
     def grad_conj_stack(self, z_stack: np.ndarray) -> np.ndarray:
-        """Stacked evaluation, one row per node. Shape (m, dim) -> (m, dim)."""
-        return np.stack(
-            [self.grad_conj(i, z_stack[i]) for i in range(z_stack.shape[0])]
-        )
+        """Row i is the gradient of node i's conjugate objective at
+        z_stack[i]. Shape (m, dim) -> (m, dim)."""
 
 
 class QuadraticOracle(DualOracle):
@@ -93,12 +88,6 @@ class QuadraticOracle(DualOracle):
                 raise ValueError(f"centers must have shape (m, {dim}), got {centers.shape}")
         self.centers = centers
 
-    def grad_conj(self, i: int, z: np.ndarray) -> np.ndarray:
-        base = z / self.gamma
-        if self.centers is None:
-            return base
-        return self.centers[i] + base
-
     def grad_conj_stack(self, z_stack: np.ndarray) -> np.ndarray:
         base = z_stack / self.gamma
         if self.centers is None:
@@ -107,7 +96,7 @@ class QuadraticOracle(DualOracle):
 
 
 def smoothed_oracle(oracle: DualOracle, r: float):
-    """Stacked gradient of the r-smoothed dual: grad_conj(z) + r z.
+    """Stacked gradient of the r-smoothed dual: grad_conj_stack(z) + r z.
 
     Adding ``(r/2)|z|^2`` to each conjugate is the dual picture of taking
     the Moreau-Yosida envelope of each primal objective with parameter r;

@@ -134,25 +134,29 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _check_oracle_inputs(q, cost, gamma, z=None):
+def _check_marginal(q, cost, gamma, name="q"):
+    """q as a strictly positive histogram on a validated cost's support."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    q = validate_histogram(q, "q")
+    q = validate_histogram(q, name)
     if q.min() <= 0:
         raise ValueError(
-            "q has a zero entry; apply floor_histogram before building the oracle"
+            f"{name} has a zero entry; apply floor_histogram before building the oracle"
         )
-    cost = validate_cost_matrix(cost)
     if cost.shape[0] != q.shape[0]:
         raise ValueError(
             f"cost shape {cost.shape} incompatible with histogram length {q.shape[0]}"
         )
-    if z is not None:
-        z = np.asarray(z, dtype=float)
-        if z.shape != q.shape:
-            raise ValueError(f"z shape {z.shape} != histogram shape {q.shape}")
-        return q, cost, z
-    return q, cost
+    return q
+
+
+def _check_oracle_inputs(q, cost, gamma, z):
+    cost = validate_cost_matrix(cost)
+    q = _check_marginal(q, cost, gamma)
+    z = np.asarray(z, dtype=float)
+    if z.shape != q.shape:
+        raise ValueError(f"z shape {z.shape} != histogram shape {q.shape}")
+    return q, cost, z
 
 
 def dual_value(q: np.ndarray, cost: np.ndarray, gamma: float, z: np.ndarray) -> float:
@@ -175,40 +179,52 @@ def dual_grad(q: np.ndarray, cost: np.ndarray, gamma: float, z: np.ndarray) -> n
 
     Column j of exp((z_l - M_lj)/gamma) is normalized over l and the columns
     are mixed with weights q_j, all in the log domain. The map is invariant
-    to shifting z by a constant and 1/gamma-Lipschitz.
+    to shifting z by a constant and 1/gamma-Lipschitz. Computed by the same
+    kernel as :meth:`WassersteinDualOracle.grad_conj_stack`, on one row.
     """
     q, cost, z = _check_oracle_inputs(q, cost, gamma, z)
-    scaled = (z[:, None] - cost) / gamma  # [l, j]
-    scaled = scaled - scaled.max(axis=0, keepdims=True)
-    weights = np.exp(scaled)
-    weights /= weights.sum(axis=0, keepdims=True)
-    return weights @ q
+    return _conj_grad_stack(q[None, :], cost, gamma, z[None, :])[0]
+
+
+def _conj_grad_stack(marginals, cost, gamma, z_stack):
+    """Row i is :func:`dual_grad` of marginals[i] at z_stack[i]; inputs are
+    not checked. Works in place on one (m, d, d) array, indexed [i, l, j]:
+    m d^2 doubles, 49 MB at m = 10, d = 784."""
+    work = z_stack[:, :, None] - cost
+    work /= gamma
+    work -= work.max(axis=1, keepdims=True)
+    np.exp(work, out=work)
+    work /= work.sum(axis=1, keepdims=True)
+    return np.matmul(work, marginals[:, :, None])[:, :, 0]
 
 
 class WassersteinDualOracle(DualOracle):
-    """Per-node conjugate gradients of entropic transport costs.
+    """Stacked conjugate gradients of entropic transport costs.
 
     Node i owns the fixed marginal ``marginals[i]``; all nodes share the
-    cost matrix. Evaluations are pure and may run concurrently across nodes.
+    cost matrix. Gamma, the cost and every marginal are validated here, once,
+    and kept as read-only copies, so evaluations check only the shape.
     """
 
     def __init__(self, marginals: np.ndarray, cost: np.ndarray, gamma: float):
-        marginals = np.asarray(marginals, dtype=float)
+        marginals = np.array(marginals, dtype=float)
         if marginals.ndim != 2:
             raise ValueError(f"marginals must be (m, d), got shape {marginals.shape}")
-        for i in range(marginals.shape[0]):
-            _check_oracle_inputs(marginals[i], cost, gamma)
+        cost = validate_cost_matrix(np.array(cost, dtype=float))
+        for i, q in enumerate(marginals):
+            _check_marginal(q, cost, gamma, f"marginals[{i}]")
+        marginals.setflags(write=False)
+        cost.setflags(write=False)
         self.marginals = marginals
-        self.cost = validate_cost_matrix(cost)
+        self.cost = cost
         self.gamma = float(gamma)
-        self.dim = marginals.shape[1]
-        self.m = marginals.shape[0]
+        self.m, self.dim = marginals.shape
 
-    def grad_conj(self, i: int, z: np.ndarray) -> np.ndarray:
-        return dual_grad(self.marginals[i], self.cost, self.gamma, z)
-
-    def value(self, i: int, z: np.ndarray) -> float:
-        return dual_value(self.marginals[i], self.cost, self.gamma, z)
+    def grad_conj_stack(self, z_stack: np.ndarray) -> np.ndarray:
+        z_stack = np.asarray(z_stack, dtype=float)
+        if z_stack.shape != self.marginals.shape:
+            raise ValueError(f"z_stack shape {z_stack.shape} != {self.marginals.shape}")
+        return _conj_grad_stack(self.marginals, self.cost, self.gamma, z_stack)
 
 
 def wb_dual_oracle(
@@ -223,11 +239,6 @@ def recover_barycenter(
 ) -> np.ndarray:
     """Per-node barycenter estimates from dual points: row i is the
     conjugate gradient of node i at z_stack[i], an exact simplex point."""
-    z_stack = np.asarray(z_stack, dtype=float)
-    if z_stack.shape != (oracle.m, oracle.dim):
-        raise ValueError(
-            f"z_stack shape {z_stack.shape} != ({oracle.m}, {oracle.dim})"
-        )
     return oracle.grad_conj_stack(z_stack)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import struct
 import subprocess
 import typing
@@ -141,38 +142,33 @@ def draw_gaussian_specs(
 
 
 def _read_exact(handle, count: int, path: str, what: str) -> bytes:
-    data = handle.read(count)
-    if len(data) != count:
-        raise IdxFormatError(
-            f"{path}: truncated while reading {what}: needed {count} bytes, got {len(data)}"
-        )
+    # At most 64 MiB per read: a header may claim more bytes than read() can
+    # be asked for, and a pipe has no size to compare the claim with.
+    data = b""
+    while len(data) < count:
+        chunk = handle.read(min(count - len(data), 1 << 26))
+        if not chunk:
+            raise IdxFormatError(
+                f"{path}: truncated while reading {what}: needed {count} bytes, got {len(data)}"
+            )
+        data += chunk
     return data
 
 
-def _read_idx_images(path: str | Path) -> np.ndarray:
+def _read_idx(path: str | Path, ndim: int, what: str) -> np.ndarray:
+    """An unsigned-byte IDX tensor of ``ndim`` dimensions (magic 0x0000080N,
+    N = ndim), the first dimension counting ``what``."""
     path = str(path)
+    expected = 0x00000800 + ndim
     with open(path, "rb") as handle:
         magic = struct.unpack(">I", _read_exact(handle, 4, path, "magic"))[0]
-        if magic != 0x00000803:
+        if magic != expected:
             raise IdxFormatError(
-                f"{path}: bad magic 0x{magic:08x} at offset 0, expected 0x00000803"
+                f"{path}: bad magic 0x{magic:08x} at offset 0, expected 0x{expected:08x}"
             )
-        count, rows, cols = struct.unpack(">III", _read_exact(handle, 12, path, "header"))
-        body = _read_exact(handle, count * rows * cols, path, f"{count} images")
-    return np.frombuffer(body, dtype=np.uint8).reshape(count, rows, cols)
-
-
-def _read_idx_labels(path: str | Path) -> np.ndarray:
-    path = str(path)
-    with open(path, "rb") as handle:
-        magic = struct.unpack(">I", _read_exact(handle, 4, path, "magic"))[0]
-        if magic != 0x00000801:
-            raise IdxFormatError(
-                f"{path}: bad magic 0x{magic:08x} at offset 0, expected 0x00000801"
-            )
-        count = struct.unpack(">I", _read_exact(handle, 4, path, "header"))[0]
-        body = _read_exact(handle, count, path, f"{count} labels")
-    return np.frombuffer(body, dtype=np.uint8)
+        shape = struct.unpack(f">{ndim}I", _read_exact(handle, 4 * ndim, path, "header"))
+        body = _read_exact(handle, math.prod(shape), path, f"{shape[0]} {what}")
+    return np.frombuffer(body, dtype=np.uint8).reshape(shape)
 
 
 def load_mnist(
@@ -188,8 +184,8 @@ def load_mnist(
     The files use the IDX encoding: big-endian, magic 0x00000803 for image
     tensors and 0x00000801 for label vectors.
     """
-    images = _read_idx_images(images_path)
-    labels = _read_idx_labels(labels_path)
+    images = _read_idx(images_path, 3, "images")
+    labels = _read_idx(labels_path, 1, "labels")
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(
             f"{images_path} holds {images.shape[0]} images but {labels_path} "
@@ -259,6 +255,8 @@ class ExperimentConfig:
             raise ValueError(f"dataset must be 'gaussians' or 'mnist', got {self.dataset!r}")
         if self.dataset == "mnist" and (self.mnist_images is None or self.mnist_labels is None):
             raise ValueError("mnist dataset needs mnist_images and mnist_labels paths")
+        if self.record_every < 1:
+            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -91,6 +91,24 @@ def _lse(a, axis):
     )
 
 
+def conj_grad_reference(q, cost, gamma, z):
+    """Gradient in z of gamma sum_j q_j log sum_l exp((z_l - cost[l, j]) / gamma).
+
+    Term j contributes q_j times the softmax over l of column j. One node,
+    one column at a time, each softmax shifted by its own maximum so that
+    exp cannot overflow for large |z| / gamma.
+    """
+    q = np.asarray(q, dtype=float)
+    cost = np.asarray(cost, dtype=float)
+    z = np.asarray(z, dtype=float)
+    grad = np.zeros_like(z)
+    for j in range(q.size):
+        logits = (z - cost[:, j]) / gamma
+        weights = np.exp(logits - logits.max())
+        grad += q[j] * weights / weights.sum()
+    return grad
+
+
 def fd_gradient(func, z, step=1e-6):
     """Central finite differences of a scalar function of a vector."""
     z = np.asarray(z, dtype=float)

@@ -30,9 +30,6 @@ class _CountingOracle(adom.DualOracle):
         self.dim = inner.dim
         self.stack_calls = 0
 
-    def grad_conj(self, i, z):
-        return self.inner.grad_conj(i, z)
-
     def grad_conj_stack(self, z_stack):
         self.stack_calls += 1
         return self.inner.grad_conj_stack(z_stack)
@@ -42,9 +39,9 @@ class TestQuadraticOracle:
     def test_gradient_is_center_plus_scaled_point(self):
         centers = np.array([[1.0, -2.0], [0.5, 0.0]])
         oracle = adom.QuadraticOracle(gamma=0.5, dim=2, centers=centers)
-        z = np.array([0.2, -0.4])
+        z_stack = np.array([[0.0, 1.0], [0.2, -0.4]])
         np.testing.assert_allclose(
-            oracle.grad_conj(1, z), centers[1] + z / 0.5, atol=1e-15
+            oracle.grad_conj_stack(z_stack), [[1.0, 0.0], [0.9, -0.8]], atol=1e-15
         )
 
     def test_stack_matches_per_node_loop(self):
@@ -52,7 +49,7 @@ class TestQuadraticOracle:
         centers = rng.standard_normal((4, 3))
         oracle = adom.QuadraticOracle(gamma=2.0, dim=3, centers=centers)
         z_stack = rng.standard_normal((4, 3))
-        loop = np.stack([oracle.grad_conj(i, z_stack[i]) for i in range(4)])
+        loop = np.stack([centers[i] + z_stack[i] / 2.0 for i in range(4)])
         np.testing.assert_array_equal(oracle.grad_conj_stack(z_stack), loop)
 
     def test_centerless_oracle_scales_only(self):
@@ -394,8 +391,8 @@ class TestDivergence:
             gamma = 1.0
             dim = 2
 
-            def grad_conj(self, i, z):
-                return np.full(2, np.inf)
+            def grad_conj_stack(self, z_stack):
+                return np.full(z_stack.shape, np.inf)
 
         lap = laplacian_from_edges(2, [(0, 1)])
         params = adom.derive_params(r=0.1, gamma=1.0, bounds=PAIR_BOUNDS)

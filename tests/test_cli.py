@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,36 @@ class TestRun:
         assert code == 1
         assert captured.err.startswith("error:")
         assert str(absent) in captured.err
+
+    def test_overflowing_idx_header_fails_with_diagnostic(self, tmp_path, capsys):
+        images = tmp_path / "images.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, 2**31, 2**16, 2**16) + b"\0" * 16)
+        labels = tmp_path / "labels.idx"
+        labels.write_bytes(struct.pack(">II", 0x801, 2) + b"\1\1")
+        code = cli(
+            [
+                "run",
+                "--dataset", "mnist",
+                "--mnist-images", str(images),
+                "--mnist-labels", str(labels),
+                "--m", "2",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert str(images) in captured.err
+
+    def test_record_every_zero_fails_before_the_manifest(self, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path)
+        out_dir = tmp_path / "out"
+        code = cli(
+            ["run", "--config", str(cfg_path), "--record-every", "0", "--out", str(out_dir)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "record_every" in captured.err
+        assert not (out_dir / "manifest.json").exists()
 
     def test_bad_config_key_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"

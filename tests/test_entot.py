@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import lp_oracle
 import oracles
-from netbary import entot
+from netbary import adom, entot, netgraph
 
 
 def _random_instance(rng, d, gamma=0.2, delta=1e-4):
@@ -211,18 +211,89 @@ class TestWassersteinDualOracle:
         stacked = oracle.grad_conj_stack(z_stack)
         for i in range(m):
             row = entot.dual_grad(marginals[i], cost, 0.1, z_stack[i])
-            np.testing.assert_array_equal(oracle.grad_conj(i, z_stack[i]), row)
             np.testing.assert_array_equal(stacked[i], row)
 
-    def test_value_matches_dual_value(self):
+    # The benchmark's three shapes, one node, and |z|/gamma near 1e4, where
+    # exp of the raw logits overflows.
+    @pytest.mark.parametrize(
+        "m, d, support, gamma, z_scale",
+        [
+            (10, 100, "line", 0.01, 1.0),
+            (50, 20, "line", 0.01, 1.0),
+            (8, 196, "raster", 0.01, 1.0),
+            (1, 30, "line", 0.05, 1.0),
+            (4, 50, "line", 0.01, 100.0),
+        ],
+    )
+    def test_stack_matches_independent_reference(self, m, d, support, gamma, z_scale):
+        rng = np.random.default_rng([21, m, d])
+        if support == "line":
+            points = np.sort(rng.random(d))
+        else:
+            side = int(np.sqrt(d))
+            points = np.argwhere(np.ones((side, side))).astype(float)
+        cost = entot.cost_matrix(points)
+        marginals = np.stack(
+            [entot.floor_histogram(rng.dirichlet(np.ones(d)), 1e-6) for _ in range(m)]
+        )
+        z_stack = z_scale * rng.standard_normal((m, d))
+        got = entot.wb_dual_oracle(marginals, cost, gamma).grad_conj_stack(z_stack)
+        with np.errstate(over="ignore"):
+            naive = np.exp((z_stack[:, :, None] - cost) / gamma)
+        assert np.isinf(naive).any() == (z_scale == 100.0)
+        for i in range(m):
+            want = oracles.conj_grad_reference(marginals[i], cost, gamma, z_stack[i])
+            # Summation order differs; every term is nonnegative, so the
+            # error is relative, a few d * eps at most.
+            np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-300)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_keeps_read_only_copies(self):
         rng = np.random.default_rng(11)
         marginals = np.stack(
             [entot.floor_histogram(rng.dirichlet(np.ones(4)), 1e-5) for _ in range(2)]
         )
         cost = entot.cost_matrix(np.sort(rng.random(4)))
         oracle = entot.wb_dual_oracle(marginals, cost, 0.2)
-        z = rng.standard_normal(4)
-        assert oracle.value(1, z) == entot.dual_value(marginals[1], cost, 0.2, z)
+        z_stack = rng.standard_normal((2, 4))
+        before = oracle.grad_conj_stack(z_stack)
+        marginals[0] = 0.0
+        cost[0, 1] = np.nan
+        np.testing.assert_array_equal(oracle.grad_conj_stack(z_stack), before)
+        assert not oracle.marginals.flags.writeable
+        assert not oracle.cost.flags.writeable
+
+    def test_run_validates_cost_and_marginals_once(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        m, d = 3, 5
+        marginals = np.stack(
+            [entot.floor_histogram(rng.dirichlet(np.ones(d)), 1e-5) for _ in range(m)]
+        )
+        cost = entot.cost_matrix(np.sort(rng.random(d)))
+        calls = []
+
+        def counting(name):
+            inner = getattr(entot, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("validate_cost_matrix", "validate_histogram"):
+            monkeypatch.setattr(entot, name, counting(name))
+        schedule = netgraph.NetworkSchedule(family="cycle", m=m, seed=0)
+        params = adom.derive_params(0.01, 0.1, netgraph.spectral_bounds(schedule, 1))
+        counts = []
+        for n_iters in (2, 20):
+            calls.clear()
+            oracle = entot.wb_dual_oracle(marginals, cost, 0.1)
+            adom.run(schedule, oracle, params, n_iters)
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1]
+        assert counts[0].count("validate_cost_matrix") == 1
 
     def test_exposes_dims(self):
         marginals = np.full((3, 5), 0.2)
@@ -234,6 +305,9 @@ class TestWassersteinDualOracle:
         cost = entot.cost_matrix(np.linspace(0, 1, 5))
         with pytest.raises(ValueError, match="marginals"):
             entot.wb_dual_oracle(np.full(5, 0.2), cost, 0.3)
+        zero_row = np.array([[0.2] * 5, [0.25, 0.25, 0.25, 0.25, 0.0]])
+        with pytest.raises(ValueError, match=r"marginals\[1\].*floor_histogram"):
+            entot.wb_dual_oracle(zero_row, cost, 0.3)
 
     def test_recover_barycenter_stacks_gradients(self):
         rng = np.random.default_rng(12)

@@ -1,6 +1,7 @@
 """Tests for dataset generation, config parsing, and experiment runs."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -229,16 +230,32 @@ class TestLoadMnist:
         with pytest.raises(IdxFormatError, match="expected 0x00000801"):
             load_mnist(img_path, lab_path, digit=1, count=1)
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_reads_images_from_a_pipe(self, tmp_path):
+        # A pipe has no size; the reader must not need one.
+        img_path, lab_path = self._fixture(tmp_path)
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as writer:
+            writer.write(img_path.read_bytes())
+        try:
+            piped, _ = load_mnist(f"/dev/fd/{read_end}", lab_path, digit=7, count=2)
+        finally:
+            os.close(read_end)
+        direct, _ = load_mnist(img_path, lab_path, digit=7, count=2)
+        np.testing.assert_array_equal(piped, direct)
+
     def test_truncated_body_names_path_and_bytes(self, tmp_path):
         img_path = tmp_path / "images.idx"
-        # Header promises 2 images of 2x2 but only one is present.
-        img_path.write_bytes(struct.pack(">IIII", 0x00000803, 2, 2, 2) + b"\0" * 4)
         lab_path = tmp_path / "labels.idx"
         _write_idx_labels(lab_path, np.array([1, 1]))
-        with pytest.raises(IdxFormatError, match="needed 8 bytes, got 4"):
-            load_mnist(img_path, lab_path, digit=1, count=1)
-        with pytest.raises(IdxFormatError, match="images.idx"):
-            load_mnist(img_path, lab_path, digit=1, count=1)
+        # Two images of 2x2 with only one present, then a header whose byte
+        # count (2**63) is too large to ask read() for.
+        for shape, body, needed in [((2, 2, 2), 4, 8), ((2**31, 2**16, 2**16), 16, 2**63)]:
+            img_path.write_bytes(struct.pack(">IIII", 0x00000803, *shape) + b"\0" * body)
+            with pytest.raises(IdxFormatError, match=f"needed {needed} bytes, got {body}"):
+                load_mnist(img_path, lab_path, digit=1, count=1)
+            with pytest.raises(IdxFormatError, match="images.idx"):
+                load_mnist(img_path, lab_path, digit=1, count=1)
 
 
 class TestExperimentConfig:
