@@ -39,6 +39,7 @@ from .adom import (
 )
 from .entot import (
     AccuracyParams,
+    GridCost,
     SinkhornResult,
     TransportPlan,
     WassersteinDualOracle,
@@ -97,6 +98,7 @@ __all__ = [
     "strongly_convex_surrogate",
     # entot
     "AccuracyParams",
+    "GridCost",
     "SinkhornResult",
     "TransportPlan",
     "WassersteinDualOracle",

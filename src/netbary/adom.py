@@ -89,6 +89,15 @@ class QuadraticOracle(DualOracle):
         self.centers = centers
 
     def grad_conj_stack(self, z_stack: np.ndarray) -> np.ndarray:
+        z_stack = np.asarray(z_stack, dtype=float)
+        if self.centers is None:
+            fits = z_stack.ndim == 2 and z_stack.shape[1] == self.dim
+            want = f"(m, {self.dim})"
+        else:
+            fits = z_stack.shape == self.centers.shape
+            want = self.centers.shape
+        if not fits:
+            raise ValueError(f"z_stack shape {z_stack.shape} != {want}")
         base = z_stack / self.gamma
         if self.centers is None:
             return base

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.optimize import linprog
 
 from .adom import DualOracle
 
@@ -37,6 +35,7 @@ __all__ = [
     "validate_histogram",
     "floor_histogram",
     "cost_matrix",
+    "GridCost",
     "validate_cost_matrix",
     "dual_value",
     "dual_grad",
@@ -126,6 +125,35 @@ def validate_cost_matrix(cost: np.ndarray, name: str = "cost") -> np.ndarray:
     return cost
 
 
+def _squared_offsets(n: int) -> np.ndarray:
+    """(a - c)^2 for a, c in range(n), as floats."""
+    return np.subtract.outer(np.arange(n), np.arange(n)).astype(float) ** 2
+
+
+class GridCost:
+    """Normalized squared Euclidean cost over a rows x cols pixel raster.
+
+    Pixels are numbered row-major, as in a flattened image. The cost is
+    separable: pixel (a, b) to pixel (c, e) costs ``axes[0][a, c] +
+    axes[1][b, e]``, which is within one ulp of ``dense[a * cols + b,
+    c * cols + e]``. ``dense`` is :func:`cost_matrix` of the pixel
+    coordinates; the axes share its normalizer, ``diagonal``, the squared
+    length of the raster's diagonal. The dual oracle and :func:`exact_ot`
+    use the axes; the dense matrix serves every path that needs the whole
+    d x d cost. All arrays are read-only.
+    """
+
+    def __init__(self, rows: int, cols: int):
+        ii, jj = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+        points = np.stack([ii.ravel(), jj.ravel()], axis=1).astype(float)
+        self.dense = cost_matrix(points, normalize=True)
+        self.diagonal = float((rows - 1) ** 2 + (cols - 1) ** 2)
+        self.axes = tuple(_squared_offsets(n) / self.diagonal for n in (rows, cols))
+        for array in (self.dense, *self.axes):
+            array.setflags(write=False)
+        self.shape = (int(rows), int(cols))
+
+
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     top = np.max(a, axis=axis, keepdims=True)
     # Guard empty/-inf columns: exp(-inf - -inf) handled by where.
@@ -198,37 +226,104 @@ def _conj_grad_stack(marginals, cost, gamma, z_stack):
     return np.matmul(work, marginals[:, :, None])[:, :, 0]
 
 
+def _lse_first_axis(work):
+    """Log-sum-exp over axis 0 of a C-ordered array of finite entries,
+    overwriting ``work``. Reducing the leading axis of a C-ordered array
+    combines whole contiguous slices, which numpy does several times faster
+    than short inner rows or strided slices."""
+    top = work.max(axis=0)
+    work -= top
+    np.exp(work, out=work)
+    out = work.sum(axis=0)
+    np.log(out, out=out)
+    out += top
+    return out
+
+
+def _grid_conj_grad_stack(log_marginals, grid, gamma, z_stack):
+    """:func:`_conj_grad_stack` for a :class:`GridCost`, from the axes alone.
+
+    With the pixel index split as l = (c, e) and j = (a, b), the Gibbs
+    kernel factorizes, exp(-M_lj / gamma) = exp(-C1[c,a] / gamma)
+    exp(-C2[e,b] / gamma), so each sum over l or j is two sums over one
+    axis. Four log-sum-exps over (n, m, n, n) arrays: two give column j's
+    log normalizer, two mix the columns with weights q_j / normalizer_j.
+    Work is 4 m n^3 instead of m n^4 on an n x n raster. z is shifted by
+    each node's maximum first (the gradient is shift invariant), so the
+    last step adds logs of moderate size however large |z| / gamma is.
+    """
+    m = z_stack.shape[0]
+    rows, cols = grid.shape
+    k1 = (grid.axes[0] / gamma)[:, None, :, None]  # [c, ., a, .], symmetric
+    k2 = (grid.axes[1] / gamma)[:, None, None, :]  # [e, ., ., b], symmetric
+    z = z_stack - z_stack.max(axis=1, keepdims=True)
+    z /= gamma
+    z = z.reshape(m, rows, cols)
+    # The work arrays are [summed index, i, ., .]. A difference of
+    # transposed views would take their memory order, hence order="C".
+    # log_norm[i, a, b] = log sum_{c,e} exp(z[i,c,e] - k1[c,a] - k2[e,b])
+    over_e = _lse_first_axis(
+        np.subtract(z.transpose(2, 0, 1)[:, :, :, None], k2, order="C")
+    )  # [i, c, b]
+    log_norm = _lse_first_axis(
+        np.subtract(over_e.transpose(1, 0, 2)[:, :, None, :], k1, order="C")
+    )  # [i, a, b]
+    weight = log_marginals.reshape(m, rows, cols) - log_norm
+    # grad[i, c, e] = sum_{a,b} exp(weight[i,a,b] + z[i,c,e] - k1[c,a] - k2[e,b])
+    over_a = _lse_first_axis(
+        np.subtract(weight.transpose(1, 0, 2)[:, :, None, :], k1, order="C")
+    )  # [i, c, b]
+    over_b = _lse_first_axis(
+        np.subtract(over_a.transpose(2, 0, 1)[:, :, :, None], k2, order="C")
+    )  # [i, c, e]
+    over_b += z
+    return np.exp(over_b, out=over_b).reshape(m, rows * cols)
+
+
 class WassersteinDualOracle(DualOracle):
     """Stacked conjugate gradients of entropic transport costs.
 
     Node i owns the fixed marginal ``marginals[i]``; all nodes share the
-    cost matrix. Gamma, the cost and every marginal are validated here, once,
-    and kept as read-only copies, so evaluations check only the shape.
+    cost, a d x d matrix or a :class:`GridCost`. Gamma, the cost and every
+    marginal are validated here, once, and kept as read-only copies, so
+    evaluations check only the shape. A grid cost selects the separable
+    kernel, which never forms a d x d array; ``cost`` is then the grid's
+    own dense matrix, not a copy.
     """
 
-    def __init__(self, marginals: np.ndarray, cost: np.ndarray, gamma: float):
+    def __init__(self, marginals: np.ndarray, cost: np.ndarray | GridCost, gamma: float):
         marginals = np.array(marginals, dtype=float)
         if marginals.ndim != 2:
             raise ValueError(f"marginals must be (m, d), got shape {marginals.shape}")
-        cost = validate_cost_matrix(np.array(cost, dtype=float))
+        self.grid = cost if isinstance(cost, GridCost) else None
+        if self.grid is None:
+            cost = validate_cost_matrix(np.array(cost, dtype=float))
+            cost.setflags(write=False)
+        else:
+            # Built and frozen by GridCost; the kernel reads only its axes.
+            cost = self.grid.dense
         for i, q in enumerate(marginals):
             _check_marginal(q, cost, gamma, f"marginals[{i}]")
         marginals.setflags(write=False)
-        cost.setflags(write=False)
         self.marginals = marginals
         self.cost = cost
         self.gamma = float(gamma)
         self.m, self.dim = marginals.shape
+        if self.grid is not None:
+            self._log_marginals = np.log(marginals)
+            self._log_marginals.setflags(write=False)
 
     def grad_conj_stack(self, z_stack: np.ndarray) -> np.ndarray:
         z_stack = np.asarray(z_stack, dtype=float)
         if z_stack.shape != self.marginals.shape:
             raise ValueError(f"z_stack shape {z_stack.shape} != {self.marginals.shape}")
+        if self.grid is not None:
+            return _grid_conj_grad_stack(self._log_marginals, self.grid, self.gamma, z_stack)
         return _conj_grad_stack(self.marginals, self.cost, self.gamma, z_stack)
 
 
 def wb_dual_oracle(
-    marginals: np.ndarray, cost: np.ndarray, gamma: float
+    marginals: np.ndarray, cost: np.ndarray | GridCost, gamma: float
 ) -> WassersteinDualOracle:
     """Build the barycenter dual oracle for floored node marginals."""
     return WassersteinDualOracle(marginals, cost, gamma)
@@ -328,18 +423,23 @@ def _entropic_cost(plan: np.ndarray, cost: np.ndarray, gamma: float) -> float:
     return linear + gamma * entropy_term
 
 
-def exact_ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray) -> float:
+def exact_ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray | GridCost) -> float:
     """Unregularized transport cost between p and q.
 
     Used for metrics only, never inside the solver loop. Marginals are
-    renormalized to unit mass to absorb 1e-16-level drift. A cost with the
-    Monge property (squared distances between sorted points on a line, for
-    one) is solved in closed form by the north-west-corner coupling; any
-    other cost by the transportation linear program.
+    renormalized to unit mass to absorb 1e-16-level drift. A
+    :class:`GridCost` (a pixel raster) is solved as a min-cost flow over its
+    two axes, the 3-partite linear program. A cost matrix with the Monge
+    property (squared distances between sorted points on a line, for one)
+    is solved in closed form by the north-west-corner coupling; any other
+    cost matrix by the transportation linear program.
     """
     p = validate_histogram(p, "p")
     q = validate_histogram(q, "q")
-    cost = validate_cost_matrix(cost)
+    grid = cost if isinstance(cost, GridCost) else None
+    # A grid's arrays were built and frozen by GridCost; only a bare matrix
+    # needs checking.
+    cost = grid.dense if grid is not None else validate_cost_matrix(cost)
     d = p.shape[0]
     if cost.shape[0] != d or q.shape[0] != d:
         raise ValueError("cost shape incompatible with marginals")
@@ -347,6 +447,8 @@ def exact_ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray) -> float:
     q = np.maximum(q, 0.0)
     p = p / p.sum()
     q = q / q.sum()
+    if grid is not None:
+        return _grid_transport_lp(p, q, grid)
     if _is_monge(cost):
         return _north_west_corner_cost(p, q, cost)
     return _transport_lp(p, q, cost)
@@ -376,27 +478,91 @@ def _north_west_corner_cost(p: np.ndarray, q: np.ndarray, cost: np.ndarray) -> f
     return float(np.dot(mass, cost[rows, cols]))
 
 
-def _transport_lp(p: np.ndarray, q: np.ndarray, cost: np.ndarray) -> float:
-    """Optimal value of the transportation linear program, by HiGHS."""
-    b_eq = np.concatenate([p, q[:-1]])
-    res = linprog(
-        cost.ravel(), A_eq=_transport_constraints(p.shape[0]), b_eq=b_eq,
-        bounds=(0, None), method="highs",
-    )
+def _solve_lp(which: str, c, a_eq, b_eq, p: np.ndarray, q: np.ndarray) -> float:
+    """Optimal value of min c.x, A x = b, x >= 0, by HiGHS. A failure names
+    the LP, d and the smallest positive masses, since HiGHS has reported a
+    false "infeasible" on marginals with tails below about 1e-11."""
+    from scipy.optimize import linprog
+
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if res.status != 0:
-        raise RuntimeError(f"transport LP failed with status {res.status}: {res.message}")
+        raise RuntimeError(
+            f"{which} transport LP failed at d = {p.shape[0]} with status "
+            f"{res.status}: {res.message} (smallest positive mass: "
+            f"p {p[p > 0].min():.3e}, q {q[q > 0].min():.3e})"
+        )
     return float(res.fun)
 
 
-def _transport_constraints(d: int) -> scipy.sparse.csr_matrix:
+def _transport_lp(p: np.ndarray, q: np.ndarray, cost: np.ndarray) -> float:
+    """Optimal value of the d x d transportation linear program."""
+    b_eq = np.concatenate([p, q[:-1]])
+    return _solve_lp("dense", cost.ravel(), _transport_constraints(p.shape[0]), b_eq, p, q)
+
+
+def _transport_constraints(d: int) -> "scipy.sparse.csr_matrix":
     """Equality rows of the d x d transportation LP over the row-major plan:
     row sums for all i, column sums for j < d-1 (the last is implied),
     keeping the system full rank."""
+    import scipy.sparse
+
     cells = np.arange(d * d)
     rows = np.concatenate([cells // d, d + np.repeat(np.arange(d - 1), d)])
     cols = np.concatenate([cells, (np.arange(d) * d + np.arange(d - 1)[:, None]).ravel()])
     data = np.ones(rows.shape[0])
     return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(2 * d - 1, d * d))
+
+
+def _grid_transport_lp(p: np.ndarray, q: np.ndarray, grid: GridCost) -> float:
+    """Exact transport on a raster as a min-cost flow through a middle layer
+    (Auricchio, Bassetti, Gualandi & Veneroni, NeurIPS 2018).
+
+    Mass moves from pixel (a, b) to (c, b) along the first axis, paying
+    axes[0][a, c], then to (c, e) along the second, paying axes[1][b, e].
+    Every coupling is such a flow and every flow splits into paths, so the
+    optimum is the transport cost, from R^2 C + R C^2 arcs instead of d^2.
+
+    The arcs cost whole squared pixel offsets and the value is divided by
+    the normalizer afterwards: on the normalized costs HiGHS, at its default
+    tolerances, stopped 1.9e-7 relative above the optimum on a benchmark
+    digit, and on integer costs it does not.
+    """
+    rows, cols = grid.shape
+    c = np.concatenate([
+        np.broadcast_to(_squared_offsets(rows)[:, :, None], (rows, rows, cols)).ravel(),
+        np.broadcast_to(_squared_offsets(cols)[None, :, :], (rows, cols, cols)).ravel(),
+    ])
+    b_eq = np.concatenate([p, np.zeros(p.shape[0]), q[:-1]])
+    value = _solve_lp("grid", c, _grid_transport_constraints(rows, cols), b_eq, p, q)
+    return value / grid.diagonal
+
+
+def _grid_transport_constraints(rows: int, cols: int) -> "scipy.sparse.csr_matrix":
+    """Equality rows of the 3-partite LP on a rows x cols raster, d pixels.
+
+    Arc x1[a, c, b] carries (a, b) to (c, b); arc x2[c, b, e] carries (c, b)
+    to (c, e); both row-major, x1 first. Rows: d sources (outflow = p), d
+    middle nodes (inflow - outflow = 0), then the sinks (inflow = q) but the
+    last. Sources minus middles minus sinks sum to zero, so that sink row is
+    implied and dropping it keeps the system full rank.
+    """
+    import scipy.sparse
+
+    d = rows * cols
+    a, c, b = np.unravel_index(np.arange(rows * rows * cols), (rows, rows, cols))
+    c2, b2, e = np.unravel_index(np.arange(rows * cols * cols), (rows, cols, cols))
+    n1 = a.shape[0]
+    row_index = np.concatenate([
+        a * cols + b, d + c * cols + b,  # x1: source (a, b), middle (c, b)
+        d + c2 * cols + b2, 2 * d + c2 * cols + e,  # x2: middle (c, b), sink (c, e)
+    ])
+    col_index = np.concatenate([np.arange(n1)] * 2 + [n1 + np.arange(e.shape[0])] * 2)
+    data = np.concatenate([np.ones(2 * n1), -np.ones(e.shape[0]), np.ones(e.shape[0])])
+    keep = row_index < 3 * d - 1
+    return scipy.sparse.csr_matrix(
+        (data[keep], (row_index[keep], col_index[keep])),
+        shape=(3 * d - 1, n1 + e.shape[0]),
+    )
 
 
 def k_bound(

@@ -206,10 +206,7 @@ def load_mnist(
     hists = np.stack(
         [entot.floor_histogram(row / total, delta) for row, total in zip(flat, sums)]
     )
-    rows, cols = images.shape[1], images.shape[2]
-    ii, jj = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-    points = np.stack([ii.ravel(), jj.ravel()], axis=1).astype(float)
-    return hists, entot.cost_matrix(points, normalize=True)
+    return hists, entot.GridCost(images.shape[1], images.shape[2]).dense
 
 
 # --------------------------------------------------------------------------
@@ -366,7 +363,9 @@ def git_describe() -> str:
 
 def _build_dataset(cfg: ExperimentConfig):
     """Returns (marginals, cost, reference) where reference is the analytic
-    barycenter for Gaussian runs and None otherwise."""
+    barycenter for Gaussian runs and None otherwise. The cost of a Gaussian
+    run is a d x d matrix over its line; that of an IDX run is the
+    :class:`entot.GridCost` of the images' pixel raster."""
     if cfg.dataset == "gaussians":
         grid = gaussian_grid(cfg.d)
         specs = draw_gaussian_specs(
@@ -381,13 +380,28 @@ def _build_dataset(cfg: ExperimentConfig):
     for path in (cfg.mnist_images, cfg.mnist_labels):
         if not Path(path).exists():
             raise FileNotFoundError(f"mnist file not found: {path}")
-    marginals, cost = load_mnist(
+    marginals, dense = load_mnist(
         cfg.mnist_images, cfg.mnist_labels, cfg.digit, cfg.m, cfg.delta
     )
-    return marginals, cost, None
+    return marginals, entot.GridCost(*_raster_shape(dense)), None
 
 
-def _objective(marginals: np.ndarray, cost: np.ndarray, estimates: np.ndarray) -> float:
+def _raster_shape(dense: np.ndarray) -> tuple[int, int]:
+    """(rows, cols) of the images whose cost :func:`load_mnist` returned.
+
+    The images were read once, so a pipe works; their shape is read back
+    from the cost. In row-major order pixel 1 and pixel cols, the first of
+    the second row, are the nearest to pixel 0, and the pixels between them
+    are farther. A single row or column gives (1, d): the same cost.
+    """
+    nearest = np.flatnonzero(dense[0] == dense[0, 1])
+    cols = int(nearest[1]) if nearest.size > 1 else dense.shape[0]
+    return dense.shape[0] // cols, cols
+
+
+def _objective(
+    marginals: np.ndarray, cost: np.ndarray | entot.GridCost, estimates: np.ndarray
+) -> float:
     """Sum over nodes of the unregularized transport cost to each node's
     own estimate."""
     return sum(

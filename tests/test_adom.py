@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,16 @@ class TestQuadraticOracle:
             adom.QuadraticOracle(gamma=0.0, dim=2)
         with pytest.raises(ValueError, match="centers"):
             adom.QuadraticOracle(gamma=1.0, dim=2, centers=np.zeros((3, 5)))
+
+    def test_rejects_stack_of_the_wrong_shape(self):
+        # A (1, 2) stack would broadcast against (3, 2) centers.
+        oracle = adom.QuadraticOracle(gamma=1.0, dim=2, centers=np.zeros((3, 2)))
+        for shape in [(1, 2), (3, 3), (6,)]:
+            with pytest.raises(ValueError, match=rf"{re.escape(str(shape))} != \(3, 2\)"):
+                oracle.grad_conj_stack(np.zeros(shape))
+        centerless = adom.QuadraticOracle(gamma=1.0, dim=2)
+        with pytest.raises(ValueError, match=r"\(4, 3\) != \(m, 2\)"):
+            centerless.grad_conj_stack(np.zeros((4, 3)))
 
 
 class TestSmoothedOracle:

@@ -205,6 +205,34 @@ class TestRun:
         assert "record_every" in captured.err
         assert not (out_dir / "manifest.json").exists()
 
+    def test_gaussian_run_never_imports_scipy(self, tmp_path):
+        # Only the transport LP needs scipy, and a Gaussian run's transport
+        # is in closed form. The grid LP afterwards shows the check can fail.
+        cfg_path = _write_config(tmp_path)
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from netbary import entot\n"
+            "from netbary.cli import main\n"
+            "LP = ('scipy.optimize', 'scipy.sparse')\n"
+            f"code = main(['run', '--config', {str(cfg_path)!r}])\n"
+            "print(code, [m for m in LP if m in sys.modules])\n"
+            "entot.exact_ot(np.full(4, 0.25), np.eye(4)[0], entot.GridCost(2, 2))\n"
+            "print([m for m in LP if m in sys.modules])\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(netbary.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[-2] == "0 []"
+        assert lines[-1] == "['scipy.optimize', 'scipy.sparse']"
+
     def test_bad_config_key_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("iterations = 5\n")

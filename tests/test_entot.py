@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -491,6 +492,202 @@ class TestExactOTClosedForm:
         p = np.array([0.5, 0.0, 0.0, 0.5])
         q = np.array([0.0, 0.5, 0.5, 0.0])
         assert entot.exact_ot(p, q, cost) == pytest.approx(1.0, rel=1e-15)
+
+
+def _raster_points(rows, cols):
+    ii, jj = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+    return np.stack([ii.ravel(), jj.ravel()], axis=1).astype(float)
+
+
+def _sparse_masses(rng, d):
+    """A histogram with about a third of its entries exactly zero."""
+    mass = rng.random(d) * (rng.random(d) > 0.3)
+    mass[rng.integers(d)] += 0.1
+    return mass / mass.sum()
+
+
+RASTERS = [(2, 2), (2, 3), (3, 5), (5, 3), (7, 4), (14, 14)]
+
+
+class TestGridCost:
+    @pytest.mark.parametrize("rows, cols", RASTERS + [(1, 6), (6, 1)])
+    def test_dense_is_the_cost_matrix_of_the_pixels(self, rows, cols):
+        grid = entot.GridCost(rows, cols)
+        np.testing.assert_array_equal(grid.dense, entot.cost_matrix(_raster_points(rows, cols)))
+        separable = (grid.axes[0][:, None, :, None] + grid.axes[1][None, :, None, :]).reshape(
+            rows * cols, rows * cols
+        )
+        # Two normalized terms against one normalized sum: within one ulp.
+        assert (np.abs(separable - grid.dense) <= np.spacing(grid.dense)).all()
+        assert grid.shape == (rows, cols)
+        assert not any(a.flags.writeable for a in (grid.dense, *grid.axes))
+
+
+class TestGridDualOracle:
+    """The separable kernel against the dense kernel it replaces on a pixel
+    raster, the per-column reference and finite differences."""
+
+    @pytest.mark.parametrize("rows, cols, m", [(2, 2, 3), (3, 5, 4), (5, 3, 1), (14, 14, 8), (14, 14, 1)])
+    def test_matches_dense_kernel_and_reference(self, rows, cols, m):
+        rng = np.random.default_rng([22, rows, cols, m])
+        grid = entot.GridCost(rows, cols)
+        d = rows * cols
+        marginals = np.stack(
+            [entot.floor_histogram(rng.dirichlet(np.ones(d)), 1e-6) for _ in range(m)]
+        )
+        z_stack = rng.standard_normal((m, d))
+        oracle = entot.wb_dual_oracle(marginals, grid, 0.01)
+        assert oracle.grid is grid and oracle.cost is grid.dense
+        got = oracle.grad_conj_stack(z_stack)
+        dense = entot.wb_dual_oracle(marginals, grid.dense, 0.01).grad_conj_stack(z_stack)
+        np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-300)
+        for i in range(m):
+            want = oracles.conj_grad_reference(marginals[i], grid.dense, 0.01, z_stack[i])
+            np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(got.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 5), (14, 14)])
+    def test_large_z_over_gamma(self, rows, cols):
+        # |z| / gamma near 1e4, where exp of the raw logits overflows. z is
+        # an exact constant shift of a small point, which leaves the
+        # gradient unchanged, so the references are evaluated at the small
+        # point: at the large one their own logits carry eps |z| / gamma,
+        # about 1e-12, of rounding.
+        rng = np.random.default_rng([23, rows, cols])
+        grid = entot.GridCost(rows, cols)
+        d = rows * cols
+        q = entot.floor_histogram(rng.dirichlet(np.ones(d)), 1e-6)
+        small = np.round(rng.standard_normal((1, d)) * 2.0**40) / 2.0**40
+        large = small + 128.0
+        assert np.array_equal(large - 128.0, small)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.exp((large[0][:, None] - grid.dense) / 0.01)).any()
+        got = entot.wb_dual_oracle(q[None, :], grid, 0.01).grad_conj_stack(large)[0]
+        assert np.isfinite(got).all()
+        dense = entot.wb_dual_oracle(q[None, :], grid.dense, 0.01).grad_conj_stack(small)[0]
+        want = oracles.conj_grad_reference(q, grid.dense, 0.01, small[0])
+        np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+    def test_matches_finite_differences(self):
+        # Criterion 1's check and bounds, on raster supports.
+        rng = np.random.default_rng(24)
+        for rows, cols in [(2, 2), (2, 3), (3, 4)]:
+            grid = entot.GridCost(rows, cols)
+            d = rows * cols
+            for gamma in (0.05, 0.01):
+                for _ in range(4):
+                    raw = rng.random(d) + 0.1
+                    q = entot.floor_histogram(raw / raw.sum(), 1e-4)
+                    z = 0.1 * rng.standard_normal(d)
+                    oracle = entot.wb_dual_oracle(q[None, :], grid, gamma)
+                    grad = oracle.grad_conj_stack(z[None, :])[0]
+                    fd = oracles.fd_gradient(
+                        lambda zz: entot.dual_value(q, grid.dense, gamma, zz), z
+                    )
+                    assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
+                    assert abs(grad.sum() - 1.0) <= 1e-10
+                    assert grad.min() >= 0.0
+
+
+class TestExactOTGrid:
+    """The 3-partite LP against the exact rational simplex and against the
+    dense transportation LP on the same raster."""
+
+    def test_matches_exact_rational_simplex_on_2x2(self):
+        rng = np.random.default_rng(25)
+        grid = entot.GridCost(2, 2)
+        # Normalized 2x2 raster costs are 0, 1/2 and 1: exact in binary.
+        c_fr = [[Fraction(float(x)) for x in row] for row in grid.dense]
+        for _ in range(8):
+            mp = rng.integers(0, 10, size=4)
+            mq = rng.integers(0, 10, size=4)
+            mp[rng.integers(4)] += 1
+            mq[rng.integers(4)] += 1
+            p_fr = [Fraction(int(a), int(mp.sum())) for a in mp]
+            q_fr = [Fraction(int(a), int(mq.sum())) for a in mq]
+            ref = lp_oracle.transport_exact(p_fr, q_fr, c_fr)
+            got = entot.exact_ot(mp / mp.sum(), mq / mq.sum(), grid)
+            assert got == pytest.approx(float(ref), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("rows, cols", RASTERS)
+    def test_matches_dense_lp(self, rows, cols):
+        rng = np.random.default_rng([26, rows, cols])
+        grid = entot.GridCost(rows, cols)
+        for _ in range(3):
+            p = _sparse_masses(rng, rows * cols)
+            q = _sparse_masses(rng, rows * cols)
+            got = entot.exact_ot(p, q, grid)
+            ref = entot._transport_lp(p, q, grid.dense)
+            assert abs(got - ref) <= 1e-12 * ref
+
+    def test_matches_dense_lp_on_smooth_images(self):
+        # Floored ring images against a blurred estimate, as in a run. Both
+        # LPs get whole squared pixel offsets as costs. On the normalized
+        # costs the two disagreed by up to 1.3e-7 relative on 2 of these 24
+        # pairs: HiGHS left entries at -6.5e-8, inside its bound tolerance,
+        # and on one pair the dense LP fell 5.5e-8 below a lower bound
+        # certified by a c-transform of its duals.
+        n = 12
+        grid = entot.GridCost(n, n)
+        integer_cost = np.rint(grid.dense * grid.diagonal)
+        np.testing.assert_allclose(integer_cost / grid.diagonal, grid.dense, rtol=1e-15)
+        yy, xx = np.mgrid[0:n, 0:n].astype(float)
+        for seed in range(24):
+            rng = np.random.default_rng([seed, n])
+            cy, cx = rng.uniform(0.3, 0.7, 2) * (n - 1)
+            radius, width = rng.uniform(0.2, 0.3) * n, rng.uniform(0.6, 1.0)
+            ink = np.exp(-((np.hypot(yy - cy, xx - cx) - radius) ** 2) / (2 * width**2))
+            image = np.round(255 * ink / ink.max()).ravel()
+            p = entot.floor_histogram(image / image.sum(), 1e-6)
+            z = 0.01 * rng.standard_normal((1, n * n))
+            q = entot.wb_dual_oracle(p[None, :], grid, 0.01).grad_conj_stack(z)[0]
+            got = entot.exact_ot(p, q, grid)
+            ref = entot._transport_lp(p, q, integer_cost) / grid.diagonal
+            assert abs(got - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("rows, cols", [(2, 3), (3, 3)])
+    def test_constraints_carry_every_coupling_and_have_full_rank(self, rows, cols):
+        # A coupling X of (p, q) as a flow: x1[a, c, b] = sum_e X[(a,b), (c,e)]
+        # and x2[c, b, e] = sum_a X[(a,b), (c,e)]. It meets every row, costs
+        # <M, X>, and no row is implied by the others.
+        rng = np.random.default_rng([27, rows, cols])
+        grid = entot.GridCost(rows, cols)
+        d = rows * cols
+        p, q = _sparse_masses(rng, d), _sparse_masses(rng, d)
+        plan = np.outer(p, q).reshape(rows, cols, rows, cols)  # [a, b, c, e]
+        x1 = plan.sum(axis=3).transpose(0, 2, 1).ravel()
+        x2 = plan.sum(axis=0).transpose(1, 0, 2).ravel()
+        flow = np.concatenate([x1, x2])
+        a_eq = entot._grid_transport_constraints(rows, cols).toarray()
+        assert a_eq.shape == (3 * d - 1, rows * rows * cols + rows * cols * cols)
+        np.testing.assert_allclose(
+            a_eq @ flow, np.concatenate([p, np.zeros(d), q[:-1]]), atol=1e-15
+        )
+        assert np.linalg.matrix_rank(a_eq) == 3 * d - 1
+        arc_cost = np.concatenate([
+            np.broadcast_to(grid.axes[0][:, :, None], (rows, rows, cols)).ravel(),
+            np.broadcast_to(grid.axes[1][None, :, :], (rows, cols, cols)).ravel(),
+        ])
+        assert arc_cost @ flow == pytest.approx(float(p @ grid.dense @ q), rel=1e-14)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_failed_lp_names_the_lp_d_and_smallest_masses(self, monkeypatch, dense):
+        import scipy.optimize
+
+        def infeasible(*args, **kwargs):
+            return SimpleNamespace(status=2, message="The problem is infeasible", fun=None)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", infeasible)
+        grid = entot.GridCost(2, 3)
+        p = np.array([0.5, 0.0, 0.5 - 1e-14, 1e-14, 0.0, 0.0])
+        q = np.array([0.0, 1.0 - 3e-16, 0.0, 0.0, 3e-16, 0.0])
+        with pytest.raises(RuntimeError) as failure:
+            entot.exact_ot(p, q, grid.dense if dense else grid)
+        message = str(failure.value)
+        assert ("dense" if dense else "grid") + " transport LP failed at d = 6" in message
+        assert "status 2: The problem is infeasible" in message
+        assert "p 1.000e-14, q 3.000e-16" in message
 
 
 class TestKBound:

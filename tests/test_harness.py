@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from netbary import adom, entot
+from netbary import adom, entot, harness
 from netbary.harness import (
     DELTA_DEFAULT,
     ExperimentConfig,
@@ -200,6 +200,17 @@ class TestLoadMnist:
         img_path, lab_path = self._fixture(tmp_path)
         _, cost = load_mnist(img_path, lab_path, digit=7, count=1)
         assert not entot._is_monge(cost)
+
+    @pytest.mark.parametrize(
+        "rows, cols", [(2, 2), (3, 4), (4, 3), (2, 5), (5, 2), (14, 14), (13, 28), (1, 6), (6, 1)]
+    )
+    def test_raster_shape_is_read_back_from_the_cost(self, rows, cols):
+        # A run reads its images once; the grid's shape comes back from the
+        # dense cost. One row and one column are the same cost, read as (1, d).
+        dense = entot.GridCost(rows, cols).dense
+        got = harness._raster_shape(dense)
+        assert got == ((1, rows * cols) if 1 in (rows, cols) else (rows, cols))
+        np.testing.assert_array_equal(entot.GridCost(*got).dense, dense)
 
     def test_not_enough_images_of_digit(self, tmp_path):
         img_path, lab_path = self._fixture(tmp_path)
@@ -485,6 +496,77 @@ class TestRunExperiment:
         for row in result.rows:
             assert row.objective_gap >= 0.0
         assert result.histograms.shape == (2, 4)
+
+    def test_raster_run_takes_the_grid_paths_once_per_call(self, tmp_path, monkeypatch):
+        # Wrapped where the benchmark's spans wrap them: the oracle method on
+        # the class and exact_ot on the module. Every call of either grid
+        # path must pass through, in the counts the benchmark checks.
+        rng = np.random.default_rng(3)
+        images = rng.integers(0, 256, size=(5, 3, 4))
+        labels = np.array([7, 7, 1, 7, 7])
+        img_path = tmp_path / "images.idx"
+        lab_path = tmp_path / "labels.idx"
+        _write_idx_images(img_path, images)
+        _write_idx_labels(lab_path, labels)
+        oracle_calls, ot_costs = [], []
+        grad_conj_stack = entot.WassersteinDualOracle.grad_conj_stack
+        exact_ot = entot.exact_ot
+
+        def traced_grad(oracle, z_stack):
+            oracle_calls.append(oracle.grid)
+            return grad_conj_stack(oracle, z_stack)
+
+        def traced_ot(p, q, cost):
+            ot_costs.append(cost)
+            return exact_ot(p, q, cost)
+
+        monkeypatch.setattr(entot.WassersteinDualOracle, "grad_conj_stack", traced_grad)
+        monkeypatch.setattr(entot, "exact_ot", traced_ot)
+        cfg = ExperimentConfig.from_dict(
+            {
+                "dataset": "mnist",
+                "mnist_images": str(img_path),
+                "mnist_labels": str(lab_path),
+                "digit": 7,
+                "m": 3,
+                "family": "complete",
+                "gamma": 0.05,
+                "r": 0.01,
+                "n_iters": 12,
+                "record_every": 5,
+            }
+        )
+        result = run_experiment(cfg)
+        assert len(result.rows) == 4
+        assert len(oracle_calls) == cfg.n_iters + 1
+        assert len(ot_costs) == cfg.m * len(result.rows)
+        for cost in oracle_calls + ot_costs:
+            assert isinstance(cost, entot.GridCost) and cost.shape == (3, 4)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_raster_run_reads_images_from_a_pipe(self, tmp_path):
+        # The grid comes from what load_mnist read, not from a second read.
+        images = np.arange(5 * 2 * 3).reshape(5, 2, 3) + 1
+        img_path = tmp_path / "images.idx"
+        lab_path = tmp_path / "labels.idx"
+        _write_idx_images(img_path, images)
+        _write_idx_labels(lab_path, np.array([7, 7, 1, 7, 7]))
+        raw = {
+            "dataset": "mnist", "mnist_labels": str(lab_path), "digit": 7, "m": 2,
+            "family": "complete", "gamma": 0.05, "r": 0.01, "n_iters": 6, "record_every": 5,
+        }
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as writer:
+            writer.write(img_path.read_bytes())
+        try:
+            piped = run_experiment(
+                ExperimentConfig.from_dict(dict(raw, mnist_images=f"/dev/fd/{read_end}"))
+            )
+        finally:
+            os.close(read_end)
+        direct = run_experiment(ExperimentConfig.from_dict(dict(raw, mnist_images=str(img_path))))
+        assert piped.rows == direct.rows
+        np.testing.assert_array_equal(piped.histograms, direct.histograms)
 
     def test_missing_mnist_file_names_path(self, tmp_path):
         lab_path = tmp_path / "labels.idx"
