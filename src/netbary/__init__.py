@@ -35,7 +35,6 @@ from .adom import (
     iteration_estimate,
     run,
     smoothed_oracle,
-    strongly_convex_surrogate,
 )
 from .entot import (
     AccuracyParams,
@@ -95,7 +94,6 @@ __all__ = [
     "iteration_estimate",
     "run",
     "smoothed_oracle",
-    "strongly_convex_surrogate",
     # entot
     "AccuracyParams",
     "GridCost",

@@ -40,7 +40,6 @@ __all__ = [
     "derive_params",
     "derive_baseline_params",
     "smoothed_oracle",
-    "strongly_convex_surrogate",
     "initial_state",
     "adom_step",
     "run",
@@ -118,19 +117,6 @@ def smoothed_oracle(oracle: DualOracle, r: float):
         return oracle.grad_conj_stack(z_stack) + r * z_stack
 
     return grad
-
-
-def strongly_convex_surrogate(oracle_factory, eps: float) -> DualOracle:
-    """Regularized oracle for merely convex problems.
-
-    ``oracle_factory(gamma)`` must build the oracle of the objectives with an
-    added quadratic ``(gamma/2)|x|^2``; this picks ``gamma = sqrt(eps)`` so
-    that an eps-accurate solve of the regularized problem is O(eps)-accurate
-    for the original one.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    return oracle_factory(math.sqrt(eps))
 
 
 @dataclass(frozen=True)

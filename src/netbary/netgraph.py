@@ -14,8 +14,8 @@ span{1} and the positive part of the spectrum is well defined.
 
 from __future__ import annotations
 
+import functools
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -71,9 +71,6 @@ class _UnionFind:
             return False
         self.parent[rb] = ra
         return True
-
-    def component_count(self) -> int:
-        return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)
 
 
 @dataclass(frozen=True)
@@ -180,10 +177,10 @@ def _epoch_rng(schedule: NetworkSchedule, epoch: int) -> np.random.Generator:
     return np.random.default_rng([schedule.seed, 0, epoch])
 
 
-def _random_spanning_tree(rng: np.random.Generator, m: int) -> list[tuple[int, int]]:
+def _random_spanning_tree(rng: np.random.Generator, m: int) -> np.ndarray:
     """Uniform random labeled tree via a Pruefer sequence."""
     if m == 2:
-        return [(0, 1)]
+        return np.array([(0, 1)])
     prufer = rng.integers(0, m, size=m - 2)
     degree = [1] * m
     for v in prufer:
@@ -198,69 +195,87 @@ def _random_spanning_tree(rng: np.random.Generator, m: int) -> list[tuple[int, i
         if degree[v] == 1:
             heapq.heappush(leaves, int(v))
     edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return edges
+    return np.array(edges)
 
 
-def _is_connected(m: int, edges: list[tuple[int, int]]) -> bool:
-    uf = _UnionFind(m)
-    for a, b in edges:
-        uf.union(a, b)
-    return uf.component_count() == 1
+@functools.lru_cache(maxsize=16)
+def _upper_pairs(m: int) -> np.ndarray:
+    """Every pair (i, j) with i < j, row-major, as a read-only (E, 2) array."""
+    pairs = np.column_stack(np.triu_indices(m, k=1))
+    pairs.flags.writeable = False
+    return pairs
 
 
-def _er_draw(rng: np.random.Generator, m: int, p: float) -> list[tuple[int, int]]:
-    iu, ju = np.triu_indices(m, k=1)
-    mask = rng.random(iu.shape[0]) < p
-    return [(int(a), int(b)) for a, b in zip(iu[mask], ju[mask])]
+def _component_count(m: int, edges: np.ndarray) -> int:
+    """Number of connected components of the graph on nodes 0..m-1.
+
+    Min-label hooking with pointer jumping. Each round hooks, for every edge
+    whose ends disagree, the larger of the two root labels onto the smaller,
+    then every label jumps to its root. Labels only fall and always name a
+    node of the same component; once both ends of every edge carry one
+    label, each component is labelled by its smallest node.
+    """
+    labels = np.arange(m)
+    a, b = edges[:, 0], edges[:, 1]
+    while True:
+        la, lb = labels[a], labels[b]
+        if (la == lb).all():
+            return int(np.count_nonzero(labels == np.arange(m)))
+        np.minimum.at(labels, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = labels[labels]
+            if (jumped == labels).all():
+                break
+            labels = jumped
 
 
-def _connected_er(rng: np.random.Generator, m: int, p: float) -> list[tuple[int, int]]:
+def _er_draw(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
+    pairs = _upper_pairs(m)
+    return pairs[rng.random(pairs.shape[0]) < p]
+
+
+def _connected_er(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
     """Erdos-Renyi draw, rejection-sampled for connectivity.
 
     After ``_ER_MAX_DRAWS`` failures the last draw is unioned with a random
     spanning tree, which forces connectivity without biasing dense regimes.
+    The union is returned sorted, as (i, j) pairs with i < j.
     """
-    edges: list[tuple[int, int]] = []
     for _ in range(_ER_MAX_DRAWS):
         edges = _er_draw(rng, m, p)
-        if _is_connected(m, edges):
+        if _component_count(m, edges) == 1:
             return edges
-    tree = _random_spanning_tree(rng, m)
-    merged = {(min(a, b), max(a, b)) for a, b in edges}
-    merged.update((min(a, b), max(a, b)) for a, b in tree)
-    return sorted(merged)
+    merged = np.concatenate([edges, np.sort(_random_spanning_tree(rng, m), axis=1)])
+    keys = np.unique(merged[:, 0] * m + merged[:, 1])
+    return np.column_stack(np.divmod(keys, m))
 
 
-def _kruskal_mst(
-    m: int, edges: list[tuple[int, int]], weights: np.ndarray
-) -> list[tuple[int, int]]:
+def _kruskal_mst(m: int, edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
     order = np.argsort(weights, kind="stable")
     uf = _UnionFind(m)
     tree = []
-    for idx in order:
-        a, b = edges[idx]
+    for a, b in edges[order].tolist():
         if uf.union(a, b):
             tree.append((a, b))
             if len(tree) == m - 1:
                 break
-    return tree
+    return np.array(tree)
 
 
-def _epoch_edges(schedule: NetworkSchedule, epoch: int) -> list[tuple[int, int]]:
+def _epoch_edges(schedule: NetworkSchedule, epoch: int) -> np.ndarray:
     m = schedule.m
     if schedule.family == "complete":
         # Invariant under relabeling; no randomness consumed.
-        return list(itertools.combinations(range(m), 2))
+        return _upper_pairs(m)
     rng = _epoch_rng(schedule, epoch)
     if schedule.family == "cycle":
         perm = rng.permutation(m)
         if m == 2:
-            return [(int(perm[0]), int(perm[1]))]
-        return [(int(perm[i]), int(perm[(i + 1) % m])) for i in range(m)]
+            return perm[None, :]
+        return np.column_stack([perm, np.roll(perm, -1)])
     if schedule.family == "star":
         perm = rng.permutation(m)
-        hub = int(perm[0])
-        return [(hub, int(perm[i])) for i in range(1, m)]
+        return np.column_stack([np.full(m - 1, perm[0]), perm[1:]])
     if schedule.family == "erdos_renyi":
         return _connected_er(rng, m, schedule.p)
     # mst_of_er: spanning tree of a connected ER draw under random weights.
@@ -269,41 +284,72 @@ def _epoch_edges(schedule: NetworkSchedule, epoch: int) -> list[tuple[int, int]]
     return _kruskal_mst(m, edges, weights)
 
 
+def _edge_array(edges) -> np.ndarray:
+    """The edge list as an (E, 2) integer array; an empty list gives E = 0."""
+    try:
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    except ValueError:
+        raise ValueError("edges must be pairs of node indices, got a ragged sequence") from None
+    if pairs.ndim == 1 and pairs.size == 0:
+        return np.empty((0, 2), dtype=np.intp)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"edges must have shape (E, 2), got {pairs.shape}")
+    if pairs.dtype.kind not in "iu":
+        raise ValueError(f"edge endpoints must be integers, got dtype {pairs.dtype}")
+    return pairs.astype(np.intp, copy=False)
+
+
+def _check_edges(m: int, pairs: np.ndarray) -> None:
+    """Raise on the first edge, in input order, that is out of range, a
+    self-loop, or a repeat of an earlier edge in either orientation."""
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    out = (lo < 0) | (hi >= m)
+    loop = lo == hi
+    keys = lo * m + hi
+    # A stable sort puts the first occurrence of each key first, so every
+    # later occurrence sits right after an equal key.
+    order = np.argsort(keys, kind="stable")
+    repeat = np.zeros(len(keys), dtype=bool)
+    repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    bad = out | loop | repeat
+    if not bad.any():
+        return
+    # A flagged repeat is spurious only if an earlier out-of-range edge
+    # shares its key, and that edge is flagged first.
+    i = int(np.argmax(bad))
+    a, b = int(pairs[i, 0]), int(pairs[i, 1])
+    if out[i]:
+        raise ValueError(f"edge ({a}, {b}) out of range for m={m}")
+    if loop[i]:
+        raise ValueError(f"self-loop at node {a}")
+    raise ValueError(f"duplicate edge ({int(lo[i])}, {int(hi[i])})")
+
+
 def laplacian_from_edges(m: int, edges) -> Laplacian:
     """Build the Laplacian D - A of an undirected simple graph.
 
-    Rejects self-loops, duplicate or out-of-range edges, and disconnected
-    graphs (a disconnected graph would give the Laplacian a kernel of
-    dimension > 1, breaking the solver's consensus geometry).
+    ``edges`` is any sequence of node pairs or an (E, 2) integer array.
+    Rejects non-pairs, self-loops, duplicate or out-of-range edges (naming
+    the first in input order), and disconnected graphs (a disconnected graph
+    would give the Laplacian a kernel of dimension > 1, breaking the
+    solver's consensus geometry).
     """
     if m < 1:
         raise ValueError(f"need m >= 1 nodes, got {m}")
-    seen = set()
-    for edge in edges:
-        a, b = edge
-        a, b = int(a), int(b)
-        if not (0 <= a < m and 0 <= b < m):
-            raise ValueError(f"edge {edge} out of range for m={m}")
-        if a == b:
-            raise ValueError(f"self-loop at node {a}")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise ValueError(f"duplicate edge {key}")
-        seen.add(key)
-    uf = _UnionFind(m)
-    for a, b in seen:
-        uf.union(a, b)
-    comps = uf.component_count()
+    pairs = _edge_array(edges)
+    _check_edges(m, pairs)
+    comps = _component_count(m, pairs)
     if comps != 1:
         raise DisconnectedGraphError(
             f"graph has {comps} components; Laplacian kernel dimension would "
             f"be {comps}, expected 1"
         )
+    a, b = pairs[:, 0], pairs[:, 1]
     entries = np.zeros((m, m))
-    for a, b in seen:
-        entries[a, b] = entries[b, a] = -1.0
-        entries[a, a] += 1.0
-        entries[b, b] += 1.0
+    entries[a, b] = -1.0
+    entries[b, a] = -1.0
+    np.fill_diagonal(entries, np.bincount(pairs.ravel(), minlength=m))
     entries.flags.writeable = False
     return Laplacian(m=m, entries=entries)
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from netbary.netgraph import DisconnectedGraphError, Laplacian
+
 
 def simplex_grid(d, steps):
     """All histograms with entries k/steps, k integer, summing to one.
@@ -145,3 +147,65 @@ def project_simplex(v):
     rho = indices[mask][-1]
     theta = cumul[rho - 1] / rho
     return np.maximum(v - theta, 0.0)
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, a: int) -> int:
+        root = a
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[a] != root:
+            self.parent[a], a = root, self.parent[a]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
+
+    def component_count(self) -> int:
+        return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)
+
+
+def laplacian_reference(m: int, edges) -> Laplacian:
+    """Laplacian D - A built edge by edge with a Python union-find.
+
+    The package's builder before it was vectorised, kept verbatim so the
+    array path can be compared with it: same entries, same exception type
+    and message on the same first offending edge.
+    """
+    if m < 1:
+        raise ValueError(f"need m >= 1 nodes, got {m}")
+    seen = set()
+    for edge in edges:
+        a, b = edge
+        a, b = int(a), int(b)
+        if not (0 <= a < m and 0 <= b < m):
+            raise ValueError(f"edge {edge} out of range for m={m}")
+        if a == b:
+            raise ValueError(f"self-loop at node {a}")
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            raise ValueError(f"duplicate edge {key}")
+        seen.add(key)
+    uf = _UnionFind(m)
+    for a, b in seen:
+        uf.union(a, b)
+    comps = uf.component_count()
+    if comps != 1:
+        raise DisconnectedGraphError(
+            f"graph has {comps} components; Laplacian kernel dimension would "
+            f"be {comps}, expected 1"
+        )
+    entries = np.zeros((m, m))
+    for a, b in seen:
+        entries[a, b] = entries[b, a] = -1.0
+        entries[a, a] += 1.0
+        entries[b, b] += 1.0
+    entries.flags.writeable = False
+    return Laplacian(m=m, entries=entries)

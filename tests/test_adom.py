@@ -120,23 +120,6 @@ class TestMoreauEnvelopeBounds:
                 assert envelope <= f + 1e-15
 
 
-class TestStronglyConvexSurrogate:
-    def test_factory_receives_sqrt_eps(self):
-        seen = []
-
-        def factory(gamma):
-            seen.append(gamma)
-            return adom.QuadraticOracle(gamma=gamma, dim=2)
-
-        oracle = adom.strongly_convex_surrogate(factory, eps=0.04)
-        assert seen == [pytest.approx(0.2)]
-        assert oracle.gamma == pytest.approx(0.2)
-
-    def test_rejects_nonpositive_eps(self):
-        with pytest.raises(ValueError, match="eps"):
-            adom.strongly_convex_surrogate(lambda g: None, eps=0.0)
-
-
 class TestDeriveParams:
     def test_frozen_closed_form_values(self):
         bounds = SpectralBounds(lambda_min_plus=2.0, lambda_max=4.0)

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from netbary import adom, entot, harness
+from netbary import adom, entot, harness, netgraph
 from netbary.harness import (
     DELTA_DEFAULT,
     ExperimentConfig,
@@ -567,6 +567,24 @@ class TestRunExperiment:
         direct = run_experiment(ExperimentConfig.from_dict(dict(raw, mnist_images=str(img_path))))
         assert piped.rows == direct.rows
         np.testing.assert_array_equal(piped.histograms, direct.histograms)
+
+    def test_one_graph_per_iteration_plus_one_per_epoch(self, monkeypatch):
+        # The benchmark wraps netgraph.laplacian_from_edges as a module
+        # attribute and requires exactly n_iters + epochs calls on every
+        # traced run: one graph per iteration from the solver's schedule and
+        # one per epoch from spectral_bounds.
+        calls = []
+        build = netgraph.laplacian_from_edges
+
+        def counted(m, edges):
+            calls.append(m)
+            return build(m, edges)
+
+        monkeypatch.setattr(netgraph, "laplacian_from_edges", counted)
+        cfg = _small_config(m=5, family="erdos_renyi", p=0.5, epoch_len=3, n_iters=10)
+        run_experiment(cfg)
+        epochs = -(-cfg.n_iters // cfg.epoch_len)
+        assert len(calls) == cfg.n_iters + epochs
 
     def test_missing_mnist_file_names_path(self, tmp_path):
         lab_path = tmp_path / "labels.idx"

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from netbary.netgraph import (
     FAMILIES,
     DisconnectedGraphError,
@@ -60,6 +63,109 @@ class TestLaplacianFromEdges:
     def test_single_edge_pair(self):
         lap = laplacian_from_edges(2, [(0, 1)])
         np.testing.assert_array_equal(lap.entries, [[1, -1], [-1, 1]])
+
+    def test_rejects_triples_naming_shape(self):
+        with pytest.raises(ValueError, match=r"\(1, 3\)"):
+            laplacian_from_edges(3, [(0, 1, 2)])
+        with pytest.raises(ValueError, match=r"\(2, 3\)"):
+            laplacian_from_edges(3, np.array([(0, 1, 2), (1, 2, 0)]))
+
+    def test_rejects_ragged_and_flat_edge_lists(self):
+        with pytest.raises(ValueError, match="pairs"):
+            laplacian_from_edges(3, [(0, 1), (1, 2, 0)])
+        with pytest.raises(ValueError, match=r"\(2,\)"):
+            laplacian_from_edges(3, (0, 1))
+
+    def test_rejects_fractional_endpoints(self):
+        with pytest.raises(ValueError, match="integers"):
+            laplacian_from_edges(3, [(0, 1.5), (1, 2)])
+
+    def test_empty_edge_list_on_one_node(self):
+        for empty in ([], (), np.empty((0, 2), dtype=int)):
+            np.testing.assert_array_equal(laplacian_from_edges(1, empty).entries, [[0.0]])
+
+    def test_empty_edge_list_on_several_nodes_is_disconnected(self):
+        for m in (2, 5):
+            with pytest.raises(DisconnectedGraphError, match=f"graph has {m} components"):
+                laplacian_from_edges(m, [])
+
+    def test_accepts_integer_array_and_iterables(self):
+        edges = [(0, 1), (2, 1), (3, 2)]
+        want = laplacian_from_edges(4, edges).entries
+        for given_edges in (np.array(edges, dtype=np.int32), iter(edges), set(edges)):
+            np.testing.assert_array_equal(laplacian_from_edges(4, given_edges).entries, want)
+
+
+def _random_connected(rng, m):
+    """Random spanning tree plus extra edges, shuffled, random orientation."""
+    edges = {(int(rng.integers(v)), v) for v in range(1, m)}
+    for _ in range(int(rng.integers(0, 2 * m))):
+        u, v = (int(x) for x in rng.integers(0, m, size=2))
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in sorted(edges)]
+    rng.shuffle(edges)
+    return edges
+
+
+def _inject(rng, m, edges, kind):
+    """One fault of the given kind, inserted at a random position."""
+    if kind == "disconnected":
+        # Keep the connected part on nodes 0..k-1 and leave the rest out.
+        k = int(rng.integers(1, m))
+        sub = _random_connected(rng, k) if k > 1 else []
+        return sub + [(k + i, k + i + 1) for i in range(m - k - 1) if rng.random() < 0.5]
+    a, b = edges[int(rng.integers(len(edges)))]
+    fault = {
+        "out_of_range": (a, m + int(rng.integers(0, 3))),
+        "negative": (-1 - int(rng.integers(0, 3)), b),
+        "self_loop": (a, a),
+        "reversed_duplicate": (b, a),
+    }[kind]
+    edges = list(edges)
+    if kind == "reversed_duplicate":
+        # Insert after the original, so the copy is the offending edge.
+        pos = edges.index((a, b)) + 1
+    else:
+        pos = int(rng.integers(len(edges) + 1))
+    edges.insert(pos + int(rng.integers(0, len(edges) - pos + 1)), fault)
+    return edges
+
+
+def _outcome(build, m, edges):
+    try:
+        return "ok", build(m, edges).entries.tobytes()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+class TestAgainstLoopReference:
+    """The array builder against the edge-by-edge builder it replaced."""
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            (),
+            ("out_of_range",),
+            ("negative",),
+            ("self_loop",),
+            ("reversed_duplicate",),
+            ("disconnected",),
+            ("self_loop", "reversed_duplicate", "out_of_range"),
+            ("negative", "reversed_duplicate"),
+        ],
+        ids=lambda k: "+".join(k) or "valid",
+    )
+    def test_same_entries_or_same_first_error(self, kinds):
+        rng = np.random.default_rng(len(kinds) * 31 + sum(map(len, kinds)))
+        for m in range(2, 61):
+            edges = _random_connected(rng, m)
+            for kind in kinds:
+                edges = _inject(rng, m, edges, kind)
+            want = _outcome(oracles.laplacian_reference, m, edges)
+            assert _outcome(laplacian_from_edges, m, edges) == want, (m, edges)
+            if not kinds:
+                assert want[0] == "ok"
 
 
 class TestLaplacianApply:
@@ -220,6 +326,61 @@ class TestScheduleLaplacian:
             lap = schedule_laplacian(sched, n)
             assert np.trace(lap.entries) == pytest.approx(18.0)
             assert lap.eigenvalues()[1] > 1e-10
+
+
+# sha256 prefixes of schedule_laplacian(...).entries.tobytes() for epochs
+# 0..9 (epoch_len 1, seed 3), recorded before the graph layer was vectorised.
+# They pin the order in which each family consumes its epoch's random stream,
+# which the benchmark's byte-identical artifacts depend on.
+FROZEN_REALIZATIONS = {
+    ("cycle", 7, None): [
+        "f7728f0b8bd1e576", "6b0aa405b7fe2f31", "0029711e1dee5f05", "3ff118a24d53669d",
+        "518f96abd63fa2c8", "cddcb9215dfc9102", "4c6660334573dcb2", "4a0175d649338522",
+        "1060c68ddad3119e", "99eaf99ffc177c3b",
+    ],
+    ("star", 7, None): [
+        "4ac8878957b9657c", "5d855ca74710fb0a", "1d8c3db2d8b82b00", "4ac8878957b9657c",
+        "5d855ca74710fb0a", "1d8c3db2d8b82b00", "0df39514b5e1d044", "b5b0c8035784ba02",
+        "b5b0c8035784ba02", "1d8c3db2d8b82b00",
+    ],
+    ("complete", 6, None): ["9cd742a35d405675"] * 10,
+    ("erdos_renyi", 9, 0.3): [
+        "e42520a034e36961", "a841cdeddce4b6f9", "9a473be3c5b39dac", "eb05d529c474fa14",
+        "a821213de3593275", "acaac37d20ab4330", "63a86cf658c3408b", "b21dccd767479a11",
+        "3a8b43bf119d8b18", "59be4a851a3bc73b",
+    ],
+    ("erdos_renyi", 50, 0.2): [
+        "6b06f380ccb82dd2", "ea7f3afde3540a4d", "9867730c36ce1e2c", "5b1033d9be8f843f",
+        "2cbcbded5b254d44", "d125f39d966c1cbf", "dc7d5dcd5d8b5b18", "814559246b9e3ed2",
+        "6eccbdeda6cdfd2a", "385a33cfb15c704d",
+    ],
+    # p = 0 never connects, so every epoch takes the spanning-tree fallback.
+    ("erdos_renyi", 6, 0.0): [
+        "bfd900ff3169c50c", "3254837e8d66fc5c", "d93f239a1ce32c18", "e56f04df13055b35",
+        "c4960d3f910f216f", "7d0288c779c9b8fa", "1b9863f5e75d3926", "c11cdd95505aa8aa",
+        "4ca4e7d26438c34b", "a56284a35d98e505",
+    ],
+    ("mst_of_er", 9, 0.5): [
+        "a06cf8a7cdb17536", "bd3cd86ac5a2ec33", "cf04b3d7d65c373e", "ced8a249485ab530",
+        "62b594f029b12497", "3be4d865050b05eb", "b7f54d9ea64fad24", "111bfd3f906b9f22",
+        "d00448f5b9b0a7a9", "ffffc797033d9b43",
+    ],
+    ("mst_of_er", 8, 0.1): [
+        "4de7006fec171c65", "490ab0a6f5b6f299", "3588b7fb9a5517c4", "5a5f11e835b5f7c1",
+        "4a051b8365ec9b4c", "52bfdb32a360928b", "709d6af3f70f34cf", "8df02f7272b4aec5",
+        "58f41c41ae5f7bb9", "c3e1b6a660b764b6",
+    ],
+}
+
+
+@pytest.mark.parametrize("family, m, p", list(FROZEN_REALIZATIONS), ids=str)
+def test_frozen_realizations(family, m, p):
+    sched = NetworkSchedule(family=family, m=m, epoch_len=1, seed=3, p=p)
+    got = [
+        hashlib.sha256(schedule_laplacian(sched, n).entries.tobytes()).hexdigest()[:16]
+        for n in range(10)
+    ]
+    assert got == FROZEN_REALIZATIONS[(family, m, p)]
 
 
 class TestSpectralBounds:
