@@ -11,8 +11,7 @@ evaluates the stacked oracle exactly once per iteration.
 
 There is one update, :func:`adom_step`, one loop, :func:`run`, and one
 parameter type, :class:`AdomParams`. :func:`derive_params` computes the step
-parameters from (r, gamma); :func:`derive_baseline_params` computes the same
-parameters from the smoothed dual's (L, mu) by an independent closed form.
+parameters from (r, gamma).
 
 The dual iterates z, z_f, z_g live in the zero-mean subspace (node-sums
 vanish); the momentum stack does not.
@@ -31,14 +30,12 @@ from .netgraph import Laplacian, NetworkSchedule, SpectralBounds, schedule_lapla
 
 __all__ = [
     "DualOracle",
-    "QuadraticOracle",
     "AdomParams",
     "SolverState",
     "TrajectoryRecord",
     "Trajectory",
     "NumericalDivergenceError",
     "derive_params",
-    "derive_baseline_params",
     "smoothed_oracle",
     "initial_state",
     "adom_step",
@@ -46,7 +43,6 @@ __all__ = [
     "c2_bound",
     "iteration_estimate",
     "mean_pairwise_sq_dist",
-    "project_zero_sum",
 ]
 
 
@@ -68,41 +64,6 @@ class DualOracle(abc.ABC):
         z_stack[i]. Shape (m, dim) -> (m, dim)."""
 
 
-class QuadraticOracle(DualOracle):
-    """Oracle for quadratics (gamma/2)|x - center_i|^2 on R^dim.
-
-    The conjugate gradient is center_i + z / gamma. With no centers the
-    objective is the plain (gamma/2)|x|^2, whose Moreau-regularized dual has
-    closed forms used throughout the test suite.
-    """
-
-    def __init__(self, gamma: float, dim: int, centers: np.ndarray | None = None):
-        if gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
-        self.gamma = float(gamma)
-        self.dim = int(dim)
-        if centers is not None:
-            centers = np.asarray(centers, dtype=float)
-            if centers.ndim != 2 or centers.shape[1] != dim:
-                raise ValueError(f"centers must have shape (m, {dim}), got {centers.shape}")
-        self.centers = centers
-
-    def grad_conj_stack(self, z_stack: np.ndarray) -> np.ndarray:
-        z_stack = np.asarray(z_stack, dtype=float)
-        if self.centers is None:
-            fits = z_stack.ndim == 2 and z_stack.shape[1] == self.dim
-            want = f"(m, {self.dim})"
-        else:
-            fits = z_stack.shape == self.centers.shape
-            want = self.centers.shape
-        if not fits:
-            raise ValueError(f"z_stack shape {z_stack.shape} != {want}")
-        base = z_stack / self.gamma
-        if self.centers is None:
-            return base
-        return self.centers + base
-
-
 def smoothed_oracle(oracle: DualOracle, r: float):
     """Stacked gradient of the r-smoothed dual: grad_conj_stack(z) + r z.
 
@@ -121,8 +82,8 @@ def smoothed_oracle(oracle: DualOracle, r: float):
 
 @dataclass(frozen=True)
 class AdomParams:
-    """Step parameters of the solver, derived from (r, gamma) or from the
-    smoothed dual's (L, mu), and from the schedule's spectral bounds."""
+    """Step parameters of the solver, derived from (r, gamma) and the
+    schedule's spectral bounds."""
 
     r: float
     gamma: float
@@ -164,36 +125,6 @@ def derive_params(r: float, gamma: float, bounds: SpectralBounds) -> AdomParams:
     return AdomParams(
         r=r, gamma=gamma, alpha=alpha, eta=eta, theta=theta, sigma=sigma, tau=tau,
         bounds=bounds,
-    )
-
-
-def derive_baseline_params(
-    smoothness: float, strong_convexity: float, bounds: SpectralBounds
-) -> AdomParams:
-    """Step parameters from the smoothed dual's (L, mu) directly.
-
-    The smoothed dual is L-smooth and mu-strongly convex with L = 1/r and
-    mu = gamma / (1 + r gamma); inverting gives r = 1/L and
-    gamma = mu L / (L - mu), so L must exceed mu. The step sizes below are
-    the generic (L, mu) closed forms, an independent check on
-    :func:`derive_params`.
-    """
-    if strong_convexity <= 0 or smoothness <= 0:
-        raise ValueError("smoothness and strong_convexity must be positive")
-    if not smoothness > strong_convexity:
-        raise ValueError(
-            f"need smoothness > strong_convexity, got {smoothness} <= {strong_convexity}"
-        )
-    lam_min, lam_max = bounds.lambda_min_plus, bounds.lambda_max
-    big_l, mu = smoothness, strong_convexity
-    alpha = 1.0 / (2.0 * big_l)
-    eta = 2.0 * lam_min * math.sqrt(mu * big_l) / (7.0 * lam_max)
-    theta = mu / lam_max
-    sigma = 1.0 / lam_max
-    tau = (lam_min / (7.0 * lam_max)) * math.sqrt(mu / big_l)
-    return AdomParams(
-        r=1.0 / big_l, gamma=mu * big_l / (big_l - mu), alpha=alpha, eta=eta,
-        theta=theta, sigma=sigma, tau=tau, bounds=bounds,
     )
 
 
@@ -380,8 +311,3 @@ def mean_pairwise_sq_dist(stack: np.ndarray) -> float:
     centered = stack - stack.mean(axis=0)
     return float(2.0 * np.sum(centered * centered) / (m - 1))
 
-
-def project_zero_sum(stack: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto stacks whose node-sum vanishes."""
-    stack = np.asarray(stack, dtype=float)
-    return stack - stack.mean(axis=0)

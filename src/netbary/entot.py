@@ -1,4 +1,4 @@
-"""Entropic optimal transport: dual oracle, Sinkhorn, exact transport, bounds.
+"""Entropic optimal transport: dual oracle, exact transport, bounds.
 
 This layer supplies everything the decentralized solver needs to compute
 entropic Wasserstein barycenters. The central objects are the entropic
@@ -9,10 +9,9 @@ transport cost
 
 its Fenchel conjugate in the first marginal (closed form, evaluated in the
 log domain), and the conjugate's gradient, which is both the solver's oracle
-and the barycenter recovery map. ``sinkhorn`` and ``exact_ot`` evaluate the
-entropic and unregularized costs for metrics and cross-checks; ``k_bound``
-and ``params_for_eps`` produce the constants that calibrate accuracy-driven
-parameter choices.
+and the barycenter recovery map. ``exact_ot`` evaluates the unregularized
+cost for metrics; ``k_bound`` and ``params_for_eps`` produce the constants
+that calibrate accuracy-driven parameter choices.
 
 Histograms are plain arrays on the probability simplex. Oracles require
 strictly positive histograms (see :func:`floor_histogram`), which keeps the
@@ -29,9 +28,6 @@ import numpy as np
 from .adom import DualOracle
 
 __all__ = [
-    "Histogram",
-    "TransportPlan",
-    "SinkhornResult",
     "validate_histogram",
     "floor_histogram",
     "cost_matrix",
@@ -41,19 +37,14 @@ __all__ = [
     "dual_grad",
     "WassersteinDualOracle",
     "wb_dual_oracle",
-    "recover_barycenter",
-    "sinkhorn",
     "exact_ot",
     "k_bound",
+    "AccuracyParams",
     "params_for_eps",
 ]
 
-Histogram = np.ndarray
-
 # Mass must sum to one within this before an array counts as a histogram.
 SIMPLEX_TOL = 1e-12
-# Transport plans reproduce their marginals within this (l1).
-MARGINAL_TOL = 1e-8
 
 
 def validate_histogram(q: np.ndarray, name: str = "histogram") -> np.ndarray:
@@ -154,14 +145,6 @@ class GridCost:
         self.shape = (int(rows), int(cols))
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    top = np.max(a, axis=axis, keepdims=True)
-    # Guard empty/-inf columns: exp(-inf - -inf) handled by where.
-    top = np.where(np.isfinite(top), top, 0.0)
-    out = np.log(np.sum(np.exp(a - top), axis=axis)) + np.squeeze(top, axis=axis)
-    return out
-
-
 def _check_marginal(q, cost, gamma, name="q"):
     """q as a strictly positive histogram on a validated cost's support."""
     if gamma <= 0:
@@ -198,7 +181,7 @@ def dual_value(q: np.ndarray, cost: np.ndarray, gamma: float, z: np.ndarray) -> 
     """
     q, cost, z = _check_oracle_inputs(q, cost, gamma, z)
     scaled = (z[:, None] - cost) / gamma  # [l, j]
-    lse = _logsumexp(scaled, axis=0)
+    lse = _lse_first_axis(scaled)
     return float(-gamma * np.dot(q, np.log(q)) + gamma * np.dot(q, lse))
 
 
@@ -327,100 +310,6 @@ def wb_dual_oracle(
 ) -> WassersteinDualOracle:
     """Build the barycenter dual oracle for floored node marginals."""
     return WassersteinDualOracle(marginals, cost, gamma)
-
-
-def recover_barycenter(
-    oracle: WassersteinDualOracle, z_stack: np.ndarray
-) -> np.ndarray:
-    """Per-node barycenter estimates from dual points: row i is the
-    conjugate gradient of node i at z_stack[i], an exact simplex point."""
-    return oracle.grad_conj_stack(z_stack)
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """Coupling with row marginal p and column marginal q."""
-
-    entries: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-
-    def marginal_error(self) -> float:
-        rows = np.abs(self.entries.sum(axis=1) - self.p).sum()
-        cols = np.abs(self.entries.sum(axis=0) - self.q).sum()
-        return float(max(rows, cols))
-
-
-@dataclass(frozen=True)
-class SinkhornResult:
-    value: float
-    plan: TransportPlan
-    converged: bool
-    iterations: int
-    marginal_error: float
-
-
-def sinkhorn(
-    p: np.ndarray,
-    q: np.ndarray,
-    cost: np.ndarray,
-    gamma: float,
-    tol: float = 1e-9,
-    max_iter: int = 10000,
-) -> SinkhornResult:
-    """Entropic transport cost by log-domain alternating marginal scaling.
-
-    Returns the entropic cost <M, X> + gamma sum X log X together with the
-    plan. Iterations stop once both marginals match within ``tol`` in l1;
-    if ``max_iter`` is exhausted first the best iterate is returned with
-    ``converged=False``.
-    """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    p = validate_histogram(p, "p")
-    q = validate_histogram(q, "q")
-    cost = validate_cost_matrix(cost)
-    if cost.shape[0] != p.shape[0] or cost.shape[0] != q.shape[0]:
-        raise ValueError("cost shape incompatible with marginals")
-    with np.errstate(divide="ignore"):
-        log_p = np.log(p)
-        log_q = np.log(q)
-    f = np.zeros_like(p)
-    g = np.zeros_like(q)
-    err = math.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        # Row scaling makes X 1 = p exact; column scaling does the same for q.
-        f = gamma * log_p - gamma * _logsumexp((g[None, :] - cost) / gamma, axis=1)
-        f = np.where(p > 0, f, -np.inf)
-        g = gamma * log_q - gamma * _logsumexp((f[:, None] - cost) / gamma, axis=0)
-        g = np.where(q > 0, g, -np.inf)
-        plan = _plan_from_potentials(f, g, cost, gamma)
-        err = float(np.abs(plan.sum(axis=1) - p).sum() + np.abs(plan.sum(axis=0) - q).sum())
-        if err <= tol:
-            break
-    plan = _plan_from_potentials(f, g, cost, gamma)
-    value = _entropic_cost(plan, cost, gamma)
-    return SinkhornResult(
-        value=value,
-        plan=TransportPlan(entries=plan, p=p, q=q),
-        converged=err <= tol,
-        iterations=it,
-        marginal_error=err,
-    )
-
-
-def _plan_from_potentials(f, g, cost, gamma):
-    expo = (f[:, None] + g[None, :] - cost) / gamma
-    # -inf potentials mark zero-mass rows/columns.
-    return np.where(np.isfinite(expo), np.exp(np.where(np.isfinite(expo), expo, 0.0)), 0.0)
-
-
-def _entropic_cost(plan: np.ndarray, cost: np.ndarray, gamma: float) -> float:
-    linear = float(np.sum(plan * cost))
-    mask = plan > 0
-    entropy_term = float(np.sum(plan[mask] * np.log(plan[mask])))
-    return linear + gamma * entropy_term
 
 
 def exact_ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray | GridCost) -> float:
@@ -565,20 +454,17 @@ def _grid_transport_constraints(rows: int, cols: int) -> "scipy.sparse.csr_matri
     )
 
 
-def k_bound(
-    cost: np.ndarray, gamma: float, delta: float, rho: float | None = None
-) -> float:
-    """Squared bound on conjugate-gradient norms over the dual domain.
+def k_bound(d: int, gamma: float, delta: float, rho: float | None = None) -> float:
+    """Squared bound on conjugate-gradient norms over the dual domain, for
+    d support points.
 
     K^2 = sum_j (2 gamma log d + min_i max_l |M_jl - M_il| - gamma log rho)^2
+        = d (2 gamma log d - gamma log rho)^2
 
-    with rho defaulting to delta/2, the natural choice when every histogram
+    since the row term vanishes for every cost M: the min over i includes
+    i = j. rho defaults to delta/2, the natural choice when every histogram
     entry is at least delta after flooring.
     """
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2:
-        raise ValueError(f"cost must be 2-d, got shape {cost.shape}")
-    d = cost.shape[0]
     if delta <= 0 or delta > 1.0 / d:
         raise ValueError(f"delta must lie in (0, 1/d] with d={d}, got {delta}")
     if rho is None:
@@ -587,11 +473,8 @@ def k_bound(
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    # min over rows i of the sup-norm distance between row j and row i.
-    diffs = np.abs(cost[:, None, :] - cost[None, :, :]).max(axis=2)  # [j, i]
-    row_terms = diffs.min(axis=1)
     base = 2.0 * gamma * math.log(d) - gamma * math.log(rho)
-    return float(np.sum((base + row_terms) ** 2))
+    return d * base**2
 
 
 @dataclass(frozen=True)
@@ -604,9 +487,7 @@ class AccuracyParams:
     k_sq: float
 
 
-def params_for_eps(
-    eps: float, m: int, d: int, cost: np.ndarray, delta: float
-) -> AccuracyParams:
+def params_for_eps(eps: float, m: int, d: int, delta: float) -> AccuracyParams:
     """Accuracy-driven regularization: gamma = eps / (8 log d) (so the
     entropic gap 2 gamma log d spends eps/4) and r = eps / (4 m K^2)."""
     if eps <= 0:
@@ -616,6 +497,6 @@ def params_for_eps(
     if m < 1:
         raise ValueError(f"need m >= 1 measures, got {m}")
     gamma = eps / (8.0 * math.log(d))
-    k_sq = k_bound(cost, gamma, delta)
+    k_sq = k_bound(d, gamma, delta)
     r = eps / (4.0 * m * k_sq)
     return AccuracyParams(gamma=gamma, r=r, k_sq=k_sq)

@@ -450,11 +450,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     histograms under ``cfg.out`` when it is set. On solver divergence the
     partial CSV is still written before the error propagates.
     """
-    marginals, cost, reference = _build_dataset(cfg)
+    # The schedule validates m and seed and draws nothing, so it comes first:
+    # a bad value is named before the dataset build trips over it.
     schedule = netgraph.NetworkSchedule(
         family=cfg.family, m=cfg.m, epoch_len=cfg.epoch_len, seed=cfg.seed,
         p=cfg.p,
     )
+    marginals, cost, reference = _build_dataset(cfg)
     bounds = netgraph.spectral_bounds(schedule, cfg.n_iters)
     params = adom.derive_params(cfg.r, cfg.gamma, bounds)
     oracle = entot.wb_dual_oracle(marginals, cost, cfg.gamma)
@@ -497,7 +499,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     rows = _rows_from_records(
         traj.records, marginals, cost, reference, cfg.measure_walltime
     )
-    final = entot.recover_barycenter(oracle, traj.state.z_g)
+    final = oracle.grad_conj_stack(traj.state.z_g)
     if out_dir is not None:
         _write_csv(rows, out_dir / "metrics.csv")
         np.save(out_dir / "histograms.npy", final)

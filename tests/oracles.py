@@ -3,13 +3,24 @@
 Everything here is deliberately written from the defining formulas rather
 than by calling into the package, so tests compare two separate routes to
 the same quantity. Slow and simple on purpose.
+
+The test-only references at the end (the quadratic oracle, the (L, mu)
+closed form of the step parameters, the zero-sum projection, log-domain
+Sinkhorn and the broadcast K^2 bound) are the exception: they still call
+the package's ``validate_histogram`` and ``validate_cost_matrix`` and build
+its ``DualOracle`` and ``AdomParams`` types.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
-from netbary.netgraph import DisconnectedGraphError, Laplacian
+from netbary.adom import AdomParams, DualOracle
+from netbary.entot import validate_cost_matrix, validate_histogram
+from netbary.netgraph import DisconnectedGraphError, Laplacian, SpectralBounds
 
 
 def simplex_grid(d, steps):
@@ -209,3 +220,183 @@ def laplacian_reference(m: int, edges) -> Laplacian:
         entries[b, b] += 1.0
     entries.flags.writeable = False
     return Laplacian(m=m, entries=entries)
+
+
+class QuadraticOracle(DualOracle):
+    """Oracle for quadratics (gamma/2)|x - center_i|^2 on R^dim.
+
+    The conjugate gradient is center_i + z / gamma. With no centers the
+    objective is the plain (gamma/2)|x|^2, whose Moreau-regularized dual has
+    closed forms used throughout the test suite.
+    """
+
+    def __init__(self, gamma: float, dim: int, centers: np.ndarray | None = None):
+        if gamma <= 0:
+            raise ValueError(f"gamma must be positive, got {gamma}")
+        self.gamma = float(gamma)
+        self.dim = int(dim)
+        if centers is not None:
+            centers = np.asarray(centers, dtype=float)
+            if centers.ndim != 2 or centers.shape[1] != dim:
+                raise ValueError(f"centers must have shape (m, {dim}), got {centers.shape}")
+        self.centers = centers
+
+    def grad_conj_stack(self, z_stack: np.ndarray) -> np.ndarray:
+        z_stack = np.asarray(z_stack, dtype=float)
+        if self.centers is None:
+            fits = z_stack.ndim == 2 and z_stack.shape[1] == self.dim
+            want = f"(m, {self.dim})"
+        else:
+            fits = z_stack.shape == self.centers.shape
+            want = self.centers.shape
+        if not fits:
+            raise ValueError(f"z_stack shape {z_stack.shape} != {want}")
+        base = z_stack / self.gamma
+        if self.centers is None:
+            return base
+        return self.centers + base
+
+
+def derive_baseline_params(
+    smoothness: float, strong_convexity: float, bounds: SpectralBounds
+) -> AdomParams:
+    """Step parameters from the smoothed dual's (L, mu) directly.
+
+    The smoothed dual is L-smooth and mu-strongly convex with L = 1/r and
+    mu = gamma / (1 + r gamma); inverting gives r = 1/L and
+    gamma = mu L / (L - mu), so L must exceed mu. The step sizes below are
+    the generic (L, mu) closed forms, an independent check on
+    :func:`netbary.adom.derive_params`.
+    """
+    if strong_convexity <= 0 or smoothness <= 0:
+        raise ValueError("smoothness and strong_convexity must be positive")
+    if not smoothness > strong_convexity:
+        raise ValueError(
+            f"need smoothness > strong_convexity, got {smoothness} <= {strong_convexity}"
+        )
+    lam_min, lam_max = bounds.lambda_min_plus, bounds.lambda_max
+    big_l, mu = smoothness, strong_convexity
+    alpha = 1.0 / (2.0 * big_l)
+    eta = 2.0 * lam_min * math.sqrt(mu * big_l) / (7.0 * lam_max)
+    theta = mu / lam_max
+    sigma = 1.0 / lam_max
+    tau = (lam_min / (7.0 * lam_max)) * math.sqrt(mu / big_l)
+    return AdomParams(
+        r=1.0 / big_l, gamma=mu * big_l / (big_l - mu), alpha=alpha, eta=eta,
+        theta=theta, sigma=sigma, tau=tau, bounds=bounds,
+    )
+
+
+def project_zero_sum(stack: np.ndarray) -> np.ndarray:
+    """Orthogonal projection onto stacks whose node-sum vanishes."""
+    stack = np.asarray(stack, dtype=float)
+    return stack - stack.mean(axis=0)
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    top = np.max(a, axis=axis, keepdims=True)
+    # Guard empty/-inf columns: exp(-inf - -inf) handled by where.
+    top = np.where(np.isfinite(top), top, 0.0)
+    out = np.log(np.sum(np.exp(a - top), axis=axis)) + np.squeeze(top, axis=axis)
+    return out
+
+
+@dataclass(frozen=True)
+class TransportPlan:
+    """Coupling with row marginal p and column marginal q."""
+
+    entries: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+
+    def marginal_error(self) -> float:
+        rows = np.abs(self.entries.sum(axis=1) - self.p).sum()
+        cols = np.abs(self.entries.sum(axis=0) - self.q).sum()
+        return float(max(rows, cols))
+
+
+@dataclass(frozen=True)
+class SinkhornResult:
+    value: float
+    plan: TransportPlan
+    converged: bool
+    iterations: int
+    marginal_error: float
+
+
+def sinkhorn(
+    p: np.ndarray,
+    q: np.ndarray,
+    cost: np.ndarray,
+    gamma: float,
+    tol: float = 1e-9,
+    max_iter: int = 10000,
+) -> SinkhornResult:
+    """Entropic transport cost by log-domain alternating marginal scaling.
+
+    Returns the entropic cost <M, X> + gamma sum X log X together with the
+    plan. Iterations stop once both marginals match within ``tol`` in l1;
+    if ``max_iter`` is exhausted first the best iterate is returned with
+    ``converged=False``.
+    """
+    if gamma <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    p = validate_histogram(p, "p")
+    q = validate_histogram(q, "q")
+    cost = validate_cost_matrix(cost)
+    if cost.shape[0] != p.shape[0] or cost.shape[0] != q.shape[0]:
+        raise ValueError("cost shape incompatible with marginals")
+    with np.errstate(divide="ignore"):
+        log_p = np.log(p)
+        log_q = np.log(q)
+    f = np.zeros_like(p)
+    g = np.zeros_like(q)
+    err = math.inf
+    it = 0
+    for it in range(1, max_iter + 1):
+        # Row scaling makes X 1 = p exact; column scaling does the same for q.
+        f = gamma * log_p - gamma * _logsumexp((g[None, :] - cost) / gamma, axis=1)
+        f = np.where(p > 0, f, -np.inf)
+        g = gamma * log_q - gamma * _logsumexp((f[:, None] - cost) / gamma, axis=0)
+        g = np.where(q > 0, g, -np.inf)
+        plan = _plan_from_potentials(f, g, cost, gamma)
+        err = float(np.abs(plan.sum(axis=1) - p).sum() + np.abs(plan.sum(axis=0) - q).sum())
+        if err <= tol:
+            break
+    plan = _plan_from_potentials(f, g, cost, gamma)
+    value = _entropic_cost(plan, cost, gamma)
+    return SinkhornResult(
+        value=value,
+        plan=TransportPlan(entries=plan, p=p, q=q),
+        converged=err <= tol,
+        iterations=it,
+        marginal_error=err,
+    )
+
+
+def _plan_from_potentials(f, g, cost, gamma):
+    expo = (f[:, None] + g[None, :] - cost) / gamma
+    # -inf potentials mark zero-mass rows/columns.
+    return np.where(np.isfinite(expo), np.exp(np.where(np.isfinite(expo), expo, 0.0)), 0.0)
+
+
+def _entropic_cost(plan: np.ndarray, cost: np.ndarray, gamma: float) -> float:
+    linear = float(np.sum(plan * cost))
+    mask = plan > 0
+    entropy_term = float(np.sum(plan[mask] * np.log(plan[mask])))
+    return linear + gamma * entropy_term
+
+
+def k_bound_reference(cost, gamma, delta, rho=None):
+    """K^2 = sum_j (2 gamma log d + min_i max_l |M_jl - M_il| - gamma log rho)^2
+    evaluated term by term over (d, d, d) broadcasts, rho defaulting to
+    delta / 2: the formula :func:`netbary.entot.k_bound` reduces in closed
+    form."""
+    cost = np.asarray(cost, dtype=float)
+    d = cost.shape[0]
+    if rho is None:
+        rho = delta / 2.0
+    diffs = np.abs(cost[:, None, :] - cost[None, :, :]).max(axis=2)  # [j, i]
+    row_terms = diffs.min(axis=1)
+    base = 2.0 * gamma * math.log(d) - gamma * math.log(rho)
+    return float(np.sum((base + row_terms) ** 2))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from netbary import adom, entot
 from netbary.netgraph import (
     NetworkSchedule,
@@ -40,7 +41,7 @@ class _CountingOracle(adom.DualOracle):
 class TestQuadraticOracle:
     def test_gradient_is_center_plus_scaled_point(self):
         centers = np.array([[1.0, -2.0], [0.5, 0.0]])
-        oracle = adom.QuadraticOracle(gamma=0.5, dim=2, centers=centers)
+        oracle = oracles.QuadraticOracle(gamma=0.5, dim=2, centers=centers)
         z_stack = np.array([[0.0, 1.0], [0.2, -0.4]])
         np.testing.assert_allclose(
             oracle.grad_conj_stack(z_stack), [[1.0, 0.0], [0.9, -0.8]], atol=1e-15
@@ -49,29 +50,29 @@ class TestQuadraticOracle:
     def test_stack_matches_per_node_loop(self):
         rng = np.random.default_rng(0)
         centers = rng.standard_normal((4, 3))
-        oracle = adom.QuadraticOracle(gamma=2.0, dim=3, centers=centers)
+        oracle = oracles.QuadraticOracle(gamma=2.0, dim=3, centers=centers)
         z_stack = rng.standard_normal((4, 3))
         loop = np.stack([centers[i] + z_stack[i] / 2.0 for i in range(4)])
         np.testing.assert_array_equal(oracle.grad_conj_stack(z_stack), loop)
 
     def test_centerless_oracle_scales_only(self):
-        oracle = adom.QuadraticOracle(gamma=4.0, dim=2)
+        oracle = oracles.QuadraticOracle(gamma=4.0, dim=2)
         z_stack = np.array([[2.0, -8.0], [0.0, 4.0]])
         np.testing.assert_array_equal(oracle.grad_conj_stack(z_stack), z_stack / 4.0)
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError, match="gamma"):
-            adom.QuadraticOracle(gamma=0.0, dim=2)
+            oracles.QuadraticOracle(gamma=0.0, dim=2)
         with pytest.raises(ValueError, match="centers"):
-            adom.QuadraticOracle(gamma=1.0, dim=2, centers=np.zeros((3, 5)))
+            oracles.QuadraticOracle(gamma=1.0, dim=2, centers=np.zeros((3, 5)))
 
     def test_rejects_stack_of_the_wrong_shape(self):
         # A (1, 2) stack would broadcast against (3, 2) centers.
-        oracle = adom.QuadraticOracle(gamma=1.0, dim=2, centers=np.zeros((3, 2)))
+        oracle = oracles.QuadraticOracle(gamma=1.0, dim=2, centers=np.zeros((3, 2)))
         for shape in [(1, 2), (3, 3), (6,)]:
             with pytest.raises(ValueError, match=rf"{re.escape(str(shape))} != \(3, 2\)"):
                 oracle.grad_conj_stack(np.zeros(shape))
-        centerless = adom.QuadraticOracle(gamma=1.0, dim=2)
+        centerless = oracles.QuadraticOracle(gamma=1.0, dim=2)
         with pytest.raises(ValueError, match=r"\(4, 3\) != \(m, 2\)"):
             centerless.grad_conj_stack(np.zeros((4, 3)))
 
@@ -79,7 +80,7 @@ class TestQuadraticOracle:
 class TestSmoothedOracle:
     def test_adds_linear_term(self):
         rng = np.random.default_rng(1)
-        oracle = adom.QuadraticOracle(gamma=0.5, dim=3)
+        oracle = oracles.QuadraticOracle(gamma=0.5, dim=3)
         grad = adom.smoothed_oracle(oracle, r=0.25)
         z_stack = rng.standard_normal((5, 3))
         np.testing.assert_allclose(
@@ -91,14 +92,14 @@ class TestSmoothedOracle:
         # For (gamma/2)|x|^2 the smoothed primal is c|x|^2/2 with
         # c = gamma/(1 + r gamma), whose conjugate gradient is z/c.
         gamma, r = 0.8, 0.3
-        oracle = adom.QuadraticOracle(gamma=gamma, dim=2)
+        oracle = oracles.QuadraticOracle(gamma=gamma, dim=2)
         grad = adom.smoothed_oracle(oracle, r=r)
         z_stack = np.array([[1.0, -2.0], [3.0, 0.5]])
         expected = z_stack * (1.0 + r * gamma) / gamma
         np.testing.assert_allclose(grad(z_stack), expected, rtol=1e-14)
 
     def test_rejects_nonpositive_r(self):
-        oracle = adom.QuadraticOracle(gamma=1.0, dim=2)
+        oracle = oracles.QuadraticOracle(gamma=1.0, dim=2)
         with pytest.raises(ValueError, match="r"):
             adom.smoothed_oracle(oracle, r=0.0)
 
@@ -164,7 +165,7 @@ class TestDeriveParams:
             for gamma in np.logspace(-4, -1, 7):
                 bounds = SpectralBounds(lambda_min_plus=0.382, lambda_max=4.0)
                 ours = adom.derive_params(r=r, gamma=gamma, bounds=bounds)
-                base = adom.derive_baseline_params(
+                base = oracles.derive_baseline_params(
                     smoothness=1.0 / r,
                     strong_convexity=gamma / (1.0 + r * gamma),
                     bounds=bounds,
@@ -184,14 +185,14 @@ class TestDeriveParams:
                 tau=1.5, bounds=PAIR_BOUNDS,
             )
         with pytest.raises(ValueError, match="smoothness"):
-            adom.derive_baseline_params(0.5, 1.0, PAIR_BOUNDS)
+            oracles.derive_baseline_params(0.5, 1.0, PAIR_BOUNDS)
 
 
 class TestStepByHand:
     def test_two_steps_match_scalar_arithmetic(self):
         # m=2, d=1, pair graph; every quantity below is worked out by hand.
         lap = laplacian_from_edges(2, [(0, 1)])
-        oracle = adom.QuadraticOracle(
+        oracle = oracles.QuadraticOracle(
             gamma=2.0, dim=1, centers=np.array([[1.0], [-3.0]])
         )
         params = adom.AdomParams(
@@ -231,7 +232,7 @@ class TestStepByHand:
 class TestRun:
     def test_exactly_one_oracle_eval_per_iteration(self):
         rng = np.random.default_rng(4)
-        inner = adom.QuadraticOracle(
+        inner = oracles.QuadraticOracle(
             gamma=0.5, dim=3, centers=rng.standard_normal((4, 3))
         )
         oracle = _CountingOracle(inner)
@@ -254,7 +255,7 @@ class TestRun:
 
         monkeypatch.setattr(netgraph.Laplacian, "apply", counted)
         rng = np.random.default_rng(5)
-        oracle = adom.QuadraticOracle(
+        oracle = oracles.QuadraticOracle(
             gamma=0.5, dim=2, centers=rng.standard_normal((3, 2))
         )
         sched = NetworkSchedule(family="cycle", m=3, epoch_len=None, seed=0)
@@ -266,7 +267,7 @@ class TestRun:
 
     def test_record_thinning_includes_last(self):
         rng = np.random.default_rng(6)
-        oracle = adom.QuadraticOracle(
+        oracle = oracles.QuadraticOracle(
             gamma=0.5, dim=2, centers=rng.standard_normal((3, 2))
         )
         sched = NetworkSchedule(family="cycle", m=3, epoch_len=None, seed=0)
@@ -333,7 +334,7 @@ class TestRun:
         sched = NetworkSchedule(family="cycle", m=6, epoch_len=None, seed=0)
         bounds = spectral_bounds(sched, 1)
         params = adom.derive_params(r=0.01, gamma=0.05, bounds=bounds)
-        oracle = adom.QuadraticOracle(
+        oracle = oracles.QuadraticOracle(
             gamma=0.05, dim=4, centers=rng.standard_normal((6, 4))
         )
         traj = adom.run(sched, oracle, params, n_iters=600)
@@ -351,7 +352,7 @@ class TestRun:
         assert np.exp(slope) <= 1.0 - params.tau
 
     def test_validates_iteration_arguments(self):
-        oracle = adom.QuadraticOracle(gamma=1.0, dim=2)
+        oracle = oracles.QuadraticOracle(gamma=1.0, dim=2)
         sched = NetworkSchedule(family="cycle", m=3, epoch_len=None, seed=0)
         params = adom.derive_params(
             r=0.1, gamma=1.0, bounds=spectral_bounds(sched, 1)
@@ -364,7 +365,7 @@ class TestRun:
 
 class TestDivergence:
     def test_run_reports_iterate_and_partial_records(self):
-        oracle = adom.QuadraticOracle(
+        oracle = oracles.QuadraticOracle(
             gamma=1.0, dim=2,
             centers=np.array([[1.0, 0.0], [0.0, 2.0], [-3.0, 1.0]]),
         )
@@ -471,8 +472,8 @@ class TestConsensusMetricHelpers:
     def test_project_zero_sum(self):
         rng = np.random.default_rng(15)
         stack = rng.standard_normal((4, 3)) + 2.0
-        projected = adom.project_zero_sum(stack)
+        projected = oracles.project_zero_sum(stack)
         np.testing.assert_allclose(projected.sum(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(
-            adom.project_zero_sum(projected), projected, atol=1e-15
+            oracles.project_zero_sum(projected), projected, atol=1e-15
         )

@@ -205,6 +205,24 @@ class TestRun:
         assert "record_every" in captured.err
         assert not (out_dir / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--m", "0", "need m >= 2 nodes, got 0"),
+            ("--m", "-3", "need m >= 2 nodes, got -3"),
+            ("--seed", "-1", "seed must be nonnegative, got -1"),
+        ],
+    )
+    def test_bad_m_or_seed_is_named_before_the_dataset(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        # The dataset build would fail first, with numpy's own message.
+        cfg_path = _write_config(tmp_path)
+        code = cli(["run", "--config", str(cfg_path), flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {message}\n"
+
     def test_gaussian_run_never_imports_scipy(self, tmp_path):
         # Only the transport LP needs scipy, and a Gaussian run's transport
         # is in closed form. The grid LP afterwards shows the check can fail.

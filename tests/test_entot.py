@@ -310,24 +310,17 @@ class TestWassersteinDualOracle:
         with pytest.raises(ValueError, match=r"marginals\[1\].*floor_histogram"):
             entot.wb_dual_oracle(zero_row, cost, 0.3)
 
-    def test_recover_barycenter_stacks_gradients(self):
-        rng = np.random.default_rng(12)
-        marginals = np.stack(
-            [entot.floor_histogram(rng.dirichlet(np.ones(4)), 1e-5) for _ in range(3)]
+    @pytest.mark.parametrize("support", ["dense", "grid"])
+    def test_rejects_stack_of_the_wrong_shape(self, support):
+        # Row sums of both kernels are checked against the references in
+        # test_stack_matches_independent_reference and TestGridDualOracle.
+        grid = entot.GridCost(2, 2)
+        oracle = entot.wb_dual_oracle(
+            np.full((3, 4), 0.25), grid if support == "grid" else grid.dense, 0.1
         )
-        cost = entot.cost_matrix(np.sort(rng.random(4)))
-        oracle = entot.wb_dual_oracle(marginals, cost, 0.1)
-        z_stack = rng.standard_normal((3, 4))
-        got = entot.recover_barycenter(oracle, z_stack)
-        np.testing.assert_array_equal(got, oracle.grad_conj_stack(z_stack))
-        np.testing.assert_allclose(got.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_recover_barycenter_checks_shape(self):
-        marginals = np.full((3, 4), 0.25)
-        cost = entot.cost_matrix(np.linspace(0, 1, 4))
-        oracle = entot.wb_dual_oracle(marginals, cost, 0.1)
-        with pytest.raises(ValueError, match="shape"):
-            entot.recover_barycenter(oracle, np.zeros((2, 4)))
+        for shape in [(2, 4), (3, 5), (4,), (1, 3, 4)]:
+            with pytest.raises(ValueError, match="shape"):
+                oracle.grad_conj_stack(np.zeros(shape))
 
 
 class TestSinkhorn:
@@ -335,7 +328,7 @@ class TestSinkhorn:
         rng = np.random.default_rng(13)
         p = rng.dirichlet(np.ones(4))
         q = rng.dirichlet(np.ones(4))
-        res = entot.sinkhorn(p, q, np.zeros((4, 4)), 0.3)
+        res = oracles.sinkhorn(p, q, np.zeros((4, 4)), 0.3)
         np.testing.assert_allclose(res.plan.entries, np.outer(p, q), atol=1e-12)
         expected = 0.3 * (p @ np.log(p) + q @ np.log(q))
         assert res.value == pytest.approx(expected, rel=1e-10)
@@ -346,7 +339,7 @@ class TestSinkhorn:
         q = rng.dirichlet(np.ones(6))
         cost = entot.cost_matrix(np.sort(rng.random(6)))
         for gamma in (0.5, 0.05):
-            res = entot.sinkhorn(p, q, cost, gamma, tol=1e-13, max_iter=20000)
+            res = oracles.sinkhorn(p, q, cost, gamma, tol=1e-13, max_iter=20000)
             ref = oracles.entropic_cost_direct(p, q, cost, gamma, n_iters=20000)
             assert res.converged
             assert res.value == pytest.approx(ref, abs=1e-9)
@@ -356,7 +349,7 @@ class TestSinkhorn:
         p = rng.dirichlet(np.ones(5))
         q = rng.dirichlet(np.ones(5))
         cost = entot.cost_matrix(np.sort(rng.random(5)))
-        res = entot.sinkhorn(p, q, cost, 0.1, tol=1e-11)
+        res = oracles.sinkhorn(p, q, cost, 0.1, tol=1e-11)
         assert res.converged
         assert res.plan.marginal_error() <= 1e-11
         assert res.marginal_error <= 1e-11
@@ -369,14 +362,14 @@ class TestSinkhorn:
             q = rng.dirichlet(np.ones(d))
             cost = entot.cost_matrix(np.sort(rng.random(d)))
             exact = entot.exact_ot(p, q, cost)
-            res = entot.sinkhorn(p, q, cost, gamma, tol=1e-12, max_iter=100000)
+            res = oracles.sinkhorn(p, q, cost, gamma, tol=1e-12, max_iter=100000)
             assert res.converged
             assert res.value <= exact + 1e-9
             assert res.value >= exact - 2 * gamma * np.log(d) - 1e-9
 
     def test_forced_plan_with_zero_masses(self):
         cost = np.array([[0.0, 0.7], [0.7, 0.0]])
-        res = entot.sinkhorn(
+        res = oracles.sinkhorn(
             np.array([1.0, 0.0]), np.array([0.0, 1.0]), cost, 0.05
         )
         np.testing.assert_allclose(res.plan.entries, [[0.0, 1.0], [0.0, 0.0]], atol=1e-12)
@@ -387,7 +380,7 @@ class TestSinkhorn:
         p = rng.dirichlet(np.ones(6))
         q = rng.dirichlet(np.ones(6))
         cost = entot.cost_matrix(np.sort(rng.random(6)))
-        res = entot.sinkhorn(p, q, cost, 0.001, tol=1e-13, max_iter=3)
+        res = oracles.sinkhorn(p, q, cost, 0.001, tol=1e-13, max_iter=3)
         assert not res.converged
         assert res.iterations == 3
 
@@ -693,13 +686,13 @@ class TestExactOTGrid:
 class TestKBound:
     def test_zero_cost_closed_form(self):
         for d, gamma, delta in ((3, 0.1, 0.01), (10, 0.05, 1e-4)):
-            got = entot.k_bound(np.zeros((d, d)), gamma, delta)
+            got = entot.k_bound(d, gamma, delta)
             base = 2 * gamma * np.log(d) - gamma * np.log(delta / 2)
             assert got == pytest.approx(d * base**2, rel=1e-14)
 
     def test_scale_factor_homogeneous_in_gamma(self):
-        a = entot.k_bound(np.zeros((4, 4)), 0.1, 0.01)
-        b = entot.k_bound(np.zeros((4, 4)), 0.2, 0.01)
+        a = entot.k_bound(4, 0.1, 0.01)
+        b = entot.k_bound(4, 0.2, 0.01)
         assert np.sqrt(b) == pytest.approx(2 * np.sqrt(a), rel=1e-13)
 
     def test_matches_exhaustive_min_max(self):
@@ -712,32 +705,42 @@ class TestKBound:
                 max(abs(cost[j, l] - cost[i, l]) for l in range(3)) for i in range(3)
             )
             total += (2 * gamma * np.log(3) + inner - gamma * np.log(rho)) ** 2
-        got = entot.k_bound(cost, gamma, delta)
+        got = entot.k_bound(cost.shape[0], gamma, delta)
         assert got == pytest.approx(total, rel=1e-14)
         assert got == pytest.approx(0.4213736177439613, rel=1e-12)
 
     def test_rho_override(self):
-        got = entot.k_bound(np.zeros((3, 3)), 0.1, 0.01, rho=0.5)
+        got = entot.k_bound(3, 0.1, 0.01, rho=0.5)
         base = 2 * 0.1 * np.log(3) - 0.1 * np.log(0.5)
         assert got == pytest.approx(3 * base**2, rel=1e-14)
 
     def test_rejects_delta_out_of_range(self):
         with pytest.raises(ValueError, match="delta"):
-            entot.k_bound(np.zeros((4, 4)), 0.1, 0.3)
+            entot.k_bound(4, 0.1, 0.3)
         with pytest.raises(ValueError, match="delta"):
-            entot.k_bound(np.zeros((4, 4)), 0.1, 0.0)
+            entot.k_bound(4, 0.1, 0.0)
+
+    def test_matches_broadcast_formula(self):
+        # The row term min_i max_l |M_jl - M_il| evaluated over (d, d, d)
+        # broadcasts, on symmetric and non-symmetric costs.
+        rng = np.random.default_rng(34)
+        for d in range(2, 61):
+            gamma = float(rng.uniform(1e-3, 1.0))
+            delta = float(rng.uniform(0.01, 1.0)) / d
+            rho = None if d % 2 else float(rng.uniform(1e-6, 0.9))
+            for cost in (entot.cost_matrix(rng.random((d, 2))), rng.random((d, d))):
+                want = oracles.k_bound_reference(cost, gamma, delta, rho)
+                got = entot.k_bound(d, gamma, delta, rho)
+                assert got == pytest.approx(want, rel=1e-14)
 
 
 class TestParamsForEps:
     def test_gamma_spends_quarter_of_eps_on_entropy_gap(self):
-        cost = entot.cost_matrix(np.linspace(0, 1, 20))
-        got = entot.params_for_eps(0.08, 5, 20, cost, 1e-6)
+        got = entot.params_for_eps(0.08, 5, 20, 1e-6)
         assert 2 * got.gamma * np.log(20) == pytest.approx(0.08 / 4, rel=1e-14)
 
     def test_frozen_regression_values(self):
-        rng = np.random.default_rng(33)
-        cost = entot.cost_matrix(np.sort(rng.random(100)))
-        got = entot.params_for_eps(0.1, 10, 100, cost, 1e-6)
+        got = entot.params_for_eps(0.1, 10, 100, 1e-6)
         np.testing.assert_allclose(
             [got.gamma, got.r, got.k_sq],
             [0.002714340511895324, 0.006031407481724236, 0.41449694910769147],
@@ -747,18 +750,16 @@ class TestParamsForEps:
     def test_halving_eps_halves_gamma_and_doubles_r(self):
         # K^2 is degree-2 homogeneous in gamma (the row min-max term is zero
         # for every cost matrix), so r = eps/(4 m K^2) scales as 1/eps.
-        cost = entot.cost_matrix(np.linspace(0, 1, 30))
-        hi = entot.params_for_eps(0.2, 4, 30, cost, 1e-5)
-        lo = entot.params_for_eps(0.1, 4, 30, cost, 1e-5)
+        hi = entot.params_for_eps(0.2, 4, 30, 1e-5)
+        lo = entot.params_for_eps(0.1, 4, 30, 1e-5)
         assert lo.gamma == pytest.approx(hi.gamma / 2, rel=1e-14)
         assert lo.r == pytest.approx(2 * hi.r, rel=1e-13)
 
     def test_rejects_degenerate_inputs(self):
-        cost = np.zeros((1, 1))
         with pytest.raises(ValueError, match="d >= 2"):
-            entot.params_for_eps(0.1, 3, 1, cost, 0.5)
+            entot.params_for_eps(0.1, 3, 1, 0.5)
         with pytest.raises(ValueError, match="eps"):
-            entot.params_for_eps(0.0, 3, 4, np.zeros((4, 4)), 0.01)
+            entot.params_for_eps(0.0, 3, 4, 0.01)
 
 
 class TestSimplexProperties:
