@@ -214,7 +214,8 @@ def adom_step(
     alpha, eta, theta = params.alpha, params.eta, params.theta
     sigma, tau = params.sigma, params.tau
     z_g = tau * state.z + (1.0 - tau) * state.z_f
-    g = smoothed_oracle(oracle, params.r)(z_g)
+    # smoothed_oracle's sum, without re-checking r, which AdomParams did.
+    g = oracle.grad_conj_stack(z_g) + params.r * z_g
     # Overflow surfaces as non-finite entries, which the check below turns
     # into NumericalDivergenceError; the transient warnings carry no
     # information.

@@ -9,9 +9,11 @@ transport cost
 
 its Fenchel conjugate in the first marginal (closed form, evaluated in the
 log domain), and the conjugate's gradient, which is both the solver's oracle
-and the barycenter recovery map. ``exact_ot`` evaluates the unregularized
-cost for metrics; ``k_bound`` and ``params_for_eps`` produce the constants
-that calibrate accuracy-driven parameter choices.
+and the barycenter recovery map: products with the Gibbs kernel
+exp(-M / gamma) while they stay in the double range, the log domain beyond.
+``exact_ot`` evaluates the unregularized cost for metrics; ``k_bound`` and
+``params_for_eps`` produce the constants that calibrate accuracy-driven
+parameter choices.
 
 Histograms are plain arrays on the probability simplex. Oracles require
 strictly positive histograms (see :func:`floor_histogram`), which keeps the
@@ -167,6 +169,8 @@ def _check_oracle_inputs(q, cost, gamma, z):
     z = np.asarray(z, dtype=float)
     if z.shape != q.shape:
         raise ValueError(f"z shape {z.shape} != histogram shape {q.shape}")
+    if not np.isfinite(z).all():
+        raise ValueError(f"z has non-finite entries: {z[~np.isfinite(z)][:3]}")
     return q, cost, z
 
 
@@ -189,18 +193,84 @@ def dual_grad(q: np.ndarray, cost: np.ndarray, gamma: float, z: np.ndarray) -> n
     """Gradient of :func:`dual_value` in z: a point on the simplex.
 
     Column j of exp((z_l - M_lj)/gamma) is normalized over l and the columns
-    are mixed with weights q_j, all in the log domain. The map is invariant
-    to shifting z by a constant and 1/gamma-Lipschitz. Computed by the same
-    kernel as :meth:`WassersteinDualOracle.grad_conj_stack`, on one row.
+    are mixed with weights q_j. The map is invariant to shifting z by a
+    constant and 1/gamma-Lipschitz. Computed by the same kernels as
+    :meth:`WassersteinDualOracle.grad_conj_stack` on a cost matrix, on one
+    row: a stack's row equals this bit for bit whenever the whole stack
+    takes the path this row takes alone.
     """
     q, cost, z = _check_oracle_inputs(q, cost, gamma, z)
-    return _conj_grad_stack(q[None, :], cost, gamma, z[None, :])[0]
+    return _gibbs_conj_grad_stack(
+        q[None, :], cost, np.exp(-cost / gamma), cost.max(), gamma, z[None, :]
+    )[0]
+
+
+# The Gibbs-kernel form evaluates, node by node, the factors
+# u_l = exp((z_l - max z) / gamma) in (0, 1], the normalizers n_j = sum_l
+# u_l K_lj with K_lj = exp(-C_lj / gamma) in [exp(-c_max / gamma), 1], the
+# quotients q_j / n_j and the row sums sum_j (q_j / n_j) K_lj. It is used
+# only while every node's span s = (max z - min z + c_max) / gamma is below
+# this limit, which keeps each of them a normal double for d < 1e40:
+# - every u_l, K_lj and product u_l K_lj is at least exp(-s) > exp(-600),
+#   about 2.7e-261, far above the smallest normal double, 2.2e-308, about
+#   exp(-708.4);
+# - every normalizer lies in [exp(-c_max / gamma), d]: the term of the l
+#   with the largest z has u_l = 1, and no term exceeds 1;
+# - so every q_j / n_j is at most exp(600), about 3.8e260, and every row
+#   sum at most d exp(600) < 3.8e300, below the largest double, 1.8e308.
+# On a grid the one-axis partial products obey the same bounds, since the
+# two axes' maxima add up to c_max. q enters only as a factor: a term
+# q_j K_lj / n_j is never smaller than the q_j u_l K_lj / n_j the log-domain
+# kernel forms, as u_l <= 1, so no term underflows that it keeps.
+_SCALING_SPAN_LIMIT = 600.0
+
+
+def _gibbs_factors(z_stack, c_max, gamma):
+    """Per node, u = exp((z - max z) / gamma), or None when some node's span
+    (max z - min z + c_max) / gamma is not below :data:`_SCALING_SPAN_LIMIT`.
+    A nan or infinite z makes its span nan or infinite, which fails the
+    comparison, so such a stack takes the log domain and shows the nan."""
+    top = z_stack.max(axis=1, keepdims=True)
+    span = (top[:, 0] - z_stack.min(axis=1) + c_max) / gamma
+    if not (span < _SCALING_SPAN_LIMIT).all():
+        return None
+    u = z_stack - top
+    u /= gamma
+    return np.exp(u, out=u)
+
+
+def _gibbs_conj_grad_stack(marginals, cost, kernel, c_max, gamma, z_stack):
+    """Row i is :func:`dual_grad` of marginals[i] at z_stack[i] for a cost
+    matrix with Gibbs kernel ``kernel`` and maximum ``c_max``; inputs are
+    not checked. The scaling form while the spans allow it, else the log
+    domain for the whole stack."""
+    u = _gibbs_factors(z_stack, c_max, gamma)
+    if u is None:
+        return _conj_grad_stack(marginals, cost, gamma, z_stack)
+    return _scaling_conj_grad_stack(marginals, kernel, u)
+
+
+def _scaling_conj_grad_stack(marginals, kernel, u):
+    """The stacked gradient in the scaling form u * ((q / (u K)) K^T), from
+    the Gibbs factors ``u`` of :func:`_gibbs_factors` (Peyre & Cuturi,
+    *Computational Optimal Transport*, 2019, section 4). Both products are
+    batches of one-row products, (m, 1, d) @ (d, d): one (m, d) @ (d, d)
+    product would sum in another order than a single row does, and
+    :func:`dual_grad` must equal a row of the stack bit for bit. Work is
+    2 m d^2 multiply-adds; besides the kernel, memory is O(m d)."""
+    rows = u[:, None, :]
+    mixed = np.matmul(rows, kernel)  # [i, ., j]: normalizer of column j
+    np.divide(marginals[:, None, :], mixed, out=mixed)
+    mixed = np.matmul(mixed, kernel.T)  # [i, ., l]: sum_j q_j K_lj / n_j
+    mixed *= rows
+    return mixed[:, 0, :]
 
 
 def _conj_grad_stack(marginals, cost, gamma, z_stack):
-    """Row i is :func:`dual_grad` of marginals[i] at z_stack[i]; inputs are
-    not checked. Works in place on one (m, d, d) array, indexed [i, l, j]:
-    m d^2 doubles, 49 MB at m = 10, d = 784."""
+    """The log-domain fallback of :func:`_gibbs_conj_grad_stack`, for spans
+    where exp(-C / gamma) or exp(z / gamma) would leave the normal doubles.
+    Works in place on one (m, d, d) array, indexed [i, l, j]: m d^2
+    doubles, 49 MB at m = 10, d = 784."""
     work = z_stack[:, :, None] - cost
     work /= gamma
     work -= work.max(axis=1, keepdims=True)
@@ -223,8 +293,26 @@ def _lse_first_axis(work):
     return out
 
 
+def _grid_scaling_conj_grad_stack(marginals, axis_kernels, u):
+    """:func:`_scaling_conj_grad_stack` for a :class:`GridCost`, from the
+    axes' Gibbs kernels K1 and K2 alone. The kernel of the raster is their
+    Kronecker product (Solomon et al., *Convolutional Wasserstein
+    Distances*, SIGGRAPH 2015), so each product with it is two small ones
+    on the node's (rows, cols) image: the normalizers are K1^T U K2, the
+    mixed sums K1 W K2^T. Work is 4 m n^3 on an n x n raster."""
+    k1, k2 = axis_kernels
+    m = u.shape[0]
+    u = u.reshape(m, k1.shape[0], k2.shape[0])
+    mixed = k1.T @ u @ k2  # [i, a, b]: normalizer of pixel (a, b)
+    np.divide(marginals.reshape(u.shape), mixed, out=mixed)
+    mixed = k1 @ mixed @ k2.T  # [i, c, e]: sum over (a, b) of q K / n
+    mixed *= u
+    return mixed.reshape(m, -1)
+
+
 def _grid_conj_grad_stack(log_marginals, grid, gamma, z_stack):
-    """:func:`_conj_grad_stack` for a :class:`GridCost`, from the axes alone.
+    """The log-domain fallback of :func:`_grid_scaling_conj_grad_stack`,
+    :func:`_conj_grad_stack` for a :class:`GridCost` from the axes alone.
 
     With the pixel index split as l = (c, e) and j = (a, b), the Gibbs
     kernel factorizes, exp(-M_lj / gamma) = exp(-C1[c,a] / gamma)
@@ -269,9 +357,16 @@ class WassersteinDualOracle(DualOracle):
     Node i owns the fixed marginal ``marginals[i]``; all nodes share the
     cost, a d x d matrix or a :class:`GridCost`. Gamma, the cost and every
     marginal are validated here, once, and kept as read-only copies, so
-    evaluations check only the shape. A grid cost selects the separable
-    kernel, which never forms a d x d array; ``cost`` is then the grid's
-    own dense matrix, not a copy.
+    evaluations check only the shape. The Gibbs kernel exp(-C / gamma) and
+    the cost's maximum are built here too: d^2 doubles for a matrix (4.9 MB
+    at d = 784), two small per-axis kernels for a grid, whose evaluations
+    never form a d x d array; ``cost`` is then the grid's own dense matrix,
+    not a copy.
+
+    An evaluation takes the scaling form, two kernel products per node,
+    while every node's (max z - min z + c_max) / gamma stays below
+    :data:`_SCALING_SPAN_LIMIT`; otherwise the whole stack takes the
+    log-domain kernels, which stay finite for any |z| / gamma.
     """
 
     def __init__(self, marginals: np.ndarray, cost: np.ndarray | GridCost, gamma: float):
@@ -292,17 +387,30 @@ class WassersteinDualOracle(DualOracle):
         self.cost = cost
         self.gamma = float(gamma)
         self.m, self.dim = marginals.shape
-        if self.grid is not None:
+        if self.grid is None:
+            self._kernel = np.exp(-cost / self.gamma)
+            self._c_max = float(cost.max())
+            kept = [self._kernel]
+        else:
+            self._axis_kernels = tuple(np.exp(-a / self.gamma) for a in self.grid.axes)
+            self._c_max = float(sum(a.max() for a in self.grid.axes))
             self._log_marginals = np.log(marginals)
-            self._log_marginals.setflags(write=False)
+            kept = [*self._axis_kernels, self._log_marginals]
+        for array in kept:
+            array.setflags(write=False)
 
     def grad_conj_stack(self, z_stack: np.ndarray) -> np.ndarray:
         z_stack = np.asarray(z_stack, dtype=float)
         if z_stack.shape != self.marginals.shape:
             raise ValueError(f"z_stack shape {z_stack.shape} != {self.marginals.shape}")
-        if self.grid is not None:
+        if self.grid is None:
+            return _gibbs_conj_grad_stack(
+                self.marginals, self.cost, self._kernel, self._c_max, self.gamma, z_stack
+            )
+        u = _gibbs_factors(z_stack, self._c_max, self.gamma)
+        if u is None:
             return _grid_conj_grad_stack(self._log_marginals, self.grid, self.gamma, z_stack)
-        return _conj_grad_stack(self.marginals, self.cost, self.gamma, z_stack)
+        return _grid_scaling_conj_grad_stack(self.marginals, self._axis_kernels, u)
 
 
 def wb_dual_oracle(

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -97,6 +98,17 @@ class TestSmoothedOracle:
         z_stack = np.array([[1.0, -2.0], [3.0, 0.5]])
         expected = z_stack * (1.0 + r * gamma) / gamma
         np.testing.assert_allclose(grad(z_stack), expected, rtol=1e-14)
+
+    def test_step_adds_the_smoothing_term_bit_for_bit(self):
+        oracle = _wb_setup(np.random.default_rng(41), 3, 6, 0.05)
+        lap = laplacian_from_edges(3, [(0, 1), (1, 2)])
+        params = adom.derive_params(r=0.1, gamma=0.05, bounds=PAIR_BOUNDS)
+        state = adom.initial_state(3, 6)
+        for _ in range(3):
+            state = adom.adom_step(state, lap, params, oracle)
+            np.testing.assert_array_equal(
+                state.x, adom.smoothed_oracle(oracle, params.r)(state.z_g)
+            )
 
     def test_rejects_nonpositive_r(self):
         oracle = oracles.QuadraticOracle(gamma=1.0, dim=2)
@@ -394,6 +406,21 @@ class TestDivergence:
         params = adom.derive_params(r=0.1, gamma=1.0, bounds=PAIR_BOUNDS)
         with pytest.raises(adom.NumericalDivergenceError, match="grad"):
             adom.adom_step(adom.initial_state(2, 2), lap, params, BadOracle())
+
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_z_g_is_not_hidden_by_the_kernel_guard(self, kernel_calls, bad):
+        # z_g's span is nan or infinite, so the oracle falls back to the log
+        # domain; the step must still name the gradient.
+        oracle = _wb_setup(np.random.default_rng(40), 2, 5, 0.05)
+        state = dataclasses.replace(adom.initial_state(2, 5), n=7)
+        state.z[0, 2] = bad
+        lap = laplacian_from_edges(2, [(0, 1)])
+        params = adom.derive_params(r=0.1, gamma=0.05, bounds=PAIR_BOUNDS)
+        with np.errstate(invalid="ignore"), pytest.raises(adom.NumericalDivergenceError) as exc:
+            adom.adom_step(state, lap, params, oracle)
+        assert (exc.value.iterate, exc.value.iteration) == ("grad", 7)
+        assert kernel_calls == ["_conj_grad_stack"]
 
 
 class TestGuaranteeConstants:

@@ -198,6 +198,14 @@ class TestDualGrad:
         with pytest.raises(ValueError, match="gamma"):
             entot.dual_grad(q, cost, 0.0, np.zeros(2))
 
+    @pytest.mark.parametrize("func", [entot.dual_value, entot.dual_grad], ids=["value", "grad"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_z(self, func, bad):
+        q = np.full(4, 0.25)
+        cost = entot.cost_matrix(np.linspace(0.0, 1.0, 4))
+        with pytest.raises(ValueError, match="^z has non-finite entries"):
+            func(q, cost, 0.1, np.array([0.0, bad, 0.0, 0.0]))
+
 
 class TestWassersteinDualOracle:
     def test_rows_match_dual_grad(self):
@@ -581,6 +589,182 @@ class TestGridDualOracle:
                     assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
                     assert abs(grad.sum() - 1.0) <= 1e-10
                     assert grad.min() >= 0.0
+
+
+def _stack(rng, m, d, delta=1e-6):
+    return np.stack(
+        [entot.floor_histogram(rng.dirichlet(np.ones(d)), delta) for _ in range(m)]
+    )
+
+
+def _support(kind, d, rng):
+    """A normalized line cost or a GridCost on a square raster of d pixels."""
+    if kind == "line":
+        return entot.cost_matrix(np.sort(rng.random(d)))
+    side = int(np.sqrt(d))
+    return entot.GridCost(side, side)
+
+
+def _dense(cost):
+    return cost.dense if isinstance(cost, entot.GridCost) else cost
+
+
+def _log_domain(marginals, cost, gamma, z_stack):
+    """The log-domain kernel the scaling form falls back to."""
+    if isinstance(cost, entot.GridCost):
+        return entot._grid_conj_grad_stack(np.log(marginals), cost, gamma, z_stack)
+    return entot._conj_grad_stack(marginals, cost, gamma, z_stack)
+
+
+def _with_span(rng, m, d, width):
+    """z rows whose max minus min is exactly ``width``."""
+    z = rng.random((m, d)) * width
+    z[:, 0], z[:, 1] = 0.0, width
+    return z
+
+
+class TestGibbsKernel:
+    """The scaling form u * ((q / uK) K^T) against the log-domain kernels
+    it replaces and the per-column reference, and the span guard that
+    chooses between them."""
+
+    SCALING = {"line": "_scaling_conj_grad_stack", "raster": "_grid_scaling_conj_grad_stack"}
+    FALLBACK = {"line": "_conj_grad_stack", "raster": "_grid_conj_grad_stack"}
+
+    def _check(self, marginals, cost, gamma, z_stack, got, atol=1e-300):
+        np.testing.assert_allclose(
+            got, _log_domain(marginals, cost, gamma, z_stack), rtol=1e-12, atol=atol
+        )
+        for i in range(marginals.shape[0]):
+            want = oracles.conj_grad_reference(marginals[i], _dense(cost), gamma, z_stack[i])
+            np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(got.sum(axis=1), 1.0, atol=1e-12)
+
+    # The benchmark's three shapes and gamma, z of the spread a run reaches
+    # (the widest span over the benchmark's runs is about 136), and small
+    # cases with a second gamma.
+    @pytest.mark.parametrize(
+        "m, d, kind, gamma",
+        [
+            (10, 100, "line", 0.01),
+            (50, 20, "line", 0.01),
+            (8, 196, "raster", 0.01),
+            (1, 30, "line", 0.05),
+            (3, 16, "raster", 0.05),
+        ],
+    )
+    def test_matches_log_domain_and_reference(self, kernel_calls, m, d, kind, gamma):
+        rng = np.random.default_rng([31, m, d])
+        cost = _support(kind, d, rng)
+        marginals = _stack(rng, m, d)
+        z_stack = 0.3 * rng.standard_normal((m, d))
+        got = entot.wb_dual_oracle(marginals, cost, gamma).grad_conj_stack(z_stack)
+        assert kernel_calls == [self.SCALING[kind]]
+        self._check(marginals, cost, gamma, z_stack, got)
+
+    @pytest.mark.parametrize("kind, d", [("line", 40), ("raster", 49)])
+    @pytest.mark.parametrize("side", ["under", "over"])
+    def test_span_limit_picks_the_path(self, kernel_calls, kind, d, side):
+        rng = np.random.default_rng([32, d])
+        cost, gamma, m = _support(kind, d, rng), 0.01, 3
+        c_max = _dense(cost).max()
+        width = entot._SCALING_SPAN_LIMIT * gamma - c_max
+        assert width > 4.0
+        width += -1e-9 if side == "under" else 1e-9
+        z_stack = _with_span(rng, m, d, width)
+        # Only the last node's span crosses; the others sit far below.
+        z_stack[:-1] *= 0.5
+        marginals = _stack(rng, m, d)
+        got = entot.wb_dual_oracle(marginals, cost, gamma).grad_conj_stack(z_stack)
+        path = self.SCALING if side == "under" else self.FALLBACK
+        assert kernel_calls == [path[kind]]
+        # Every entry is a normal double here, down to about 1e-230, and
+        # each is relatively accurate: no absolute slack.
+        assert got.min() > 1e-250
+        self._check(marginals, cost, gamma, z_stack, got, atol=0.0)
+
+    def test_limit_keeps_every_factor_a_normal_double(self):
+        # The bounds derived beside _SCALING_SPAN_LIMIT: the smallest
+        # product exp(-limit) and the largest row sum d exp(limit), d < 1e40.
+        limit = entot._SCALING_SPAN_LIMIT
+        assert np.exp(-limit) > np.finfo(float).tiny
+        assert 1e40 * np.exp(limit) < np.finfo(float).max
+
+    @pytest.mark.parametrize("kind, d", [("line", 30), ("raster", 36)])
+    def test_small_gamma_on_a_normalized_cost_falls_back(self, kernel_calls, kind, d):
+        # c_max / gamma = 1000: exp(-C / gamma) reaches 5e-435, below the
+        # doubles, at any z.
+        rng = np.random.default_rng([33, d])
+        cost = _support(kind, d, rng)
+        marginals = _stack(rng, 2, d)
+        z_stack = np.zeros((2, d))
+        got = entot.wb_dual_oracle(marginals, cost, 1e-3).grad_conj_stack(z_stack)
+        assert kernel_calls == [self.FALLBACK[kind]]
+        self._check(marginals, cost, 1e-3, z_stack, got)
+
+    @pytest.mark.parametrize("kind, d", [("line", 50), ("raster", 49)])
+    def test_large_z_over_gamma(self, kernel_calls, kind, d):
+        # |z| / gamma near 1e4. A wide spread falls back; a narrow one at a
+        # large offset keeps the scaling form, since each node's z is
+        # shifted by its maximum first. The offset is an exact shift of a
+        # dyadic small point, so the references are evaluated there (see
+        # TestGridDualOracle.test_large_z_over_gamma).
+        rng = np.random.default_rng([34, d])
+        cost, gamma = _support(kind, d, rng), 0.01
+        marginals = _stack(rng, 2, d)
+        wide = 100.0 * rng.standard_normal((2, d))
+        oracle = entot.wb_dual_oracle(marginals, cost, gamma)
+        got = oracle.grad_conj_stack(wide)
+        assert kernel_calls == [self.FALLBACK[kind]]
+        self._check(marginals, cost, gamma, wide, got)
+        small = np.round(0.3 * rng.standard_normal((2, d)) * 2.0**40) / 2.0**40
+        large = small + 128.0
+        assert np.array_equal(large - 128.0, small)
+        kernel_calls.clear()
+        got = oracle.grad_conj_stack(large)
+        assert kernel_calls == [self.SCALING[kind]]
+        self._check(marginals, cost, gamma, small, got)
+
+    @pytest.mark.parametrize("kind, d", [("line", 12), ("raster", 16)])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_z_takes_the_log_domain(self, kernel_calls, kind, d, bad):
+        # A nan span compares False with the limit: the stack falls back, and
+        # the non-finite z shows in the result instead of being hidden.
+        rng = np.random.default_rng([35, d])
+        cost = _support(kind, d, rng)
+        z_stack = 0.1 * rng.standard_normal((2, d))
+        z_stack[1, 3] = bad
+        oracle = entot.wb_dual_oracle(_stack(rng, 2, d), cost, 0.05)
+        with np.errstate(invalid="ignore"):
+            got = oracle.grad_conj_stack(z_stack)
+        assert kernel_calls == [self.FALLBACK[kind]]
+        assert np.isfinite(got[0]).all()
+        if bad != -np.inf:
+            assert not np.isfinite(got[1]).all()
+
+    def test_dual_grad_runs_the_oracle_kernel(self, kernel_calls):
+        rng = np.random.default_rng(36)
+        cost = entot.cost_matrix(np.sort(rng.random(8)))
+        q = entot.floor_histogram(rng.dirichlet(np.ones(8)), 1e-6)
+        entot.dual_grad(q, cost, 0.05, 0.1 * rng.standard_normal(8))
+        entot.dual_grad(q, cost, 0.05, 100.0 * rng.standard_normal(8))
+        assert kernel_calls == ["_scaling_conj_grad_stack", "_conj_grad_stack"]
+
+    @pytest.mark.parametrize("kind, d", [("line", 20), ("raster", 25)])
+    def test_kernels_are_kept_read_only(self, kind, d):
+        rng = np.random.default_rng([37, d])
+        cost = _support(kind, d, rng)
+        oracle = entot.wb_dual_oracle(_stack(rng, 2, d), cost, 0.05)
+        if kind == "line":
+            kernels = [oracle._kernel]
+            np.testing.assert_array_equal(oracle._kernel, np.exp(-cost / 0.05))
+        else:
+            # The raster's kernel is the axes' Kronecker product; the axes
+            # sum to the dense cost within one ulp.
+            kernels = list(oracle._axis_kernels)
+            np.testing.assert_allclose(np.kron(*kernels), np.exp(-cost.dense / 0.05), rtol=1e-13)
+        assert not any(k.flags.writeable for k in kernels)
+        assert oracle._c_max == pytest.approx(_dense(cost).max(), rel=1e-15)
 
 
 class TestExactOTGrid:

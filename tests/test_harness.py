@@ -1,8 +1,10 @@
 """Tests for dataset generation, config parsing, and experiment runs."""
 
+import importlib.util
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -633,6 +635,33 @@ class TestRunExperiment:
         # The manifest is written before the run starts, so it survives too.
         assert (out / "manifest.json").exists()
         assert not (out / "histograms.npy").exists()
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _benchmark_workloads()
+
+
+class TestBenchmarkWorkloads:
+    @pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
+    def test_oracle_never_leaves_the_scaling_form(self, tmp_path, kernel_calls, workload):
+        # Every oracle call of a benchmark run, at the benchmark's own
+        # length, takes the Gibbs-kernel form: a change to its span guard
+        # that sent them to the log domain would slow the benchmark without
+        # failing anything else. The widest span these runs reach is about
+        # 136, against a limit of 600.
+        raw = WORKLOADS.config(workload, 0, "bench", tmp_path)
+        run_experiment(ExperimentConfig.from_dict(raw))
+        path = "_grid_scaling_conj_grad_stack" if raw["dataset"] == "mnist" else (
+            "_scaling_conj_grad_stack"
+        )
+        assert kernel_calls == [path] * (raw["n_iters"] + 1)
 
 
 class TestGitDescribe:
