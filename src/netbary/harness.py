@@ -252,6 +252,8 @@ class ExperimentConfig:
             raise ValueError(f"dataset must be 'gaussians' or 'mnist', got {self.dataset!r}")
         if self.dataset == "mnist" and (self.mnist_images is None or self.mnist_labels is None):
             raise ValueError("mnist dataset needs mnist_images and mnist_labels paths")
+        if self.n_iters < 1:
+            raise ValueError(f"n_iters must be >= 1, got {self.n_iters}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 

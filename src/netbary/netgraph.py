@@ -3,10 +3,13 @@
 The solver talks to the network layer through three objects. A ``Laplacian``
 wraps the mixing matrix of one communication round. A ``NetworkSchedule``
 deterministically generates Laplacians indexed by iteration, re-drawing the
-topology at epoch boundaries. ``SpectralBounds`` records the extreme
-eigenvalues seen over a schedule, which calibrate the solver's step sizes:
-``lambda_min_plus`` is the smallest positive eigenvalue over all scheduled
-graphs and ``lambda_max`` the largest eigenvalue.
+topology at epoch boundaries. Each epoch's graph is drawn the first time it
+is asked for and stored on the schedule as a compact edge array, so
+``spectral_bounds`` and the solver loop share one realization.
+``SpectralBounds`` records the extreme eigenvalues seen over a schedule,
+which calibrate the solver's step sizes: ``lambda_min_plus`` is the smallest
+positive eigenvalue over all scheduled graphs and ``lambda_max`` the largest
+eigenvalue.
 
 Every scheduled graph is connected, so each Laplacian has kernel exactly
 span{1} and the positive part of the spectrum is well defined.
@@ -17,7 +20,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,6 +136,10 @@ class NetworkSchedule:
         epoch's graph, independent of query order.
     p : float or None
         Edge probability, required by the random families.
+
+    A schedule keeps every epoch graph it has drawn (see ``_epoch_edges``).
+    The store is not part of the schedule's value: it is left out of
+    equality, hashing and repr.
     """
 
     family: str
@@ -140,6 +147,7 @@ class NetworkSchedule:
     epoch_len: int | None = None
     seed: int = 0
     p: float | None = None
+    _edges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -263,6 +271,23 @@ def _kruskal_mst(m: int, edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _epoch_edges(schedule: NetworkSchedule, epoch: int) -> np.ndarray:
+    """Edges of the graph in force during ``epoch``, drawn on the first request.
+
+    The draw is stored on the schedule as a read-only array of the smallest
+    unsigned dtype that holds m - 1 (uint8 up to m = 256). Each epoch has its
+    own random stream, so the order of requests does not change any graph.
+    The complete family consumes no randomness and stores one array.
+    """
+    key = 0 if schedule.family == "complete" else epoch
+    edges = schedule._edges.get(key)
+    if edges is None:
+        edges = _draw_edges(schedule, epoch).astype(np.min_scalar_type(schedule.m - 1))
+        edges.flags.writeable = False
+        schedule._edges[key] = edges
+    return edges
+
+
+def _draw_edges(schedule: NetworkSchedule, epoch: int) -> np.ndarray:
     m = schedule.m
     if schedule.family == "complete":
         # Invariant under relabeling; no randomness consumed.
@@ -381,7 +406,9 @@ def spectral_bounds(schedule: NetworkSchedule, horizon: int) -> SpectralBounds:
     The stacked block mixing matrix kron(W, I_d) shares W's eigenvalues (each
     with multiplicity d), so bounds computed on the m x m matrices apply to
     the stacked operator. For relabeled families one epoch suffices: the
-    spectrum is permutation-invariant.
+    spectrum is permutation-invariant. The epochs read here stay stored on
+    the schedule, so a solver run on the same schedule draws none of them
+    again.
     """
     epochs = schedule.epoch_count(horizon)
     if schedule.family in _RELABEL_FAMILIES:

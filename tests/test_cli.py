@@ -205,6 +205,18 @@ class TestRun:
         assert "record_every" in captured.err
         assert not (out_dir / "manifest.json").exists()
 
+    @pytest.mark.parametrize("n_iters", ["0", "-2"])
+    def test_n_iters_below_one_fails_before_any_output(self, tmp_path, capsys, n_iters):
+        cfg_path = _write_config(tmp_path)
+        out_dir = tmp_path / "out"
+        code = cli(
+            ["run", "--config", str(cfg_path), "--n-iters", n_iters, "--out", str(out_dir)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: n_iters must be >= 1, got {n_iters}" in captured.err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [

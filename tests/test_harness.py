@@ -588,6 +588,31 @@ class TestRunExperiment:
         epochs = -(-cfg.n_iters // cfg.epoch_len)
         assert len(calls) == cfg.n_iters + epochs
 
+    @pytest.mark.parametrize(
+        "family, epoch_len, epochs",
+        [
+            ("erdos_renyi", 3, 4),
+            ("erdos_renyi", 1, 10),
+            ("erdos_renyi", None, 1),
+            # spectral_bounds reads only epoch 0 of a relabeled family; the
+            # solver loop draws the rest, each once.
+            ("cycle", 3, 4),
+        ],
+    )
+    def test_each_epoch_drawn_once_per_run(self, monkeypatch, family, epoch_len, epochs):
+        draws = []
+        epoch_rng = netgraph._epoch_rng
+
+        def spy(schedule, epoch):
+            draws.append(epoch)
+            return epoch_rng(schedule, epoch)
+
+        monkeypatch.setattr(netgraph, "_epoch_rng", spy)
+        run_experiment(
+            _small_config(m=5, family=family, p=0.5, epoch_len=epoch_len, n_iters=10)
+        )
+        assert sorted(draws) == list(range(epochs))
+
     def test_missing_mnist_file_names_path(self, tmp_path):
         lab_path = tmp_path / "labels.idx"
         _write_idx_labels(lab_path, np.array([1]))

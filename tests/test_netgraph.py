@@ -383,6 +383,54 @@ def test_frozen_realizations(family, m, p):
     assert got == FROZEN_REALIZATIONS[(family, m, p)]
 
 
+class TestEpochStore:
+    """Each epoch is drawn once per schedule and kept as a compact edge array."""
+
+    def test_query_order_does_not_change_graphs(self):
+        for family, p in (("erdos_renyi", 0.4), ("mst_of_er", 0.5), ("star", None)):
+            asked = NetworkSchedule(family=family, m=9, epoch_len=2, seed=11, p=p)
+            fresh = NetworkSchedule(family=family, m=9, epoch_len=2, seed=11, p=p)
+            late = schedule_laplacian(asked, 7 * 2).entries
+            for n in range(0, 20, 2):
+                np.testing.assert_array_equal(
+                    schedule_laplacian(asked, n).entries, schedule_laplacian(fresh, n).entries
+                )
+            np.testing.assert_array_equal(late, schedule_laplacian(fresh, 7 * 2).entries)
+
+    def test_equal_schedules_stay_equal_after_a_draw(self):
+        a = NetworkSchedule(family="erdos_renyi", m=6, epoch_len=1, seed=4, p=0.5)
+        b = NetworkSchedule(family="erdos_renyi", m=6, epoch_len=1, seed=4, p=0.5)
+        spectral_bounds(a, horizon=5)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b)
+        assert a != NetworkSchedule(family="erdos_renyi", m=6, epoch_len=1, seed=5, p=0.5)
+
+    def test_stored_edges_are_read_only(self):
+        sched = NetworkSchedule(family="erdos_renyi", m=7, epoch_len=1, seed=2, p=0.5)
+        schedule_laplacian(sched, 3)
+        (edges,) = sched._edges.values()
+        with pytest.raises(ValueError, match="read-only"):
+            edges[0, 0] = 0
+
+    @pytest.mark.parametrize(
+        "m, dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16)]
+    )
+    def test_smallest_unsigned_dtype_holding_m_minus_one(self, m, dtype):
+        for family, p in (("cycle", None), ("complete", None), ("erdos_renyi", 0.9)):
+            sched = NetworkSchedule(family=family, m=m, epoch_len=None, seed=0, p=p)
+            schedule_laplacian(sched, 0)
+            assert [e.dtype for e in sched._edges.values()] == [dtype]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_net_many_horizon_fits_in_300_kb(self, seed):
+        # The net-many benchmark workload: m = 50, p = 0.2, 500 epochs.
+        sched = NetworkSchedule(family="erdos_renyi", m=50, epoch_len=1, seed=seed, p=0.2)
+        spectral_bounds(sched, horizon=500)
+        assert len(sched._edges) == 500
+        assert sum(e.nbytes for e in sched._edges.values()) <= 300_000
+
+
 class TestSpectralBounds:
     def test_validates_ordering(self):
         with pytest.raises(ValueError):
