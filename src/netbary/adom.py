@@ -220,8 +220,9 @@ def adom_step(
     # into NumericalDivergenceError; the transient warnings carry no
     # information.
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = sigma * lap.apply(state.momentum - eta * g)
-        momentum = state.momentum - eta * g - delta
+        momentum = state.momentum - eta * g
+        delta = sigma * lap.apply(momentum)
+        momentum -= delta
         z = state.z + (eta * alpha) * (z_g - state.z) + delta
         z_f = z_g - theta * lap.apply(g)
     _check_finite(state.n, grad=g, momentum=momentum, z=z, z_f=z_f)

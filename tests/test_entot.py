@@ -767,6 +767,47 @@ class TestGibbsKernel:
         assert oracle._c_max == pytest.approx(_dense(cost).max(), rel=1e-15)
 
 
+def _smooth_image_grid(n=12):
+    """A raster and its cost in whole squared pixel offsets."""
+    grid = entot.GridCost(n, n)
+    return grid, np.rint(grid.dense * grid.diagonal)
+
+
+def _smooth_image_pairs(grid, count=24):
+    """Floored ring images against a blurred estimate, as in a run."""
+    n = grid.shape[0]
+    yy, xx = np.mgrid[0:n, 0:n].astype(float)
+    for seed in range(count):
+        rng = np.random.default_rng([seed, n])
+        cy, cx = rng.uniform(0.3, 0.7, 2) * (n - 1)
+        radius, width = rng.uniform(0.2, 0.3) * n, rng.uniform(0.6, 1.0)
+        ink = np.exp(-((np.hypot(yy - cy, xx - cx) - radius) ** 2) / (2 * width**2))
+        image = np.round(255 * ink / ink.max()).ravel()
+        p = entot.floor_histogram(image / image.sum(), 1e-6)
+        z = 0.01 * rng.standard_normal((1, n * n))
+        q = entot.wb_dual_oracle(p[None, :], grid, 0.01).grad_conj_stack(z)[0]
+        yield p, q
+
+
+def _c_transform_lower_bound(p, q, cost):
+    """<p, f> + <q, g> from the column duals g of the dense transport LP,
+    solved here by HiGHS, and their c-transform f_i = min_j cost_ij - g_j.
+    (f, g) is dual feasible for any g, so this bounds the optimum from
+    below however accurate the solve was."""
+    from scipy.optimize import linprog
+
+    d = p.shape[0]
+    res = linprog(
+        cost.ravel(), A_eq=entot._transport_constraints(d),
+        b_eq=np.concatenate([p, q[:-1]]), bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0
+    g = np.append(res.eqlin.marginals[d:], 0.0)  # the last column's row is implied
+    f = (cost - g).min(axis=1)
+    return float(p @ f + q @ g)
+
+
 class TestExactOTGrid:
     """The 3-partite LP against the exact rational simplex and against the
     dense transportation LP on the same raster."""
@@ -799,29 +840,32 @@ class TestExactOTGrid:
             assert abs(got - ref) <= 1e-12 * ref
 
     def test_matches_dense_lp_on_smooth_images(self):
-        # Floored ring images against a blurred estimate, as in a run. Both
-        # LPs get whole squared pixel offsets as costs. On the normalized
-        # costs the two disagreed by up to 1.3e-7 relative on 2 of these 24
-        # pairs: HiGHS left entries at -6.5e-8, inside its bound tolerance,
-        # and on one pair the dense LP fell 5.5e-8 below a lower bound
-        # certified by a c-transform of its duals.
-        n = 12
-        grid = entot.GridCost(n, n)
-        integer_cost = np.rint(grid.dense * grid.diagonal)
+        # Both LPs get whole squared pixel offsets as costs. On the
+        # normalized costs, at HiGHS's default primal feasibility tolerance,
+        # the two disagreed by up to 1.3e-7 relative on 2 of these 24 pairs:
+        # HiGHS left entries at -6.5e-8, inside its bound tolerance, and on
+        # one pair the dense LP fell 5.5e-8 below a lower bound certified by
+        # a c-transform of its duals.
+        grid, integer_cost = _smooth_image_grid()
         np.testing.assert_allclose(integer_cost / grid.diagonal, grid.dense, rtol=1e-15)
-        yy, xx = np.mgrid[0:n, 0:n].astype(float)
-        for seed in range(24):
-            rng = np.random.default_rng([seed, n])
-            cy, cx = rng.uniform(0.3, 0.7, 2) * (n - 1)
-            radius, width = rng.uniform(0.2, 0.3) * n, rng.uniform(0.6, 1.0)
-            ink = np.exp(-((np.hypot(yy - cy, xx - cx) - radius) ** 2) / (2 * width**2))
-            image = np.round(255 * ink / ink.max()).ravel()
-            p = entot.floor_histogram(image / image.sum(), 1e-6)
-            z = 0.01 * rng.standard_normal((1, n * n))
-            q = entot.wb_dual_oracle(p[None, :], grid, 0.01).grad_conj_stack(z)[0]
+        for p, q in _smooth_image_pairs(grid):
             got = entot.exact_ot(p, q, grid)
             ref = entot._transport_lp(p, q, integer_cost) / grid.diagonal
             assert abs(got - ref) <= 1e-12 * ref
+
+    def test_never_below_the_c_transform_lower_bound(self):
+        # At HiGHS's default primal feasibility tolerance (1e-7) the grid
+        # LP's flows stopped near -9e-8 and its value fell below this bound
+        # on 6 of these 24 pairs, by up to 1.55e-6 relative. The bound is
+        # valid whatever the duals it starts from; being within 1e-9 of
+        # every value shows it is tight too.
+        grid, integer_cost = _smooth_image_grid()
+        for p, q in _smooth_image_pairs(grid):
+            lower = _c_transform_lower_bound(p, q, integer_cost) / grid.diagonal
+            for cost in (grid, grid.dense):
+                got = entot.exact_ot(p, q, cost)
+                assert got >= lower * (1.0 - 1e-12)
+                assert got <= lower * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("rows, cols", [(2, 3), (3, 3)])
     def test_constraints_carry_every_coupling_and_have_full_rank(self, rows, cols):
@@ -865,6 +909,197 @@ class TestExactOTGrid:
         assert ("dense" if dense else "grid") + " transport LP failed at d = 6" in message
         assert "status 2: The problem is infeasible" in message
         assert "p 1.000e-14, q 3.000e-16" in message
+
+
+def _brute_force_reach(p, q):
+    """Largest |i - j| over the positive entries of the north-west-corner
+    coupling of two histograms, built entry by entry in exact arithmetic."""
+    left_p = [Fraction(float(x)) for x in p]
+    left_q = [Fraction(float(x)) for x in q]
+    i = j = reach = 0
+    while i < len(p) and j < len(q):
+        moved = min(left_p[i], left_q[j])
+        if moved > 0:
+            reach = max(reach, abs(i - j))
+        left_p[i] -= moved
+        left_q[j] -= moved
+        if left_p[i] == 0:
+            i += 1
+        else:
+            j += 1
+    return reach
+
+
+def _dyadic_masses(rng, d, bits=20):
+    """A histogram with entries k / 2^bits, about a third of them zero, so
+    that its floating-point CDF is exact."""
+    support = np.flatnonzero(rng.random(d) > 0.3)
+    if support.size == 0:
+        support = rng.integers(d, size=1)
+    cuts = np.sort(rng.integers(0, 2**bits + 1, size=support.size - 1))
+    counts = np.zeros(d)
+    counts[support] = np.diff(np.concatenate([[0], cuts, [2**bits]]))
+    return counts / 2.0**bits
+
+
+def _grid_b_eq(p, q):
+    return np.concatenate([p, np.zeros(p.shape[0]), q[:-1]])
+
+
+def _sparse_14x14_pair():
+    """Sparse masses on a 14x14 raster whose rule radius, 3, certifies."""
+    rng = np.random.default_rng([26, 14, 14])
+    return _sparse_masses(rng, 196), _sparse_masses(rng, 196)
+
+
+class TestLocalGridLP:
+    """The raster LP solved on local arcs first: its reach rule, its
+    certificate and its fallback to the full LP."""
+
+    def test_reach_matches_brute_force_monotone_coupling(self):
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            d = int(rng.integers(1, 15))
+            p, q = _dyadic_masses(rng, d), _dyadic_masses(rng, d)
+            assert entot._monotone_reach(p, q) == _brute_force_reach(p, q)
+
+    @pytest.mark.parametrize("rows, cols", RASTERS)
+    def test_local_and_full_lp_agree(self, rows, cols):
+        # Every radius the local LP can take, on sparse masses: a certified
+        # local value is the full LP's to 1e-12, and some radius is
+        # certified on every raster with more than two pixels a side.
+        rng = np.random.default_rng([26, rows, cols])
+        lp = entot._grid_lp(rows, cols)
+        certified = 0
+        for _ in range(3):
+            p, q = _sparse_masses(rng, rows * cols), _sparse_masses(rng, rows * cols)
+            b_eq = _grid_b_eq(p, q)
+            full = entot._solve_lp("grid", lp.cost, lp.a_eq, b_eq, p, q)
+            for radius in range(1, max(rows, cols) - 1):
+                value = entot._local_grid_value(lp, lp.move <= radius, b_eq, p, q)
+                if value is not None:
+                    certified += 1
+                    assert abs(value - full) <= 1e-12 * full
+        assert certified > 0 or max(rows, cols) == 2
+
+    def test_certificate_is_tight_on_the_local_optimum(self):
+        rng = np.random.default_rng(30)
+        lp = entot._grid_lp(14, 14)
+        p, q = _sparse_14x14_pair()
+        b_eq = _grid_b_eq(p, q)
+        local = lp.move <= 3
+        res = entot._highs(lp.cost[local], lp.a_eq[:, local], b_eq)
+        sink = np.append(res.eqlin.marginals[2 * 196:], 0.0)
+        lower = entot._sink_lower_bound(sink, p, q, lp.axes)
+        assert abs(res.fun - lower) <= 1e-12 * res.fun
+        # The lower bound holds for any potentials, the perturbed ones too.
+        full = entot._solve_lp("grid", lp.cost, lp.a_eq, b_eq, p, q)
+        noisy = sink + 0.1 * rng.standard_normal(sink.shape)
+        assert entot._sink_lower_bound(noisy, p, q, lp.axes) <= full * (1.0 + 1e-12)
+
+    def test_perturbed_sink_duals_are_refused(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        grid = entot.GridCost(14, 14)
+        lp = entot._grid_lp(14, 14)
+        p, q = _sparse_14x14_pair()
+        b_eq = _grid_b_eq(p, q)
+        local = lp.move <= 3
+        assert entot._local_grid_value(lp, local, b_eq, p, q) is not None
+        highs = entot._highs
+        solves = []
+
+        def perturbed(c, a_eq, b_eq):
+            res = highs(c, a_eq, b_eq)
+            res.eqlin.marginals[2 * 196:] += 1e-3 * rng.standard_normal(195)
+            solves.append(res)
+            return res
+
+        monkeypatch.setattr(entot, "_highs", perturbed)
+        assert entot._local_grid_value(lp, local, b_eq, p, q) is None
+        solves.clear()
+        got = entot.exact_ot(p, q, grid)
+        # The local solve was refused, so the full LP ran after it.
+        assert len(solves) == 2
+        assert abs(got - solves[1].fun / grid.diagonal) <= 1e-12 * got
+
+    @pytest.mark.parametrize("fault", ["negative flow", "row residual"])
+    def test_infeasible_local_flow_is_refused(self, monkeypatch, fault):
+        # The value and the duals stay as HiGHS gave them, so only the check
+        # on the flow itself can refuse it.
+        lp = entot._grid_lp(14, 14)
+        p, q = _sparse_14x14_pair()
+        b_eq = _grid_b_eq(p, q)
+        local = lp.move <= 3
+        highs = entot._highs
+
+        def faulty(c, a_eq, b_eq):
+            res = highs(c, a_eq, b_eq)
+            if fault == "negative flow":
+                # A row residual of 1e-17, far inside rounding.
+                res.x[np.argmin(res.x)] = -1e-17
+            else:
+                res.x[np.argmax(res.x)] -= 1e-12
+            return res
+
+        assert entot._local_grid_value(lp, local, b_eq, p, q) is not None
+        monkeypatch.setattr(entot, "_highs", faulty)
+        assert entot._local_grid_value(lp, local, b_eq, p, q) is None
+
+    @pytest.mark.parametrize("forced_reach", [0, 1])
+    def test_too_small_radius_takes_the_full_lp(self, monkeypatch, forced_reach):
+        # On this pair the rule's radius is 3. At radius 1 the local LP is
+        # infeasible; at radius 2 it is feasible but 2% above the optimum,
+        # and the certificate refuses it.
+        import scipy.optimize
+
+        grid = entot.GridCost(14, 14)
+        p, q = _sparse_14x14_pair()
+        want = entot.exact_ot(p, q, grid)
+        linprog = scipy.optimize.linprog
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(linprog(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        monkeypatch.setattr(entot, "_monotone_reach", lambda p, q: forced_reach)
+        got = entot.exact_ot(p, q, grid)
+        assert len(results) == 2
+        if forced_reach == 0:
+            assert results[0].status == 2
+        else:
+            assert results[0].status == 0
+            assert results[0].fun / grid.diagonal > 1.01 * want
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_every_arc_local_takes_the_full_lp_alone(self, monkeypatch):
+        import scipy.optimize
+
+        rng = np.random.default_rng(29)
+        grid = entot.GridCost(5, 3)
+        p, q = _sparse_masses(rng, 15), _sparse_masses(rng, 15)
+        linprog = scipy.optimize.linprog
+        arcs = []
+
+        def spy(c, *args, **kwargs):
+            arcs.append(c.shape[0])
+            return linprog(c, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        monkeypatch.setattr(entot, "_monotone_reach", lambda p, q: 3)
+        entot.exact_ot(p, q, grid)
+        assert arcs == [entot._grid_lp(5, 3).cost.shape[0]]
+
+    def test_shape_data_is_built_once_and_read_only(self):
+        lp = entot._grid_lp(7, 4)
+        assert entot._grid_lp(7, 4) is lp
+        arrays = (*lp.axes, lp.cost, lp.move, lp.a_eq.data, lp.a_eq.indices, lp.a_eq.indptr)
+        assert not any(a.flags.writeable for a in arrays)
+        np.testing.assert_array_equal(lp.move**2, lp.cost)
+        np.testing.assert_array_equal(
+            lp.a_eq.toarray(), entot._grid_transport_constraints(7, 4).toarray()
+        )
 
 
 class TestKBound:

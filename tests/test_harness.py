@@ -688,6 +688,35 @@ class TestBenchmarkWorkloads:
         )
         assert kernel_calls == [path] * (raw["n_iters"] + 1)
 
+    def test_grid2d_takes_one_solve_per_transport_lp(self, tmp_path, monkeypatch):
+        # Every metrics LP of the raster workload is certified on its local
+        # arcs, so none pays for a second, full solve.
+        import scipy.optimize
+
+        linprog = scipy.optimize.linprog
+        arcs = []
+
+        def spy(c, *args, **kwargs):
+            arcs.append(c.shape[0])
+            return linprog(c, *args, **kwargs)
+
+        exact_ot = entot.exact_ot
+        lps = []
+
+        def counting(*args):
+            lps.append(exact_ot(*args))
+            return lps[-1]
+
+        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        monkeypatch.setattr(entot, "exact_ot", counting)
+        raw = WORKLOADS.config("grid2d", 0, "bench", tmp_path)
+        run_experiment(ExperimentConfig.from_dict(raw))
+        records = WORKLOADS.records(raw["n_iters"], raw["record_every"])
+        assert len(lps) == raw["m"] * records
+        full = entot._grid_lp(WORKLOADS.GRID_SIDE, WORKLOADS.GRID_SIDE).cost.shape[0]
+        assert len(arcs) == len(lps)
+        assert max(arcs) < full
+
 
 class TestGitDescribe:
     def test_returns_nonempty_string(self):
