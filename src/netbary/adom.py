@@ -3,9 +3,9 @@
 The solver minimizes a sum of gamma-strongly-convex node objectives subject
 to consensus, working entirely in the dual. Each node i exposes the gradient
 of the Fenchel conjugate of its objective through a :class:`DualOracle`.
-The dual is smoothed by ``r/2 |z|^2`` (:func:`smoothed_oracle`), which is
-equivalent to a Moreau-Yosida regularization of the primal with parameter
-r. The method runs two coupled dual sequences plus a momentum stack,
+The dual is smoothed by ``r/2 |z|^2`` (:func:`adom_step` adds r z to the
+oracle's gradient), which is equivalent to a Moreau-Yosida regularization
+of the primal with parameter r. The method runs two coupled dual sequences plus a momentum stack,
 communicates through the current epoch's Laplacian twice per iteration, and
 evaluates the stacked oracle exactly once per iteration.
 
@@ -36,7 +36,6 @@ __all__ = [
     "Trajectory",
     "NumericalDivergenceError",
     "derive_params",
-    "smoothed_oracle",
     "initial_state",
     "adom_step",
     "run",
@@ -62,22 +61,6 @@ class DualOracle(abc.ABC):
     def grad_conj_stack(self, z_stack: np.ndarray) -> np.ndarray:
         """Row i is the gradient of node i's conjugate objective at
         z_stack[i]. Shape (m, dim) -> (m, dim)."""
-
-
-def smoothed_oracle(oracle: DualOracle, r: float):
-    """Stacked gradient of the r-smoothed dual: grad_conj_stack(z) + r z.
-
-    Adding ``(r/2)|z|^2`` to each conjugate is the dual picture of taking
-    the Moreau-Yosida envelope of each primal objective with parameter r;
-    the envelope is 1/r-smooth and gamma/(1 + r gamma)-strongly convex.
-    """
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
-
-    def grad(z_stack: np.ndarray) -> np.ndarray:
-        return oracle.grad_conj_stack(z_stack) + r * z_stack
-
-    return grad
 
 
 @dataclass(frozen=True)
@@ -214,7 +197,7 @@ def adom_step(
     alpha, eta, theta = params.alpha, params.eta, params.theta
     sigma, tau = params.sigma, params.tau
     z_g = tau * state.z + (1.0 - tau) * state.z_f
-    # smoothed_oracle's sum, without re-checking r, which AdomParams did.
+    # The smoothed dual's gradient; AdomParams checked r.
     g = oracle.grad_conj_stack(z_g) + params.r * z_g
     # Overflow surfaces as non-finite entries, which the check below turns
     # into NumericalDivergenceError; the transient warnings carry no

@@ -6,9 +6,10 @@ the same quantity. Slow and simple on purpose.
 
 The test-only references at the end (the quadratic oracle, the (L, mu)
 closed form of the step parameters, the zero-sum projection, log-domain
-Sinkhorn and the broadcast K^2 bound) are the exception: they still call
-the package's ``validate_histogram`` and ``validate_cost_matrix`` and build
-its ``DualOracle`` and ``AdomParams`` types.
+Sinkhorn, the broadcast K^2 bound and the smoothed dual's gradient) are the
+exception: they still call the package's ``validate_histogram`` and
+``validate_cost_matrix`` and build or take its ``DualOracle`` and
+``AdomParams`` types.
 """
 
 from __future__ import annotations
@@ -400,3 +401,19 @@ def k_bound_reference(cost, gamma, delta, rho=None):
     row_terms = diffs.min(axis=1)
     base = 2.0 * gamma * math.log(d) - gamma * math.log(rho)
     return float(np.sum((base + row_terms) ** 2))
+
+
+def smoothed_oracle(oracle: DualOracle, r: float):
+    """Stacked gradient of the r-smoothed dual: grad_conj_stack(z) + r z.
+
+    Adding ``(r/2)|z|^2`` to each conjugate is the dual picture of taking
+    the Moreau-Yosida envelope of each primal objective with parameter r;
+    the envelope is 1/r-smooth and gamma/(1 + r gamma)-strongly convex.
+    """
+    if r <= 0:
+        raise ValueError(f"r must be positive, got {r}")
+
+    def grad(z_stack: np.ndarray) -> np.ndarray:
+        return oracle.grad_conj_stack(z_stack) + r * z_stack
+
+    return grad

@@ -140,7 +140,7 @@ class TestAcceptance:
                 # is gamma ||x||^2 / (2 (1 + r gamma)), and the two-sided
                 # bound value - (r / (2 (1 + r gamma))) ||grad||^2 <=
                 # regularized <= value holds with the lower end exact.
-                smoothed_grad = adom.smoothed_oracle(
+                smoothed_grad = oracles.smoothed_oracle(
                     oracles.QuadraticOracle(gamma=gamma, dim=6), r
                 )
                 for _ in range(5):

@@ -82,7 +82,7 @@ class TestSmoothedOracle:
     def test_adds_linear_term(self):
         rng = np.random.default_rng(1)
         oracle = oracles.QuadraticOracle(gamma=0.5, dim=3)
-        grad = adom.smoothed_oracle(oracle, r=0.25)
+        grad = oracles.smoothed_oracle(oracle, r=0.25)
         z_stack = rng.standard_normal((5, 3))
         np.testing.assert_allclose(
             grad(z_stack), oracle.grad_conj_stack(z_stack) + 0.25 * z_stack,
@@ -94,7 +94,7 @@ class TestSmoothedOracle:
         # c = gamma/(1 + r gamma), whose conjugate gradient is z/c.
         gamma, r = 0.8, 0.3
         oracle = oracles.QuadraticOracle(gamma=gamma, dim=2)
-        grad = adom.smoothed_oracle(oracle, r=r)
+        grad = oracles.smoothed_oracle(oracle, r=r)
         z_stack = np.array([[1.0, -2.0], [3.0, 0.5]])
         expected = z_stack * (1.0 + r * gamma) / gamma
         np.testing.assert_allclose(grad(z_stack), expected, rtol=1e-14)
@@ -107,13 +107,13 @@ class TestSmoothedOracle:
         for _ in range(3):
             state = adom.adom_step(state, lap, params, oracle)
             np.testing.assert_array_equal(
-                state.x, adom.smoothed_oracle(oracle, params.r)(state.z_g)
+                state.x, oracles.smoothed_oracle(oracle, params.r)(state.z_g)
             )
 
     def test_rejects_nonpositive_r(self):
         oracle = oracles.QuadraticOracle(gamma=1.0, dim=2)
         with pytest.raises(ValueError, match="r"):
-            adom.smoothed_oracle(oracle, r=0.0)
+            oracles.smoothed_oracle(oracle, r=0.0)
 
 
 class TestMoreauEnvelopeBounds:

@@ -236,18 +236,22 @@ class TestRun:
         assert captured.err == f"error: {message}\n"
 
     def test_gaussian_run_never_imports_scipy(self, tmp_path):
-        # Only the transport LP needs scipy, and a Gaussian run's transport
-        # is in closed form. The grid LP afterwards shows the check can fail.
+        # Only the transport LPs need scipy, and a Gaussian run's transport
+        # is in closed form. The LPs afterwards, on a raster and on a dense
+        # non-Monge cost, load scipy's HiGHS extension and nothing of
+        # scipy.optimize or scipy.sparse; the extension's presence shows
+        # that the check can fail.
         cfg_path = _write_config(tmp_path)
         script = (
             "import sys\n"
             "import numpy as np\n"
             "from netbary import entot\n"
             "from netbary.cli import main\n"
-            "LP = ('scipy.optimize', 'scipy.sparse')\n"
+            "LP = ('scipy.optimize', 'scipy.sparse', entot._HIGHS_MODULE)\n"
             f"code = main(['run', '--config', {str(cfg_path)!r}])\n"
-            "print(code, [m for m in LP if m in sys.modules])\n"
+            "print(code, [m for m in sys.modules if m.startswith('scipy')])\n"
             "entot.exact_ot(np.full(4, 0.25), np.eye(4)[0], entot.GridCost(2, 2))\n"
+            "entot.exact_ot(np.full(3, 1 / 3), np.eye(3)[0], 1 - np.eye(3))\n"
             "print([m for m in LP if m in sys.modules])\n"
         )
         env = dict(os.environ)
@@ -261,7 +265,7 @@ class TestRun:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[-2] == "0 []"
-        assert lines[-1] == "['scipy.optimize', 'scipy.sparse']"
+        assert lines[-1] == "['scipy.optimize._highspy._core']"
 
     def test_bad_config_key_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"

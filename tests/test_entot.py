@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lp_oracle
+import netbary
 import oracles
 from netbary import adom, entot, netgraph
 
@@ -408,6 +413,12 @@ def _loop_constraints(d):
     return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(2 * d - 1, d * d))
 
 
+def _csc_matrix(a_eq, n_rows):
+    """An LP's CSC triple (start, index, value) as a scipy matrix."""
+    start, index, value = a_eq
+    return scipy.sparse.csc_matrix((value, index, start), shape=(n_rows, start.shape[0] - 1))
+
+
 class TestExactOT:
     def test_identical_marginals_cost_zero(self):
         rng = np.random.default_rng(18)
@@ -452,11 +463,11 @@ class TestExactOT:
     def test_lp_constraints_match_the_entrywise_build(self):
         for d in (2, 3, 7, 196):
             got = entot._transport_constraints(d)
-            want = _loop_constraints(d)
-            for attr in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, attr), getattr(want, attr))
-                assert getattr(got, attr).dtype == getattr(want, attr).dtype
-            assert got.shape == want.shape
+            want = _loop_constraints(d).tocsc()
+            for array, attr in zip(got, ("indptr", "indices", "data")):
+                assert np.array_equal(array, getattr(want, attr))
+                assert array.dtype == getattr(want, attr).dtype
+                assert not array.flags.writeable
 
 
 class TestExactOTClosedForm:
@@ -798,7 +809,7 @@ def _c_transform_lower_bound(p, q, cost):
 
     d = p.shape[0]
     res = linprog(
-        cost.ravel(), A_eq=entot._transport_constraints(d),
+        cost.ravel(), A_eq=_csc_matrix(entot._transport_constraints(d), 2 * d - 1),
         b_eq=np.concatenate([p, q[:-1]]), bounds=(0, None), method="highs",
         options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
@@ -822,6 +833,24 @@ class TestExactOTGrid:
             mq = rng.integers(0, 10, size=4)
             mp[rng.integers(4)] += 1
             mq[rng.integers(4)] += 1
+            p_fr = [Fraction(int(a), int(mp.sum())) for a in mp]
+            q_fr = [Fraction(int(a), int(mq.sum())) for a in mq]
+            ref = lp_oracle.transport_exact(p_fr, q_fr, c_fr)
+            got = entot.exact_ot(mp / mp.sum(), mq / mq.sum(), grid)
+            assert got == pytest.approx(float(ref), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("rows, cols", [(2, 3), (2, 4)])
+    def test_matches_exact_rational_simplex_with_zero_masses(self, rows, cols):
+        # The reference is exact for the float costs, which are not all
+        # exact fifths or tenths; about 40% of each marginal is zero.
+        rng = np.random.default_rng([25, rows, cols])
+        grid = entot.GridCost(rows, cols)
+        d = rows * cols
+        c_fr = [[Fraction(float(x)) for x in row] for row in grid.dense]
+        for _ in range(6):
+            masses = rng.integers(1, 10, size=(2, d)) * (rng.random((2, d)) > 0.4)
+            masses[:, rng.integers(d)] += 1
+            mp, mq = masses
             p_fr = [Fraction(int(a), int(mp.sum())) for a in mp]
             q_fr = [Fraction(int(a), int(mq.sum())) for a in mq]
             ref = lp_oracle.transport_exact(p_fr, q_fr, c_fr)
@@ -880,7 +909,7 @@ class TestExactOTGrid:
         x1 = plan.sum(axis=3).transpose(0, 2, 1).ravel()
         x2 = plan.sum(axis=0).transpose(1, 0, 2).ravel()
         flow = np.concatenate([x1, x2])
-        a_eq = entot._grid_transport_constraints(rows, cols).toarray()
+        a_eq = _csc_matrix(entot._grid_transport_constraints(rows, cols), 3 * d - 1).toarray()
         assert a_eq.shape == (3 * d - 1, rows * rows * cols + rows * cols * cols)
         np.testing.assert_allclose(
             a_eq @ flow, np.concatenate([p, np.zeros(d), q[:-1]]), atol=1e-15
@@ -894,12 +923,10 @@ class TestExactOTGrid:
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_failed_lp_names_the_lp_d_and_smallest_masses(self, monkeypatch, dense):
-        import scipy.optimize
-
-        def infeasible(*args, **kwargs):
+        def infeasible(c, a_eq, b_eq):
             return SimpleNamespace(status=2, message="The problem is infeasible", fun=None)
 
-        monkeypatch.setattr(scipy.optimize, "linprog", infeasible)
+        monkeypatch.setattr(entot, "_highs", infeasible)
         grid = entot.GridCost(2, 3)
         p = np.array([0.5, 0.0, 0.5 - 1e-14, 1e-14, 0.0, 0.0])
         q = np.array([0.0, 1.0 - 3e-16, 0.0, 0.0, 3e-16, 0.0])
@@ -988,8 +1015,8 @@ class TestLocalGridLP:
         p, q = _sparse_14x14_pair()
         b_eq = _grid_b_eq(p, q)
         local = lp.move <= 3
-        res = entot._highs(lp.cost[local], lp.a_eq[:, local], b_eq)
-        sink = np.append(res.eqlin.marginals[2 * 196:], 0.0)
+        res = entot._highs(lp.cost[local], entot._csc_columns(lp.a_eq, local), b_eq)
+        sink = np.append(res.row_dual[2 * 196:], 0.0)
         lower = entot._sink_lower_bound(sink, p, q, lp.axes)
         assert abs(res.fun - lower) <= 1e-12 * res.fun
         # The lower bound holds for any potentials, the perturbed ones too.
@@ -1010,7 +1037,7 @@ class TestLocalGridLP:
 
         def perturbed(c, a_eq, b_eq):
             res = highs(c, a_eq, b_eq)
-            res.eqlin.marginals[2 * 196:] += 1e-3 * rng.standard_normal(195)
+            res.row_dual[2 * 196:] += 1e-3 * rng.standard_normal(195)
             solves.append(res)
             return res
 
@@ -1050,19 +1077,17 @@ class TestLocalGridLP:
         # On this pair the rule's radius is 3. At radius 1 the local LP is
         # infeasible; at radius 2 it is feasible but 2% above the optimum,
         # and the certificate refuses it.
-        import scipy.optimize
-
         grid = entot.GridCost(14, 14)
         p, q = _sparse_14x14_pair()
         want = entot.exact_ot(p, q, grid)
-        linprog = scipy.optimize.linprog
+        highs = entot._highs
         results = []
 
-        def spy(*args, **kwargs):
-            results.append(linprog(*args, **kwargs))
+        def spy(c, a_eq, b_eq):
+            results.append(highs(c, a_eq, b_eq))
             return results[-1]
 
-        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        monkeypatch.setattr(entot, "_highs", spy)
         monkeypatch.setattr(entot, "_monotone_reach", lambda p, q: forced_reach)
         got = entot.exact_ot(p, q, grid)
         assert len(results) == 2
@@ -1074,19 +1099,17 @@ class TestLocalGridLP:
         assert abs(got - want) <= 1e-12 * want
 
     def test_every_arc_local_takes_the_full_lp_alone(self, monkeypatch):
-        import scipy.optimize
-
         rng = np.random.default_rng(29)
         grid = entot.GridCost(5, 3)
         p, q = _sparse_masses(rng, 15), _sparse_masses(rng, 15)
-        linprog = scipy.optimize.linprog
+        highs = entot._highs
         arcs = []
 
-        def spy(c, *args, **kwargs):
+        def spy(c, a_eq, b_eq):
             arcs.append(c.shape[0])
-            return linprog(c, *args, **kwargs)
+            return highs(c, a_eq, b_eq)
 
-        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        monkeypatch.setattr(entot, "_highs", spy)
         monkeypatch.setattr(entot, "_monotone_reach", lambda p, q: 3)
         entot.exact_ot(p, q, grid)
         assert arcs == [entot._grid_lp(5, 3).cost.shape[0]]
@@ -1094,12 +1117,130 @@ class TestLocalGridLP:
     def test_shape_data_is_built_once_and_read_only(self):
         lp = entot._grid_lp(7, 4)
         assert entot._grid_lp(7, 4) is lp
-        arrays = (*lp.axes, lp.cost, lp.move, lp.a_eq.data, lp.a_eq.indices, lp.a_eq.indptr)
+        arrays = (*lp.axes, lp.cost, lp.move, *lp.a_eq)
         assert not any(a.flags.writeable for a in arrays)
         np.testing.assert_array_equal(lp.move**2, lp.cost)
-        np.testing.assert_array_equal(
-            lp.a_eq.toarray(), entot._grid_transport_constraints(7, 4).toarray()
+        for got, want in zip(lp.a_eq, entot._grid_transport_constraints(7, 4)):
+            np.testing.assert_array_equal(got, want)
+
+
+def _fresh_python(script):
+    """stdout of ``script`` run in a new interpreter that imports this
+    tree's netbary."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(netbary.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    return proc.stdout
+
+
+def _linprog(c, a_eq, b_eq):
+    """The solve :func:`entot._highs` replaces, through scipy's linprog."""
+    from scipy.optimize import linprog
+
+    return linprog(
+        c, A_eq=_csc_matrix(a_eq, b_eq.shape[0]), b_eq=b_eq, bounds=(0, None),
+        method="highs", options={"primal_feasibility_tolerance": 1e-10},
+    )
+
+
+class TestHighs:
+    """The direct HiGHS call against scipy's linprog, and the loading of
+    scipy's HiGHS extension."""
+
+    def _assert_same_as_linprog(self, c, a_eq, b_eq):
+        got, want = entot._highs(c, a_eq, b_eq), _linprog(c, a_eq, b_eq)
+        assert got.status == want.status == 0
+        assert got.fun == want.fun
+        assert np.array_equal(got.x, want.x)
+        assert np.array_equal(got.row_dual, want.eqlin.marginals)
+
+    def test_raster_lps_match_linprog_bit_for_bit(self):
+        # The local LP at the rule's radius and the full LP, on every pair.
+        grid, _ = _smooth_image_grid()
+        lp = entot._grid_lp(*grid.shape)
+        for p, q in _smooth_image_pairs(grid):
+            p_image, q_image = p.reshape(grid.shape), q.reshape(grid.shape)
+            reach = max(
+                entot._monotone_reach(p_image.sum(axis=1), q_image.sum(axis=1)),
+                entot._monotone_reach(p_image.sum(axis=0), q_image.sum(axis=0)),
+            )
+            for keep in (lp.move <= reach + 1, np.ones(lp.cost.shape[0], dtype=bool)):
+                self._assert_same_as_linprog(
+                    lp.cost[keep], entot._csc_columns(lp.a_eq, keep), _grid_b_eq(p, q)
+                )
+
+    def test_dense_lps_match_linprog_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        for d in (5, 30, 60):
+            cost = entot.cost_matrix(rng.random((d, 2)))
+            p, q = _sparse_masses(rng, d), _sparse_masses(rng, d)
+            self._assert_same_as_linprog(
+                cost.ravel(), entot._transport_constraints(d), np.concatenate([p, q[:-1]])
+            )
+
+    def test_infeasible_lp_has_linprog_status(self):
+        # Row sums of 1 and column sums of 2 on a 3 x 3 plan.
+        b_eq = np.array([1.0, 0.0, 0.0, 2.0, 0.0])
+        got = entot._highs(np.ones(9), entot._transport_constraints(3), b_eq)
+        want = _linprog(np.ones(9), entot._transport_constraints(3), b_eq)
+        assert got.status == want.status == 2
+        assert got.fun is got.x is got.row_dual is None
+        assert "Infeasible" in got.message
+
+    def test_missing_extension_names_the_scipy_floor(self, monkeypatch, tmp_path):
+        import scipy
+
+        monkeypatch.delitem(sys.modules, entot._HIGHS_MODULE, raising=False)
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        with pytest.raises(ImportError, match=r"scipy>=1\.15"):
+            entot._highs_core()
+
+    def test_two_threads_load_the_extension_for_their_first_lps(self):
+        # netbary sweep runs its variants on a thread pool.
+        script = (
+            "import sys, threading\n"
+            "import numpy as np\n"
+            "from netbary import entot\n"
+            "grid = entot.GridCost(5, 4)\n"
+            "barrier = threading.Barrier(2)\n"
+            "values = {}\n"
+            "def solve(k):\n"
+            "    p, q = np.random.default_rng(k).dirichlet(np.ones(20), size=2)\n"
+            "    barrier.wait()\n"
+            "    values[k] = entot.exact_ot(p, q, grid) > 0\n"
+            "threads = [threading.Thread(target=solve, args=(k,)) for k in range(2)]\n"
+            "for thread in threads:\n"
+            "    thread.start()\n"
+            "for thread in threads:\n"
+            "    thread.join()\n"
+            "print(sorted(values.items()), 'scipy.optimize' in sys.modules)\n"
         )
+        assert _fresh_python(script) == "[(0, True), (1, True)] False\n"
+
+    @pytest.mark.parametrize("lp_first", [True, False])
+    def test_scipy_optimize_shares_the_extension(self, lp_first):
+        # Either import order leaves one module object, and both linprog
+        # and the transport LP work after it.
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from netbary import entot\n"
+            "def lp():\n"
+            "    return entot.exact_ot(np.full(4, 0.25), np.eye(4)[0], entot.GridCost(2, 2))\n"
+            f"first = lp() if {lp_first} else None\n"
+            "import scipy.optimize\n"
+            "import scipy.optimize._highspy._core as core\n"
+            "print(entot._highs_core() is core is sys.modules[entot._HIGHS_MODULE])\n"
+            "print(scipy.optimize.linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0]).fun)\n"
+            "print(lp(), first in (None, lp()))\n"
+        )
+        assert _fresh_python(script) == "True\n1.0\n0.5 True\n"
 
 
 class TestKBound:

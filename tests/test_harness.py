@@ -691,14 +691,12 @@ class TestBenchmarkWorkloads:
     def test_grid2d_takes_one_solve_per_transport_lp(self, tmp_path, monkeypatch):
         # Every metrics LP of the raster workload is certified on its local
         # arcs, so none pays for a second, full solve.
-        import scipy.optimize
-
-        linprog = scipy.optimize.linprog
+        highs = entot._highs
         arcs = []
 
-        def spy(c, *args, **kwargs):
+        def spy(c, a_eq, b_eq):
             arcs.append(c.shape[0])
-            return linprog(c, *args, **kwargs)
+            return highs(c, a_eq, b_eq)
 
         exact_ot = entot.exact_ot
         lps = []
@@ -707,7 +705,7 @@ class TestBenchmarkWorkloads:
             lps.append(exact_ot(*args))
             return lps[-1]
 
-        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        monkeypatch.setattr(entot, "_highs", spy)
         monkeypatch.setattr(entot, "exact_ot", counting)
         raw = WORKLOADS.config("grid2d", 0, "bench", tmp_path)
         run_experiment(ExperimentConfig.from_dict(raw))
