@@ -21,6 +21,7 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -310,7 +311,8 @@ def _draw_edges(schedule: NetworkSchedule, epoch: int) -> np.ndarray:
 
 
 def _edge_array(edges) -> np.ndarray:
-    """The edge list as an (E, 2) integer array; an empty list gives E = 0."""
+    """The edge list as an (E, 2) array of its own integer dtype; an empty
+    list gives E = 0."""
     try:
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
     except ValueError:
@@ -321,12 +323,26 @@ def _edge_array(edges) -> np.ndarray:
         raise ValueError(f"edges must have shape (E, 2), got {pairs.shape}")
     if pairs.dtype.kind not in "iu":
         raise ValueError(f"edge endpoints must be integers, got dtype {pairs.dtype}")
-    return pairs.astype(np.intp, copy=False)
+    return pairs
+
+
+def _reject(m: int, pairs: np.ndarray) -> NoReturn:
+    """Raise the error that names what is wrong with an edge array the fast
+    checks refused: the first bad edge in input order, else the component
+    count."""
+    pairs = pairs.astype(np.intp)
+    _check_edges(m, pairs)
+    comps = _component_count(m, pairs)
+    raise DisconnectedGraphError(
+        f"graph has {comps} components; Laplacian kernel dimension would "
+        f"be {comps}, expected 1"
+    )
 
 
 def _check_edges(m: int, pairs: np.ndarray) -> None:
     """Raise on the first edge, in input order, that is out of range, a
-    self-loop, or a repeat of an earlier edge in either orientation."""
+    self-loop, or a repeat of an earlier edge in either orientation.
+    ``pairs`` must be intp, so that ``lo * m + hi`` cannot wrap."""
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     out = (lo < 0) | (hi >= m)
@@ -359,22 +375,40 @@ def laplacian_from_edges(m: int, edges) -> Laplacian:
     the first in input order), and disconnected graphs (a disconnected graph
     would give the Laplacian a kernel of dimension > 1, breaking the
     solver's consensus geometry).
+
+    The checks run on the whole graph at once: a range test, the adjacency
+    counts (an entry above 1 is a repeat or a self-loop) and a reachability
+    sweep from node 0. Only a graph they refuse goes to ``_reject``, which
+    finds the first offending edge or counts the components.
     """
     if m < 1:
         raise ValueError(f"need m >= 1 nodes, got {m}")
     pairs = _edge_array(edges)
-    _check_edges(m, pairs)
-    comps = _component_count(m, pairs)
-    if comps != 1:
-        raise DisconnectedGraphError(
-            f"graph has {comps} components; Laplacian kernel dimension would "
-            f"be {comps}, expected 1"
-        )
-    a, b = pairs[:, 0], pairs[:, 1]
-    entries = np.zeros((m, m))
-    entries[a, b] = -1.0
-    entries[b, a] = -1.0
-    np.fill_diagonal(entries, np.bincount(pairs.ravel(), minlength=m))
+    if pairs.size and (
+        pairs.max() >= m or (pairs.dtype.kind == "i" and pairs.min() < 0)
+    ):
+        _reject(m, pairs)
+    pairs = pairs.astype(np.intp, copy=False)
+    adj = np.bincount(pairs[:, 0] * m + pairs[:, 1], minlength=m * m).reshape(m, m)
+    adj = adj + adj.T
+    if adj.max() > 1:
+        _reject(m, pairs)
+    # 0.0 - adj, not -adj: the zeros must stay +0.0.
+    entries = 0.0 - adj
+    entries.ravel()[:: m + 1] = np.bincount(pairs.ravel(), minlength=m)
+    # Nonzeros of entries: the edges plus the diagonal of every node with an
+    # edge, so a reached node stays reached and the sweep only grows.
+    link = entries != 0
+    reach = link[0]
+    count = np.count_nonzero(reach)
+    while count < m:
+        reach = reach @ link
+        grown = np.count_nonzero(reach)
+        if grown == count:
+            break
+        count = grown
+    if count < m and m > 1:  # a single node is connected with no edges
+        _reject(m, pairs)
     entries.flags.writeable = False
     return Laplacian(m=m, entries=entries)
 

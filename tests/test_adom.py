@@ -363,6 +363,28 @@ class TestRun:
         assert r_sq >= 0.9
         assert np.exp(slope) <= 1.0 - params.tau
 
+    def test_run_equals_a_loop_of_steps_across_epochs(self):
+        # run keeps its iterates in locals; adom_step wraps the same update.
+        rng = np.random.default_rng(12)
+        oracle = _wb_setup(rng, m=6, d=5, gamma=0.05)
+        sched = NetworkSchedule(family="erdos_renyi", m=6, epoch_len=3, seed=8, p=0.5)
+        params = adom.derive_params(r=0.01, gamma=0.05, bounds=spectral_bounds(sched, 20))
+        traj = adom.run(sched, oracle, params, n_iters=20, record_every=4)
+        state = adom.initial_state(6, 5)
+        steps = []
+        for n in range(20):
+            state = adom.adom_step(state, schedule_laplacian(sched, n), params, oracle)
+            steps.append(state)
+        for name in ("z", "z_f", "z_g", "momentum", "x"):
+            assert getattr(traj.state, name).tobytes() == getattr(state, name).tobytes(), name
+        assert traj.state.n == state.n == 20
+        assert [rec.iteration for rec in traj.records] == [0, 4, 8, 12, 16, 19]
+        for rec in traj.records:
+            step = steps[rec.iteration]
+            assert rec.x.tobytes() == step.x.tobytes()
+            assert rec.recovered.tobytes() == (step.x - params.r * step.z_g).tobytes()
+            assert rec.consensus == adom.mean_pairwise_sq_dist(step.x)
+
     def test_validates_iteration_arguments(self):
         oracle = oracles.QuadraticOracle(gamma=1.0, dim=2)
         sched = NetworkSchedule(family="cycle", m=3, epoch_len=None, seed=0)
@@ -421,6 +443,103 @@ class TestDivergence:
             adom.adom_step(state, lap, params, oracle)
         assert (exc.value.iterate, exc.value.iteration) == ("grad", 7)
         assert kernel_calls == ["_conj_grad_stack"]
+
+
+# 1.5e308: finite, but the sum of two of them overflows.
+_BIG = 1.5e308
+
+
+class _ScriptedLaplacian:
+    """Stands in for every iteration's Laplacian: its k-th application
+    returns ``script[k]`` and zeros when k is not in the script."""
+
+    def __init__(self, script):
+        self.m = 2
+        self.script = script
+        self.applies = 0
+
+    def apply(self, stack):
+        out = self.script.get(self.applies, np.zeros((2, 2)))
+        self.applies += 1
+        return out
+
+
+class _ScriptedOracle(adom.DualOracle):
+    """Its k-th evaluation returns ``script[k]``, else -z_stack, which
+    cancels the r z_g smoothing term at r = 1: the gradient is exactly 0."""
+
+    gamma = 1.0
+    dim = 2
+
+    def __init__(self, script):
+        self.script = script
+        self.calls = 0
+
+    def grad_conj_stack(self, z_stack):
+        out = self.script.get(self.calls, -z_stack)
+        self.calls += 1
+        return out
+
+
+def _at_00(value):
+    out = np.zeros((2, 2))
+    out[0, 0] = value
+    return out
+
+
+def _scripted_run(monkeypatch, oracle_script, lap_script, eta):
+    lap = _ScriptedLaplacian(lap_script)
+    monkeypatch.setattr(adom, "schedule_laplacian", lambda schedule, n: lap)
+    params = adom.AdomParams(
+        r=1.0, gamma=1.0, alpha=0.5, eta=eta, theta=1.0, sigma=1.0, tau=0.1,
+        bounds=PAIR_BOUNDS,
+    )
+    sched = NetworkSchedule(family="complete", m=2)
+    return lambda n_iters: adom.run(sched, _ScriptedOracle(oracle_script), params, n_iters)
+
+
+class TestSumFiniteness:
+    """run tests finiteness once per step, on the sum of the four iterates,
+    and names the iterate only when that sum is not finite."""
+
+    # Each case makes its iterate the first non-finite one at iteration 1,
+    # in the order grad, momentum, z, z_f. Laplacian applications 0 and 1
+    # belong to iteration 0, 2 and 3 to iteration 1.
+    CASES = {
+        "grad": ({1: _at_00(np.nan)}, {}),
+        # The first application's output reaches momentum and z; momentum
+        # is named first.
+        "momentum": ({}, {2: _at_00(np.nan)}),
+        # Whatever reaches z through the Laplacian reaches momentum too, so
+        # z goes non-finite on its own only by overflow: iteration 0 leaves
+        # z = -BIG and z_f = BIG, and z_g - z overflows at iteration 1.
+        "z": ({}, {0: _at_00(-_BIG), 1: _at_00(-_BIG)}),
+        "z_f": ({}, {3: _at_00(np.nan)}),
+    }
+
+    @pytest.mark.parametrize("iterate", list(CASES))
+    def test_names_the_iterate_with_partial_records(self, monkeypatch, iterate):
+        oracle_script, lap_script = self.CASES[iterate]
+        run = _scripted_run(monkeypatch, oracle_script, lap_script, eta=1.0)
+        with pytest.raises(adom.NumericalDivergenceError) as exc:
+            run(5)
+        err = exc.value
+        assert (err.iterate, err.iteration) == (iterate, 1)
+        assert str(err) == f"non-finite values in iterate {iterate!r} at iteration 1"
+        assert [rec.iteration for rec in err.records] == [0]
+        assert np.isfinite(err.records[0].x).all()
+
+    def test_finite_iterates_whose_sum_overflows_raise_nothing(self, monkeypatch):
+        # Iteration 0 gives grad = BIG, momentum = -BIG/2, z = 0, z_f = BIG.
+        run = _scripted_run(monkeypatch, {0: _at_00(_BIG)}, {1: _at_00(-_BIG)}, eta=0.5)
+        # The record's consensus of a BIG stack overflows; that is not under test.
+        with np.errstate(over="ignore"):
+            state = run(1).state
+        iterates = (state.x, state.momentum, state.z, state.z_f)
+        assert all(np.isfinite(it).all() for it in iterates)
+        assert (state.x[0, 0], state.momentum[0, 0], state.z_f[0, 0]) == (_BIG, -_BIG / 2, _BIG)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(sum(iterates).sum())
 
 
 class TestGuaranteeConstants:

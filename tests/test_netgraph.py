@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from netbary import netgraph
 from netbary.netgraph import (
     FAMILIES,
     DisconnectedGraphError,
@@ -166,6 +167,98 @@ class TestAgainstLoopReference:
             assert _outcome(laplacian_from_edges, m, edges) == want, (m, edges)
             if not kinds:
                 assert want[0] == "ok"
+
+    @staticmethod
+    def _same_as_reference(m, pairs):
+        """``laplacian_from_edges`` on an edge array against the reference
+        on the same edges as tuples of ints, the form its messages quote.
+        Returns the reference's outcome."""
+        want = _outcome(oracles.laplacian_reference, m, [tuple(e) for e in pairs.tolist()])
+        assert _outcome(laplacian_from_edges, m, pairs) == want, (m, pairs.tolist())
+        return want
+
+    @staticmethod
+    def _read_only(edges, dtype):
+        pairs = np.array(edges, dtype=dtype).reshape(-1, 2)
+        pairs.flags.writeable = False
+        return pairs
+
+    @pytest.mark.parametrize("family, p", [
+        ("cycle", None), ("star", None), ("complete", None),
+        ("erdos_renyi", 0.3), ("mst_of_er", 0.5),
+    ])
+    def test_stored_schedule_edges(self, family, p):
+        for m in (2, 3, 9, 50):
+            sched = NetworkSchedule(family=family, m=m, epoch_len=1, seed=5, p=p)
+            for epoch in range(4):
+                pairs = netgraph._epoch_edges(sched, epoch)
+                assert pairs.dtype == np.uint8 and not pairs.flags.writeable
+                assert self._same_as_reference(m, pairs)[0] == "ok"
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [(), ("out_of_range",), ("self_loop",), ("reversed_duplicate",), ("disconnected",),
+         ("self_loop", "reversed_duplicate", "out_of_range")],
+        ids=lambda k: "+".join(k) or "valid",
+    )
+    def test_read_only_uint8_arrays(self, kinds):
+        rng = np.random.default_rng(100 + len(kinds) * 7 + sum(map(len, kinds)))
+        for m in range(2, 61):
+            edges = _random_connected(rng, m)
+            for kind in kinds:
+                edges = _inject(rng, m, edges, kind)
+            want = self._same_as_reference(m, self._read_only(edges, np.uint8))
+            assert (want[0] == "ok") == (not kinds)
+
+    @pytest.mark.parametrize(
+        "kinds", [("negative",), ("negative", "reversed_duplicate"), ("negative", "disconnected")],
+        ids="+".join,
+    )
+    def test_int64_arrays_with_negative_endpoints(self, kinds):
+        rng = np.random.default_rng(200 + len(kinds))
+        for m in range(2, 61):
+            edges = _random_connected(rng, m)
+            for kind in kinds:
+                edges = _inject(rng, m, edges, kind)
+            pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+            if kinds[-1] == "disconnected":
+                # The disconnected fault rebuilds the list; put a negative
+                # endpoint back in.
+                pairs = np.vstack([pairs, [[-1 - int(rng.integers(3)), m - 1]]])
+            assert self._same_as_reference(m, pairs)[0] is ValueError
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [(), ("out_of_range",), ("self_loop",), ("reversed_duplicate",), ("disconnected",)],
+        ids=lambda k: "+".join(k) or "valid",
+    )
+    def test_three_hundred_nodes_in_a_uint16_store(self, kinds):
+        m = 300
+        rng = np.random.default_rng(300 + sum(map(len, kinds)))
+        for _ in range(3):
+            edges = _random_connected(rng, m)
+            for kind in kinds:
+                edges = _inject(rng, m, edges, kind)
+            pairs = self._read_only(edges, np.min_scalar_type(m - 1))
+            assert pairs.dtype == np.uint16
+            assert (self._same_as_reference(m, pairs)[0] == "ok") == (not kinds)
+        sched = NetworkSchedule(family="erdos_renyi", m=m, epoch_len=1, seed=1, p=0.03)
+        pairs = netgraph._epoch_edges(sched, 0)
+        assert pairs.dtype == np.uint16
+        assert self._same_as_reference(m, pairs)[0] == "ok"
+
+    def test_three_hundred_node_path(self):
+        # Node 0 at one end: the reachability sweep takes m - 1 rounds.
+        m = 300
+        rng = np.random.default_rng(9)
+        path = [(i, i + 1) if rng.random() < 0.5 else (i + 1, i) for i in range(m - 1)]
+        for order in (path, path[::-1], [path[i] for i in rng.permutation(m - 1)]):
+            assert self._same_as_reference(m, self._read_only(order, np.uint16))[0] == "ok"
+        # Node 0 in the middle, and the path cut once near its far end.
+        relabeled = [((a + 150) % m, (b + 150) % m) for a, b in path]
+        assert self._same_as_reference(m, self._read_only(relabeled, np.uint16))[0] == "ok"
+        cut = self._same_as_reference(m, self._read_only(path[:-2] + path[-1:], np.uint16))
+        assert cut[0] is DisconnectedGraphError and "graph has 2 components" in cut[1]
 
 
 class TestLaplacianApply:
