@@ -316,12 +316,15 @@ def mean_pairwise_sq_dist(stack: np.ndarray) -> float:
 
     Computed from the centered stack: with xc = x - mean(x), the pair sum
     equals m |xc|_F^2, which avoids the cancellation of the naive moment
-    formula when rows nearly agree.
+    formula when rows nearly agree. A value beyond the double range is inf,
+    without a warning: finite iterates can be that far apart, and ``run``
+    records them.
     """
     stack = np.asarray(stack, dtype=float)
     m = stack.shape[0]
     if m < 2:
         return 0.0
-    centered = stack - stack.mean(axis=0)
-    return float(2.0 * np.sum(centered * centered) / (m - 1))
+    with np.errstate(over="ignore"):
+        centered = stack - stack.mean(axis=0)
+        return float(2.0 * np.sum(centered * centered) / (m - 1))
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +75,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # Only a sweep needs the pool; the import loads logging too, about 7 ms
+    # of CPU that a run would pay for nothing.
+    from concurrent.futures import ThreadPoolExecutor
+
     if args.jobs < 1:
         raise ValueError("jobs must be >= 1")
     cfg = _config_from_args(args)

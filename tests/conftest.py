@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import netbary
 from netbary import entot
 
 # The oracle's evaluation paths: the Gibbs-kernel scaling form and its
@@ -25,3 +31,23 @@ def kernel_calls(monkeypatch):
 
         monkeypatch.setattr(entot, name, spy)
     return calls
+
+
+@pytest.fixture
+def fresh_python():
+    """Runs a script in a new interpreter that imports this tree's netbary
+    and returns its stdout; the script must exit 0 and write no stderr."""
+
+    def run(script):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(netbary.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        return proc.stdout
+
+    return run

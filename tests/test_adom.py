@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -532,9 +534,12 @@ class TestSumFiniteness:
     def test_finite_iterates_whose_sum_overflows_raise_nothing(self, monkeypatch):
         # Iteration 0 gives grad = BIG, momentum = -BIG/2, z = 0, z_f = BIG.
         run = _scripted_run(monkeypatch, {0: _at_00(_BIG)}, {1: _at_00(-_BIG)}, eta=0.5)
-        # The record's consensus of a BIG stack overflows; that is not under test.
-        with np.errstate(over="ignore"):
-            state = run(1).state
+        # The record's consensus of a BIG stack overflows to inf, silently.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trajectory = run(1)
+        assert trajectory.records[0].consensus == math.inf
+        state = trajectory.state
         iterates = (state.x, state.momentum, state.z, state.z_f)
         assert all(np.isfinite(it).all() for it in iterates)
         assert (state.x[0, 0], state.momentum[0, 0], state.z_f[0, 0]) == (_BIG, -_BIG / 2, _BIG)
@@ -574,6 +579,18 @@ class TestGuaranteeConstants:
 
 
 class TestConsensusMetricHelpers:
+    def test_overflow_is_inf_without_a_warning(self):
+        stack = np.zeros((3, 2))
+        stack[0, 0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert adom.mean_pairwise_sq_dist(stack) == math.inf
+            # A finite value is the plain formula's, bit for bit.
+            stack[0, 0] = 1e150
+            centered = stack - stack.mean(axis=0)
+            want = float(2.0 * np.sum(centered * centered) / 2)
+            assert adom.mean_pairwise_sq_dist(stack) == want
+
     def test_matches_brute_force_pair_loop(self):
         rng = np.random.default_rng(13)
         stack = rng.standard_normal((6, 4))

@@ -235,7 +235,7 @@ class TestRun:
         assert code == 1
         assert captured.err == f"error: {message}\n"
 
-    def test_gaussian_run_never_imports_scipy(self, tmp_path):
+    def test_gaussian_run_never_imports_scipy(self, tmp_path, fresh_python):
         # Only the transport LPs need scipy, and a Gaussian run's transport
         # is in closed form. The LPs afterwards, on a raster and on a dense
         # non-Monge cost, load scipy's HiGHS extension and nothing of
@@ -254,18 +254,25 @@ class TestRun:
             "entot.exact_ot(np.full(3, 1 / 3), np.eye(3)[0], 1 - np.eye(3))\n"
             "print([m for m in LP if m in sys.modules])\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(Path(netbary.__file__).parents[1]), env.get("PYTHONPATH")])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
+        lines = fresh_python(script).splitlines()
         assert lines[-2] == "0 []"
         assert lines[-1] == "['scipy.optimize._highspy._core']"
+
+    def test_gaussian_run_never_imports_the_thread_pool(self, tmp_path, fresh_python):
+        # Only a sweep runs variants on a thread pool; its module imports
+        # logging too. The sweep afterwards shows that the check can fail.
+        cfg_path = _write_config(tmp_path)
+        script = (
+            "import sys\n"
+            "from netbary.cli import main\n"
+            f"code = main(['run', '--config', {str(cfg_path)!r}])\n"
+            "print(code, 'concurrent.futures' in sys.modules)\n"
+            f"code = main(['sweep', '--config', {str(cfg_path)!r}, '--families', 'cycle',"
+            f" '--out', {str(tmp_path / 'sweep')!r}])\n"
+            "print(code, 'concurrent.futures' in sys.modules)\n"
+        )
+        codes = [line for line in fresh_python(script).splitlines() if line.startswith("0 ")]
+        assert codes == ["0 False", "0 True"]
 
     def test_bad_config_key_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"

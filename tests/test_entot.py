@@ -1,8 +1,6 @@
-import os
-import subprocess
+import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lp_oracle
-import netbary
 import oracles
 from netbary import adom, entot, netgraph
 
@@ -1001,7 +998,7 @@ class TestLocalGridLP:
         for _ in range(3):
             p, q = _sparse_masses(rng, rows * cols), _sparse_masses(rng, rows * cols)
             b_eq = _grid_b_eq(p, q)
-            full = entot._solve_lp("grid", lp.cost, lp.a_eq, b_eq, p, q)
+            full = entot._full_grid_value(lp, b_eq, p, q)
             for radius in range(1, max(rows, cols) - 1):
                 value = entot._local_grid_value(lp, lp.move <= radius, b_eq, p, q)
                 if value is not None:
@@ -1020,11 +1017,13 @@ class TestLocalGridLP:
         lower = entot._sink_lower_bound(sink, p, q, lp.axes)
         assert abs(res.fun - lower) <= 1e-12 * res.fun
         # The lower bound holds for any potentials, the perturbed ones too.
-        full = entot._solve_lp("grid", lp.cost, lp.a_eq, b_eq, p, q)
+        full = entot._full_grid_value(lp, b_eq, p, q)
         noisy = sink + 0.1 * rng.standard_normal(sink.shape)
         assert entot._sink_lower_bound(noisy, p, q, lp.axes) <= full * (1.0 + 1e-12)
 
     def test_perturbed_sink_duals_are_refused(self, monkeypatch):
+        # Only the local solve's duals are perturbed; the full solve's are
+        # HiGHS's own and certify it.
         rng = np.random.default_rng(31)
         grid = entot.GridCost(14, 14)
         lp = entot._grid_lp(14, 14)
@@ -1037,7 +1036,8 @@ class TestLocalGridLP:
 
         def perturbed(c, a_eq, b_eq):
             res = highs(c, a_eq, b_eq)
-            res.row_dual[2 * 196:] += 1e-3 * rng.standard_normal(195)
+            if c.shape[0] < lp.cost.shape[0]:
+                res.row_dual[2 * 196:] += 1e-3 * rng.standard_normal(195)
             solves.append(res)
             return res
 
@@ -1046,8 +1046,35 @@ class TestLocalGridLP:
         solves.clear()
         got = entot.exact_ot(p, q, grid)
         # The local solve was refused, so the full LP ran after it.
-        assert len(solves) == 2
+        assert [res.x.shape[0] for res in solves] == [np.count_nonzero(local), lp.cost.shape[0]]
         assert abs(got - solves[1].fun / grid.diagonal) <= 1e-12 * got
+
+    @pytest.mark.parametrize("every_arc_local", [False, True])
+    def test_perturbed_full_lp_duals_raise(self, monkeypatch, every_arc_local):
+        # After a refused local solve, and when every arc is local, the full
+        # LP's value is kept only with a certificate from its own duals.
+        rng = np.random.default_rng(33)
+        p, q = _sparse_14x14_pair()
+        highs = entot._highs
+        arcs = []
+
+        def perturbed(c, a_eq, b_eq):
+            res = highs(c, a_eq, b_eq)
+            res.row_dual[2 * 196:] += 1e-3 * rng.standard_normal(195)
+            arcs.append(c.shape[0])
+            return res
+
+        monkeypatch.setattr(entot, "_highs", perturbed)
+        if every_arc_local:
+            monkeypatch.setattr(entot, "_monotone_reach", lambda p, q: 13)
+        with pytest.raises(RuntimeError) as failure:
+            entot.exact_ot(p, q, entot.GridCost(14, 14))
+        message = str(failure.value)
+        assert message.startswith("grid transport LP at d = 196 is not certified: value ")
+        assert re.search(r", lower bound \S+, relative gap \d\.\d{3}e-\d\d above 1e-09 \(", message)
+        assert f"(smallest positive mass: p {p[p > 0].min():.3e}, q {q[q > 0].min():.3e})" in message
+        full = entot._grid_lp(14, 14).cost.shape[0]
+        assert arcs[-1] == full and len(arcs) == (1 if every_arc_local else 2)
 
     @pytest.mark.parametrize("fault", ["negative flow", "row residual"])
     def test_infeasible_local_flow_is_refused(self, monkeypatch, fault):
@@ -1098,6 +1125,15 @@ class TestLocalGridLP:
             assert results[0].fun / grid.diagonal > 1.01 * want
         assert abs(got - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (5, 3), (14, 14)])
+    def test_full_lp_certifies_identical_marginals(self, monkeypatch, rows, cols):
+        # A zero value leaves the certificate no slack at all.
+        rng = np.random.default_rng([34, rows, cols])
+        grid = entot.GridCost(rows, cols)
+        monkeypatch.setattr(entot, "_monotone_reach", lambda p, q: max(rows, cols))
+        for p in (rng.dirichlet(np.ones(rows * cols)), _sparse_masses(rng, rows * cols)):
+            assert entot.exact_ot(p, p, grid) == 0.0
+
     def test_every_arc_local_takes_the_full_lp_alone(self, monkeypatch):
         rng = np.random.default_rng(29)
         grid = entot.GridCost(5, 3)
@@ -1124,29 +1160,40 @@ class TestLocalGridLP:
             np.testing.assert_array_equal(got, want)
 
 
-def _fresh_python(script):
-    """stdout of ``script`` run in a new interpreter that imports this
-    tree's netbary."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(netbary.__file__).parents[1]), env.get("PYTHONPATH")])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    return proc.stdout
-
-
-def _linprog(c, a_eq, b_eq):
-    """The solve :func:`entot._highs` replaces, through scipy's linprog."""
+def _linprog(c, a_eq, b_eq, presolve=False):
+    """The solve :func:`entot._highs` replaces, through scipy's linprog, by
+    default with the same options."""
     from scipy.optimize import linprog
 
     return linprog(
         c, A_eq=_csc_matrix(a_eq, b_eq.shape[0]), b_eq=b_eq, bounds=(0, None),
-        method="highs", options={"primal_feasibility_tolerance": 1e-10},
+        method="highs",
+        options={"presolve": presolve, "primal_feasibility_tolerance": 1e-10},
     )
+
+
+def _raster_lps(grid):
+    """The local LP at the rule's radius and the full LP of every
+    :func:`_smooth_image_pairs` pair, as (c, a_eq, b_eq)."""
+    lp = entot._grid_lp(*grid.shape)
+    for p, q in _smooth_image_pairs(grid):
+        p_image, q_image = p.reshape(grid.shape), q.reshape(grid.shape)
+        reach = max(
+            entot._monotone_reach(p_image.sum(axis=1), q_image.sum(axis=1)),
+            entot._monotone_reach(p_image.sum(axis=0), q_image.sum(axis=0)),
+        )
+        for keep in (lp.move <= reach + 1, np.ones(lp.cost.shape[0], dtype=bool)):
+            yield lp.cost[keep], entot._csc_columns(lp.a_eq, keep), _grid_b_eq(p, q)
+
+
+def _dense_lps():
+    """Dense transport LPs on random planar points and sparse masses, as
+    (c, a_eq, b_eq)."""
+    rng = np.random.default_rng(32)
+    for d in (5, 30, 60):
+        cost = entot.cost_matrix(rng.random((d, 2)))
+        p, q = _sparse_masses(rng, d), _sparse_masses(rng, d)
+        yield cost.ravel(), entot._transport_constraints(d), np.concatenate([p, q[:-1]])
 
 
 class TestHighs:
@@ -1161,28 +1208,30 @@ class TestHighs:
         assert np.array_equal(got.row_dual, want.eqlin.marginals)
 
     def test_raster_lps_match_linprog_bit_for_bit(self):
-        # The local LP at the rule's radius and the full LP, on every pair.
-        grid, _ = _smooth_image_grid()
-        lp = entot._grid_lp(*grid.shape)
-        for p, q in _smooth_image_pairs(grid):
-            p_image, q_image = p.reshape(grid.shape), q.reshape(grid.shape)
-            reach = max(
-                entot._monotone_reach(p_image.sum(axis=1), q_image.sum(axis=1)),
-                entot._monotone_reach(p_image.sum(axis=0), q_image.sum(axis=0)),
-            )
-            for keep in (lp.move <= reach + 1, np.ones(lp.cost.shape[0], dtype=bool)):
-                self._assert_same_as_linprog(
-                    lp.cost[keep], entot._csc_columns(lp.a_eq, keep), _grid_b_eq(p, q)
-                )
+        for lp in _raster_lps(_smooth_image_grid()[0]):
+            self._assert_same_as_linprog(*lp)
 
     def test_dense_lps_match_linprog_bit_for_bit(self):
-        rng = np.random.default_rng(32)
-        for d in (5, 30, 60):
-            cost = entot.cost_matrix(rng.random((d, 2)))
-            p, q = _sparse_masses(rng, d), _sparse_masses(rng, d)
-            self._assert_same_as_linprog(
-                cost.ravel(), entot._transport_constraints(d), np.concatenate([p, q[:-1]])
-            )
+        for lp in _dense_lps():
+            self._assert_same_as_linprog(*lp)
+
+    def test_values_match_linprog_with_presolve(self):
+        # Presolve removes nothing from these LPs, so the raster values do
+        # not move at all. On sparse masses a dense LP can end at another
+        # optimal flow, whose value differs by rounding.
+        for lp in _raster_lps(_smooth_image_grid()[0]):
+            assert entot._highs(*lp).fun == _linprog(*lp, presolve=True).fun
+        for lp in _dense_lps():
+            got, want = entot._highs(*lp).fun, _linprog(*lp, presolve=True).fun
+            assert abs(got - want) <= 1e-15 * want
+
+    def test_refused_option_raises(self, monkeypatch):
+        # HiGHS itself only returns an error status and solves on.
+        monkeypatch.setattr(
+            entot, "_HIGHS_OPTIONS", entot._HIGHS_OPTIONS + (("presolv", "off"),)
+        )
+        with pytest.raises(RuntimeError, match=r"^HiGHS refused the option presolv = 'off'$"):
+            entot._highs(*next(_dense_lps()))
 
     def test_infeasible_lp_has_linprog_status(self):
         # Row sums of 1 and column sums of 2 on a 3 x 3 plan.
@@ -1201,7 +1250,7 @@ class TestHighs:
         with pytest.raises(ImportError, match=r"scipy>=1\.15"):
             entot._highs_core()
 
-    def test_two_threads_load_the_extension_for_their_first_lps(self):
+    def test_two_threads_load_the_extension_for_their_first_lps(self, fresh_python):
         # netbary sweep runs its variants on a thread pool.
         script = (
             "import sys, threading\n"
@@ -1221,10 +1270,10 @@ class TestHighs:
             "    thread.join()\n"
             "print(sorted(values.items()), 'scipy.optimize' in sys.modules)\n"
         )
-        assert _fresh_python(script) == "[(0, True), (1, True)] False\n"
+        assert fresh_python(script) == "[(0, True), (1, True)] False\n"
 
     @pytest.mark.parametrize("lp_first", [True, False])
-    def test_scipy_optimize_shares_the_extension(self, lp_first):
+    def test_scipy_optimize_shares_the_extension(self, fresh_python, lp_first):
         # Either import order leaves one module object, and both linprog
         # and the transport LP work after it.
         script = (
@@ -1240,7 +1289,7 @@ class TestHighs:
             "print(scipy.optimize.linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0]).fun)\n"
             "print(lp(), first in (None, lp()))\n"
         )
-        assert _fresh_python(script) == "True\n1.0\n0.5 True\n"
+        assert fresh_python(script) == "True\n1.0\n0.5 True\n"
 
 
 class TestKBound:
