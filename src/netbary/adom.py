@@ -318,13 +318,22 @@ def mean_pairwise_sq_dist(stack: np.ndarray) -> float:
     equals m |xc|_F^2, which avoids the cancellation of the naive moment
     formula when rows nearly agree. A value beyond the double range is inf,
     without a warning: finite iterates can be that far apart, and ``run``
-    records them.
+    records them. When the column sums of finite rows overflow, the rows
+    are first shifted by the first row, which moves no pair distance, so
+    rows that agree give 0; a shift that overflows leaves a pair farther
+    apart than the double range, and the value is inf.
     """
     stack = np.asarray(stack, dtype=float)
     m = stack.shape[0]
     if m < 2:
         return 0.0
     with np.errstate(over="ignore"):
-        centered = stack - stack.mean(axis=0)
+        mean = stack.mean(axis=0)
+        if not np.isfinite(mean).all() and np.isfinite(stack).all():
+            stack = stack - stack[0]
+            if not np.isfinite(stack).all():
+                return math.inf
+            mean = stack.mean(axis=0)
+        centered = stack - mean
         return float(2.0 * np.sum(centered * centered) / (m - 1))
 

@@ -201,15 +201,13 @@ def dual_grad(q: np.ndarray, cost: np.ndarray, gamma: float, z: np.ndarray) -> n
 
     Column j of exp((z_l - M_lj)/gamma) is normalized over l and the columns
     are mixed with weights q_j. The map is invariant to shifting z by a
-    constant and 1/gamma-Lipschitz. Computed by the same kernels as
-    :meth:`WassersteinDualOracle.grad_conj_stack` on a cost matrix, on one
-    row: a stack's row equals this bit for bit whenever the whole stack
-    takes the path this row takes alone.
+    constant and 1/gamma-Lipschitz. Evaluated as the one row of a one-row
+    :class:`WassersteinDualOracle` on a cost matrix: a stack's row equals
+    this bit for bit whenever the whole stack takes the path this row takes
+    alone.
     """
     q, cost, z = _check_oracle_inputs(q, cost, gamma, z)
-    return _gibbs_conj_grad_stack(
-        q[None, :], cost, np.exp(-cost / gamma), cost.max(), gamma, z[None, :]
-    )[0]
+    return WassersteinDualOracle(q[None, :], cost, gamma).grad_conj_stack(z[None, :])[0]
 
 
 # The Gibbs-kernel form evaluates, node by node, the factors
@@ -246,17 +244,6 @@ def _gibbs_factors(z_stack, c_max, gamma):
     return np.exp(u, out=u)
 
 
-def _gibbs_conj_grad_stack(marginals, cost, kernel, c_max, gamma, z_stack):
-    """Row i is :func:`dual_grad` of marginals[i] at z_stack[i] for a cost
-    matrix with Gibbs kernel ``kernel`` and maximum ``c_max``; inputs are
-    not checked. The scaling form while the spans allow it, else the log
-    domain for the whole stack."""
-    u = _gibbs_factors(z_stack, c_max, gamma)
-    if u is None:
-        return _conj_grad_stack(marginals, cost, gamma, z_stack)
-    return _scaling_conj_grad_stack(marginals, kernel, u)
-
-
 def _scaling_conj_grad_stack(marginals, kernel, u):
     """The stacked gradient in the scaling form u * ((q / (u K)) K^T), from
     the Gibbs factors ``u`` of :func:`_gibbs_factors` (Peyre & Cuturi,
@@ -274,7 +261,7 @@ def _scaling_conj_grad_stack(marginals, kernel, u):
 
 
 def _conj_grad_stack(marginals, cost, gamma, z_stack):
-    """The log-domain fallback of :func:`_gibbs_conj_grad_stack`, for spans
+    """The log-domain fallback of :func:`_scaling_conj_grad_stack`, for spans
     where exp(-C / gamma) or exp(z / gamma) would leave the normal doubles.
     Works in place on one (m, d, d) array, indexed [i, l, j]: m d^2
     doubles, 49 MB at m = 10, d = 784."""
@@ -317,7 +304,7 @@ def _grid_scaling_conj_grad_stack(marginals, axis_kernels, u):
     return mixed.reshape(m, -1)
 
 
-def _grid_conj_grad_stack(log_marginals, grid, gamma, z_stack):
+def _grid_conj_grad_stack(marginals, grid, gamma, z_stack):
     """The log-domain fallback of :func:`_grid_scaling_conj_grad_stack`,
     :func:`_conj_grad_stack` for a :class:`GridCost` from the axes alone.
 
@@ -346,7 +333,7 @@ def _grid_conj_grad_stack(log_marginals, grid, gamma, z_stack):
     log_norm = _lse_first_axis(
         np.subtract(over_e.transpose(1, 0, 2)[:, :, None, :], k1, order="C")
     )  # [i, a, b]
-    weight = log_marginals.reshape(m, rows, cols) - log_norm
+    weight = np.log(marginals).reshape(m, rows, cols) - log_norm
     # grad[i, c, e] = sum_{a,b} exp(weight[i,a,b] + z[i,c,e] - k1[c,a] - k2[e,b])
     over_a = _lse_first_axis(
         np.subtract(weight.transpose(1, 0, 2)[:, :, None, :], k1, order="C")
@@ -401,8 +388,7 @@ class WassersteinDualOracle(DualOracle):
         else:
             self._axis_kernels = tuple(np.exp(-a / self.gamma) for a in self.grid.axes)
             self._c_max = float(sum(a.max() for a in self.grid.axes))
-            self._log_marginals = np.log(marginals)
-            kept = [*self._axis_kernels, self._log_marginals]
+            kept = self._axis_kernels
         for array in kept:
             array.setflags(write=False)
 
@@ -410,13 +396,13 @@ class WassersteinDualOracle(DualOracle):
         z_stack = np.asarray(z_stack, dtype=float)
         if z_stack.shape != self.marginals.shape:
             raise ValueError(f"z_stack shape {z_stack.shape} != {self.marginals.shape}")
-        if self.grid is None:
-            return _gibbs_conj_grad_stack(
-                self.marginals, self.cost, self._kernel, self._c_max, self.gamma, z_stack
-            )
         u = _gibbs_factors(z_stack, self._c_max, self.gamma)
+        if self.grid is None:
+            if u is None:
+                return _conj_grad_stack(self.marginals, self.cost, self.gamma, z_stack)
+            return _scaling_conj_grad_stack(self.marginals, self._kernel, u)
         if u is None:
-            return _grid_conj_grad_stack(self._log_marginals, self.grid, self.gamma, z_stack)
+            return _grid_conj_grad_stack(self.marginals, self.grid, self.gamma, z_stack)
         return _grid_scaling_conj_grad_stack(self.marginals, self._axis_kernels, u)
 
 
@@ -504,11 +490,6 @@ def _monotone_reach(p: np.ndarray, q: np.ndarray) -> int:
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
 _HIGHS_LOCK = threading.Lock()
 
-# linprog's status codes, which the failure messages report: 0 optimal,
-# 2 infeasible, 3 unbounded, 4 any other outcome (no limit is set, so
-# linprog's 1, a limit reached, cannot occur).
-_LP_STATUS = {"kOptimal": 0, "kInfeasible": 2, "kUnbounded": 3}
-
 # The options of every HiGHS solve (see :func:`_highs`). HiGHS does not
 # raise on an unknown option or a bad value; it returns an error status
 # and solves with the default.
@@ -520,14 +501,16 @@ _HIGHS_OPTIONS = (
 
 
 class _LPResult(NamedTuple):
-    """What :func:`_highs` returns: a status code and message, and for an
-    optimal solve its value, flow and row duals (None otherwise)."""
+    """An optimal solve from :func:`_highs`: its value, flow and row duals."""
 
-    status: int
-    message: str
-    fun: float | None
-    x: np.ndarray | None
-    row_dual: np.ndarray | None
+    fun: float
+    x: np.ndarray
+    row_dual: np.ndarray
+
+
+class _LPFailure(RuntimeError):
+    """A transport LP without a kept value: HiGHS ended its solve with a
+    model status other than optimal, or :func:`_certified_lp` refused it."""
 
 
 def _highs_core():
@@ -572,7 +555,7 @@ def _highs_core():
 
 
 def _highs(c, a_eq, b_eq) -> _LPResult:
-    """HiGHS's result for min c.x, A x = b, x >= 0, with A the CSC triple
+    """HiGHS's optimal solve of min c.x, A x = b, x >= 0, with A the CSC triple
     ``a_eq`` (see :func:`_csc`), as one column-wise model passed to the
     solver directly. scipy's ``linprog`` returns the same value, flow and
     row duals bit for bit, but spends about a quarter of each solve in its
@@ -586,7 +569,8 @@ def _highs(c, a_eq, b_eq) -> _LPResult:
     whose value, flow and duals come out the same without it, and a 14x14
     raster's local LPs take a median of 21.1 instead of 24.7 ms, its full
     LPs 23.6 instead of 31.2 ms (one BLAS thread, 2-vCPU Xeon VM). An
-    option HiGHS refuses raises RuntimeError.
+    option HiGHS refuses raises RuntimeError; any model status but optimal
+    raises :class:`_LPFailure` with HiGHS's own status text.
     """
     core = _highs_core()
     start, index, value = a_eq
@@ -614,13 +598,12 @@ def _highs(c, a_eq, b_eq) -> _LPResult:
     highs.passModel(lp)
     highs.run()
     status = highs.getModelStatus()
-    code = _LP_STATUS.get(status.name, 4)
-    message = f"HiGHS model status {int(status)}: {highs.modelStatusToString(status)}"
-    if code != 0:
-        return _LPResult(code, message, None, None, None)
+    if status != core.HighsModelStatus.kOptimal:
+        text = highs.modelStatusToString(status)
+        raise _LPFailure(f"HiGHS model status {int(status)}: {text}")
     solution = highs.getSolution()
     return _LPResult(
-        code, message, highs.getInfo().objective_function_value,
+        highs.getInfo().objective_function_value,
         np.array(solution.col_value), np.array(solution.row_dual),
     )
 
@@ -629,24 +612,11 @@ def _smallest_masses(p: np.ndarray, q: np.ndarray) -> str:
     return f"smallest positive mass: p {p[p > 0].min():.3e}, q {q[q > 0].min():.3e}"
 
 
-def _solve_lp(which: str, c, a_eq, b_eq, p: np.ndarray, q: np.ndarray) -> _LPResult:
-    """HiGHS's optimal solve of min c.x, A x = b, x >= 0. A failure names
-    the LP, d and the smallest positive masses, since HiGHS has reported a
-    false "infeasible" on marginals with tails below about 1e-11."""
-    res = _highs(c, a_eq, b_eq)
-    if res.status != 0:
-        raise RuntimeError(
-            f"{which} transport LP failed at d = {p.shape[0]} with status "
-            f"{res.status}: {res.message} ({_smallest_masses(p, q)})"
-        )
-    return res
-
-
 def _transport_lp(p: np.ndarray, q: np.ndarray, cost: np.ndarray) -> float:
-    """Optimal value of the d x d transportation linear program."""
-    b_eq = np.concatenate([p, q[:-1]])
-    res = _solve_lp("dense", cost.ravel(), _transport_constraints(p.shape[0]), b_eq, p, q)
-    return float(res.fun)
+    """Optimal value of the d x d transportation linear program, certified
+    by the c-transform of its sink potentials over ``cost``."""
+    a_eq, b_eq = _transport_constraints(p.shape[0]), np.concatenate([p, q[:-1]])
+    return _certified_lp("dense", cost.ravel(), a_eq, b_eq, p, q, cost).fun
 
 
 def _transport_constraints(d: int) -> tuple:
@@ -690,9 +660,63 @@ def _csc_matvec(a: tuple, x: np.ndarray, n_rows: int) -> np.ndarray:
     return np.bincount(index, weights=value * np.repeat(x, np.diff(start)), minlength=n_rows)
 
 
-# A raster LP's value is accepted when it lies within this of the lower
-# bound, relative: the tolerance of acceptance criterion 9 (README).
+# An LP's value is kept when it lies within this of the lower bound,
+# relative: the tolerance of acceptance criterion 9 (README).
 _CERTIFIED_GAP = 1e-9
+
+
+def _certified_lp(which: str, c, a_eq, b_eq, p, q, cost) -> _LPResult:
+    """HiGHS's optimal solve of the transport LP min c.x, A x = b, x >= 0,
+    kept only when its value lies within :data:`_CERTIFIED_GAP`, relative,
+    of :func:`_sink_lower_bound` from the solve's own sink potentials over
+    ``cost``, the LP's cost matrix or its raster's per-axis costs.
+
+    Otherwise :class:`_LPFailure` names the LP (``which``), d, HiGHS's
+    status or the gap, and the smallest positive masses, since HiGHS has
+    been off or reported a false "infeasible" on marginals with tails below
+    about 1e-11; so no unchecked value becomes a metric.
+    """
+    d = p.shape[0]
+    try:
+        res = _highs(c, a_eq, b_eq)
+    except _LPFailure as err:
+        raise _LPFailure(
+            f"{which} transport LP failed at d = {d}: {err} ({_smallest_masses(p, q)})"
+        ) from None
+    # The sinks' rows come last; the last sink's row is dropped, which is
+    # its potential fixed at 0.
+    sink = np.append(res.row_dual[res.row_dual.shape[0] - d + 1:], 0.0)
+    lower = _sink_lower_bound(sink, p, q, cost)
+    gap = abs(res.fun - lower)
+    if gap > _CERTIFIED_GAP * res.fun:
+        relative = gap / res.fun if res.fun > 0 else math.inf
+        raise _LPFailure(
+            f"{which} transport LP at d = {d} is not certified: value "
+            f"{res.fun!r}, lower bound {lower!r}, relative gap {relative:.3e} "
+            f"above {_CERTIFIED_GAP:g} ({_smallest_masses(p, q)})"
+        )
+    return res
+
+
+def _sink_lower_bound(sink: np.ndarray, p, q, cost) -> float:
+    """A lower bound on the transport cost from sink potentials g.
+
+    Their c-transform, f_i = min_j C_ij - g_j, makes (f, g) feasible for
+    the dual of the transport LP, whatever g is, so <p, f> + <q, g> is at
+    most the optimum (Peyre & Cuturi, *Computational Optimal Transport*,
+    2019, section 3). ``cost`` is a d x d matrix, or the pair of per-axis
+    costs of a raster, C[(a, b), (c, e)] = axes[0][a, c] + axes[1][b, e];
+    that separable transform is two passes of 1-D minima, O(R C (R + C))
+    instead of O(d^2).
+    """
+    if isinstance(cost, np.ndarray):
+        f = (cost - sink).min(axis=1)
+    else:
+        c1, c2 = cost
+        g = sink.reshape(c1.shape[0], c2.shape[0])
+        over_e = (c2[None, :, :] - g[:, None, :]).min(axis=2)  # [c, b]
+        f = (c1[:, :, None] + over_e[None, :, :]).min(axis=1).ravel()  # [a, b]
+    return float(p @ f + q @ sink)
 
 
 @dataclass(frozen=True)
@@ -740,9 +764,9 @@ def _grid_transport_lp(p: np.ndarray, q: np.ndarray, grid: GridCost) -> float:
     The LP is first solved on local arcs only, those that move at most r
     along their axis, where r is 1 plus the farthest move of the monotone
     couplings of p's and q's row sums and of their column sums (see
-    :func:`_local_grid_value`, which accepts its value only with a
-    certificate). Otherwise, or when every arc is local, the full LP is
-    solved (see :func:`_full_grid_value`, which raises without one).
+    :func:`_local_grid_value`). When that value is refused, or when every
+    arc is local, the full LP is solved, and its value is kept only with
+    :func:`_certified_lp`'s certificate.
     """
     rows, cols = grid.shape
     lp = _grid_lp(rows, cols)
@@ -757,7 +781,7 @@ def _grid_transport_lp(p: np.ndarray, q: np.ndarray, grid: GridCost) -> float:
         value = _local_grid_value(lp, local, b_eq, p, q)
         if value is not None:
             return value / grid.diagonal
-    return _full_grid_value(lp, b_eq, p, q) / grid.diagonal
+    return _certified_lp("grid", lp.cost, lp.a_eq, b_eq, p, q, lp.axes).fun / grid.diagonal
 
 
 def _local_grid_value(lp: _GridLP, local: np.ndarray, b_eq, p, q) -> float | None:
@@ -767,67 +791,22 @@ def _local_grid_value(lp: _GridLP, local: np.ndarray, b_eq, p, q) -> float | Non
     Dropping arcs can only raise the optimum, so the local value is an upper
     bound once its flow is feasible: nonnegative, with no row off by more
     than rounding (each row sums at most rows + cols flows of at most unit
-    mass). :func:`_solve_lower_bound` gives a lower bound from the solver's
-    sink potentials. The value is accepted when the two lie within
-    :data:`_CERTIFIED_GAP` of each other, relative (Schmitzer, *A sparse
-    multiscale algorithm for dense optimal transport*, JMIV 2016).
+    mass). So the value is kept only when that flow check passes and
+    :func:`_certified_lp` finds it within :data:`_CERTIFIED_GAP` of a lower
+    bound from the solver's sink potentials (Schmitzer, *A sparse multiscale
+    algorithm for dense optimal transport*, JMIV 2016); a failed or refused
+    solve leaves the full LP to decide.
     """
     a_eq = _csc_columns(lp.a_eq, local)
-    res = _highs(lp.cost[local], a_eq, b_eq)
-    if res.status != 0:
+    try:
+        res = _certified_lp("local grid", lp.cost[local], a_eq, b_eq, p, q, lp.axes)
+    except _LPFailure:
         return None
     rows, cols = lp.axes[0].shape[0], lp.axes[1].shape[0]
     residual = np.abs(_csc_matvec(a_eq, res.x, b_eq.shape[0]) - b_eq).max()
     if res.x.min() < 0 or residual > (rows + cols) * np.finfo(float).eps:
         return None
-    value = float(res.fun)
-    if abs(value - _solve_lower_bound(res, lp, p, q)) > _CERTIFIED_GAP * value:
-        return None
-    return value
-
-
-def _full_grid_value(lp: _GridLP, b_eq, p, q) -> float:
-    """The 3-partite LP's value over every arc, accepted only within
-    :data:`_CERTIFIED_GAP` of the lower bound from its own sink potentials,
-    relative. Otherwise RuntimeError names the LP, d, the gap and the
-    smallest masses, so that no unchecked value becomes a metric."""
-    res = _solve_lp("grid", lp.cost, lp.a_eq, b_eq, p, q)
-    value = float(res.fun)
-    lower = _solve_lower_bound(res, lp, p, q)
-    gap = abs(value - lower)
-    if gap > _CERTIFIED_GAP * value:
-        relative = gap / value if value > 0 else math.inf
-        raise RuntimeError(
-            f"grid transport LP at d = {p.shape[0]} is not certified: value "
-            f"{value!r}, lower bound {lower!r}, relative gap {relative:.3e} "
-            f"above {_CERTIFIED_GAP:g} ({_smallest_masses(p, q)})"
-        )
-    return value
-
-
-def _solve_lower_bound(res: _LPResult, lp: _GridLP, p, q) -> float:
-    """:func:`_sink_lower_bound` from the sink potentials of an optimal
-    solve of the 3-partite LP, on all or some of its arcs."""
-    # The last sink's row is dropped, which is its potential fixed at 0.
-    sink = np.append(res.row_dual[2 * p.shape[0]:], 0.0)
-    return _sink_lower_bound(sink, p, q, lp.axes)
-
-
-def _sink_lower_bound(sink: np.ndarray, p, q, axes) -> float:
-    """A lower bound on the raster's transport cost from sink potentials g.
-
-    Their c-transform over every pair of pixels, f(a, b) = min over (c, e)
-    of axes[0][a, c] + axes[1][b, e] - g(c, e), makes (f, g) feasible for
-    the dual of the transport LP, whatever g is, so <p, f> + <q, g> is at
-    most the optimum (Peyre & Cuturi, *Computational Optimal Transport*,
-    2019, section 3). The cost is separable, so the transform is two passes
-    of 1-D minima, O(R C (R + C)) instead of O(d^2).
-    """
-    c1, c2 = axes
-    g = sink.reshape(c1.shape[0], c2.shape[0])
-    over_e = (c2[None, :, :] - g[:, None, :]).min(axis=2)  # [c, b]
-    f = (c1[:, :, None] + over_e[None, :, :]).min(axis=1)  # [a, b]
-    return float(p @ f.ravel() + q @ sink)
+    return res.fun
 
 
 def _grid_transport_constraints(rows: int, cols: int) -> tuple:

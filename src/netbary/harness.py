@@ -412,12 +412,13 @@ def _objective(
     )
 
 
-def _rows_from_records(records, marginals, cost, reference, measure_walltime):
+def _rows_from_records(rows, records, marginals, cost, reference, measure_walltime):
+    """Append one metrics row per record to ``rows``, in order, so that a
+    failing exact transport solve leaves the rows of the records before it."""
     m = marginals.shape[0]
     base = None
     if reference is not None:
         base = sum(entot.exact_ot(marginals[i], reference, cost) for i in range(m))
-    rows = []
     for rec in records:
         value = _objective(marginals, cost, rec.recovered) / m
         gap = value if base is None else value - base / m
@@ -429,7 +430,6 @@ def _rows_from_records(records, marginals, cost, reference, measure_walltime):
                 wall_time=rec.wall_time if measure_walltime else 0.0,
             )
         )
-    return rows
 
 
 def _write_csv(rows, path: Path) -> None:
@@ -449,8 +449,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Derives step parameters from the schedule's spectral bounds over the
     run's horizon, solves, computes metrics at the recorded iterations
     (exact transport runs only there), and persists CSV, manifest, and final
-    histograms under ``cfg.out`` when it is set. On solver divergence the
-    partial CSV is still written before the error propagates.
+    histograms under ``cfg.out`` when it is set. When the solver diverges
+    or a metric fails (an exact transport LP without a certified value),
+    what was finished is still written before the error propagates: the
+    CSV rows of the records before the failure, and the final histograms
+    once the solve has finished.
     """
     # The schedule validates m and seed and draws nothing, so it comes first:
     # a bad value is named before the dataset build trips over it.
@@ -488,23 +491,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         )
 
+    rows, final, diverged = [], None, None
     try:
         traj = adom.run(schedule, oracle, params, cfg.n_iters, cfg.record_every)
     except adom.NumericalDivergenceError as err:
-        rows = _rows_from_records(
-            err.records, marginals, cost, reference, cfg.measure_walltime
-        )
+        records, diverged = err.records, err
+    else:
+        records = traj.records
+        final = oracle.grad_conj_stack(traj.state.z_g)
+    try:
+        _rows_from_records(rows, records, marginals, cost, reference, cfg.measure_walltime)
+        if diverged is not None:
+            raise diverged
+    finally:
         if out_dir is not None:
             _write_csv(rows, out_dir / "metrics.csv")
-        raise
-
-    rows = _rows_from_records(
-        traj.records, marginals, cost, reference, cfg.measure_walltime
-    )
-    final = oracle.grad_conj_stack(traj.state.z_g)
-    if out_dir is not None:
-        _write_csv(rows, out_dir / "metrics.csv")
-        np.save(out_dir / "histograms.npy", final)
+            if final is not None:
+                np.save(out_dir / "histograms.npy", final)
     return ExperimentResult(
         rows=rows, histograms=final, manifest=manifest, out_dir=out_dir
     )

@@ -591,6 +591,18 @@ class TestConsensusMetricHelpers:
             want = float(2.0 * np.sum(centered * centered) / 2)
             assert adom.mean_pairwise_sq_dist(stack) == want
 
+    def test_overflowing_column_mean_of_finite_rows(self):
+        # Summing the column overflows, but the rows agree or sit close.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert adom.mean_pairwise_sq_dist(np.full((3, 2), 1e308)) == 0.0
+            # The other column still counts.
+            stack = np.array([[1e308, 0.0], [1e308, 1.0], [1e308, 2.0]])
+            assert adom.mean_pairwise_sq_dist(stack) == 2.0
+            # Rows farther apart than the double range.
+            assert adom.mean_pairwise_sq_dist(np.array([[1e308], [-1e308], [1e308]])) == math.inf
+            assert adom.mean_pairwise_sq_dist(np.array([[1e308], [1e308], [-1e308]])) == math.inf
+
     def test_matches_brute_force_pair_loop(self):
         rng = np.random.default_rng(13)
         stack = rng.standard_normal((6, 4))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import netbary
-from netbary import harness, netgraph
+from netbary import entot, harness, netgraph
 from netbary.cli import _build_parser, _config_from_args, cli
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -133,6 +133,41 @@ class TestRun:
         assert (out_dir / "metrics.csv").exists()
         assert (out_dir / "manifest.json").exists()
         assert (out_dir / "histograms.npy").exists()
+
+    def test_failing_metric_leaves_histograms_and_earlier_rows(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The run records iterations 0, 10, 20, 30 and 39 of 3 nodes. Its
+        # metrics take 3 exact transport solves to the reference, then 3
+        # per record; the 11th fails, in the record of iteration 20.
+        cfg_path = _write_config(tmp_path)
+        clean = tmp_path / "clean"
+        assert cli(["run", "--config", str(cfg_path), "--out", str(clean)]) == 0
+        exact_ot = entot.exact_ot
+        calls = []
+        message = "dense transport LP at d = 6 is not certified: (a stand-in)"
+
+        def failing(p, q, cost):
+            calls.append(None)
+            if len(calls) == 11:
+                raise entot._LPFailure(message)
+            return exact_ot(p, q, cost)
+
+        monkeypatch.setattr(entot, "exact_ot", failing)
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        code = cli(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {message}\n"
+        assert len(calls) == 11
+        # The solve finished, so its histograms are the clean run's.
+        assert (out_dir / "histograms.npy").read_bytes() == (
+            clean / "histograms.npy"
+        ).read_bytes()
+        lines = (out_dir / "metrics.csv").read_text().splitlines()
+        assert lines == (clean / "metrics.csv").read_text().splitlines()[:3]
+        assert lines[2].startswith("10,")
 
     def test_flags_override_config_file(self, tmp_path):
         cfg_path = _write_config(tmp_path)

@@ -1,7 +1,6 @@
 import re
 import sys
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -466,6 +465,35 @@ class TestExactOT:
                 assert array.dtype == getattr(want, attr).dtype
                 assert not array.flags.writeable
 
+    def test_perturbed_dense_lp_duals_raise(self, monkeypatch):
+        # A non-Monge cost takes the dense LP, whose value is kept only with
+        # a certificate from its own sink duals: HiGHS's certify it, and
+        # perturbed ones refuse the same value.
+        rng = np.random.default_rng(22)
+        d = 30
+        cost = entot.cost_matrix(rng.random((d, 2)))
+        assert not entot._is_monge(cost)
+        p, q = _sparse_masses(rng, d), _sparse_masses(rng, d)
+        value = entot.exact_ot(p, q, cost)
+        highs = entot._highs
+
+        def perturbed(c, a_eq, b_eq):
+            res = highs(c, a_eq, b_eq)
+            res.row_dual[d:] += 1e-3 * rng.standard_normal(d - 1)
+            return res
+
+        monkeypatch.setattr(entot, "_highs", perturbed)
+        with pytest.raises(RuntimeError) as failure:
+            entot.exact_ot(p, q, cost)
+        message = str(failure.value)
+        assert message.startswith(
+            f"dense transport LP at d = 30 is not certified: value {value!r}, lower bound "
+        )
+        assert re.search(r", relative gap \d\.\d{3}e-\d\d above 1e-09 \(", message)
+        assert message.endswith(
+            f"(smallest positive mass: p {p[p > 0].min():.3e}, q {q[q > 0].min():.3e})"
+        )
+
 
 class TestExactOTClosedForm:
     """Monge costs take the north-west-corner value, checked against the LP
@@ -620,7 +648,7 @@ def _dense(cost):
 def _log_domain(marginals, cost, gamma, z_stack):
     """The log-domain kernel the scaling form falls back to."""
     if isinstance(cost, entot.GridCost):
-        return entot._grid_conj_grad_stack(np.log(marginals), cost, gamma, z_stack)
+        return entot._grid_conj_grad_stack(marginals, cost, gamma, z_stack)
     return entot._conj_grad_stack(marginals, cost, gamma, z_stack)
 
 
@@ -921,7 +949,7 @@ class TestExactOTGrid:
     @pytest.mark.parametrize("dense", [False, True])
     def test_failed_lp_names_the_lp_d_and_smallest_masses(self, monkeypatch, dense):
         def infeasible(c, a_eq, b_eq):
-            return SimpleNamespace(status=2, message="The problem is infeasible", fun=None)
+            raise entot._LPFailure("HiGHS model status 8: Infeasible")
 
         monkeypatch.setattr(entot, "_highs", infeasible)
         grid = entot.GridCost(2, 3)
@@ -930,9 +958,10 @@ class TestExactOTGrid:
         with pytest.raises(RuntimeError) as failure:
             entot.exact_ot(p, q, grid.dense if dense else grid)
         message = str(failure.value)
-        assert ("dense" if dense else "grid") + " transport LP failed at d = 6" in message
-        assert "status 2: The problem is infeasible" in message
-        assert "p 1.000e-14, q 3.000e-16" in message
+        assert message == (
+            ("dense" if dense else "grid") + " transport LP failed at d = 6: HiGHS model "
+            "status 8: Infeasible (smallest positive mass: p 1.000e-14, q 3.000e-16)"
+        )
 
 
 def _brute_force_reach(p, q):
@@ -970,6 +999,11 @@ def _grid_b_eq(p, q):
     return np.concatenate([p, np.zeros(p.shape[0]), q[:-1]])
 
 
+def _full_grid_value(lp, b_eq, p, q):
+    """The certified value of the full 3-partite LP, as exact_ot takes it."""
+    return entot._certified_lp("grid", lp.cost, lp.a_eq, b_eq, p, q, lp.axes).fun
+
+
 def _sparse_14x14_pair():
     """Sparse masses on a 14x14 raster whose rule radius, 3, certifies."""
     rng = np.random.default_rng([26, 14, 14])
@@ -998,7 +1032,7 @@ class TestLocalGridLP:
         for _ in range(3):
             p, q = _sparse_masses(rng, rows * cols), _sparse_masses(rng, rows * cols)
             b_eq = _grid_b_eq(p, q)
-            full = entot._full_grid_value(lp, b_eq, p, q)
+            full = _full_grid_value(lp, b_eq, p, q)
             for radius in range(1, max(rows, cols) - 1):
                 value = entot._local_grid_value(lp, lp.move <= radius, b_eq, p, q)
                 if value is not None:
@@ -1017,7 +1051,7 @@ class TestLocalGridLP:
         lower = entot._sink_lower_bound(sink, p, q, lp.axes)
         assert abs(res.fun - lower) <= 1e-12 * res.fun
         # The lower bound holds for any potentials, the perturbed ones too.
-        full = entot._full_grid_value(lp, b_eq, p, q)
+        full = _full_grid_value(lp, b_eq, p, q)
         noisy = sink + 0.1 * rng.standard_normal(sink.shape)
         assert entot._sink_lower_bound(noisy, p, q, lp.axes) <= full * (1.0 + 1e-12)
 
@@ -1111,7 +1145,11 @@ class TestLocalGridLP:
         results = []
 
         def spy(c, a_eq, b_eq):
-            results.append(highs(c, a_eq, b_eq))
+            try:
+                results.append(highs(c, a_eq, b_eq))
+            except entot._LPFailure as failure:
+                results.append(failure)
+                raise
             return results[-1]
 
         monkeypatch.setattr(entot, "_highs", spy)
@@ -1119,9 +1157,8 @@ class TestLocalGridLP:
         got = entot.exact_ot(p, q, grid)
         assert len(results) == 2
         if forced_reach == 0:
-            assert results[0].status == 2
+            assert str(results[0]) == "HiGHS model status 8: Infeasible"
         else:
-            assert results[0].status == 0
             assert results[0].fun / grid.diagonal > 1.01 * want
         assert abs(got - want) <= 1e-12 * want
 
@@ -1202,7 +1239,7 @@ class TestHighs:
 
     def _assert_same_as_linprog(self, c, a_eq, b_eq):
         got, want = entot._highs(c, a_eq, b_eq), _linprog(c, a_eq, b_eq)
-        assert got.status == want.status == 0
+        assert want.status == 0
         assert got.fun == want.fun
         assert np.array_equal(got.x, want.x)
         assert np.array_equal(got.row_dual, want.eqlin.marginals)
@@ -1233,14 +1270,13 @@ class TestHighs:
         with pytest.raises(RuntimeError, match=r"^HiGHS refused the option presolv = 'off'$"):
             entot._highs(*next(_dense_lps()))
 
-    def test_infeasible_lp_has_linprog_status(self):
-        # Row sums of 1 and column sums of 2 on a 3 x 3 plan.
+    def test_infeasible_lp_raises_highs_status_text(self):
+        # Row sums of 1 and column sums of 2 on a 3 x 3 plan, which linprog
+        # reports as status 2, infeasible.
         b_eq = np.array([1.0, 0.0, 0.0, 2.0, 0.0])
-        got = entot._highs(np.ones(9), entot._transport_constraints(3), b_eq)
-        want = _linprog(np.ones(9), entot._transport_constraints(3), b_eq)
-        assert got.status == want.status == 2
-        assert got.fun is got.x is got.row_dual is None
-        assert "Infeasible" in got.message
+        assert _linprog(np.ones(9), entot._transport_constraints(3), b_eq).status == 2
+        with pytest.raises(entot._LPFailure, match=r"^HiGHS model status 8: Infeasible$"):
+            entot._highs(np.ones(9), entot._transport_constraints(3), b_eq)
 
     def test_missing_extension_names_the_scipy_floor(self, monkeypatch, tmp_path):
         import scipy
