@@ -97,9 +97,6 @@ def cost_matrix(points: np.ndarray, normalize: bool = True) -> np.ndarray:
         raise ValueError(f"need at least two support points, got shape {points.shape}")
     diff = points[:, None, :] - points[None, :, :]
     cost = np.sum(diff * diff, axis=2)
-    # Exact symmetry: the subtraction above already gives it, but guard
-    # against accumulation order differences.
-    cost = 0.5 * (cost + cost.T)
     np.fill_diagonal(cost, 0.0)
     if normalize:
         top = cost.max()
@@ -555,8 +552,8 @@ def _highs_core():
 
 
 def _highs(c, a_eq, b_eq) -> _LPResult:
-    """HiGHS's optimal solve of min c.x, A x = b, x >= 0, with A the CSC triple
-    ``a_eq`` (see :func:`_csc`), as one column-wise model passed to the
+    """HiGHS's optimal solve of min c.x, A x = b, x >= 0, with A the triple
+    ``a_eq`` of :func:`_incidence`, as one column-wise model passed to the
     solver directly. scipy's ``linprog`` returns the same value, flow and
     row duals bit for bit, but spends about a quarter of each solve in its
     Python wrapper (a median of 36.6 against 26.6 ms on a 14x14 raster's
@@ -613,89 +610,100 @@ def _smallest_masses(p: np.ndarray, q: np.ndarray) -> str:
 
 
 def _transport_lp(p: np.ndarray, q: np.ndarray, cost: np.ndarray) -> float:
-    """Optimal value of the d x d transportation linear program, certified
-    by the c-transform of its sink potentials over ``cost``."""
-    a_eq, b_eq = _transport_constraints(p.shape[0]), np.concatenate([p, q[:-1]])
-    return _certified_lp("dense", cost.ravel(), a_eq, b_eq, p, q, cost).fun
+    """Optimal value of the d x d transportation linear program: arc i d + j
+    carries source i to sink j, at cost[i, j]."""
+    d = p.shape[0]
+    tails, heads = np.divmod(np.arange(d * d), d)
+    return _certified_lp("dense", tails, d + heads, cost.ravel(), 2 * d, p, q, cost)
 
 
-def _transport_constraints(d: int) -> tuple:
-    """Equality rows of the d x d transportation LP over the row-major plan,
-    as a :func:`_csc` triple: row sums for all i, column sums for j < d-1
-    (the last is implied), keeping the system full rank."""
-    cells = np.arange(d * d)
-    rows = np.concatenate([cells // d, d + np.repeat(np.arange(d - 1), d)])
-    cols = np.concatenate([cells, (np.arange(d) * d + np.arange(d - 1)[:, None]).ravel()])
-    return _csc(rows, cols, np.ones(rows.shape[0]), d * d)
+def _incidence(tails, heads, n_sources: int, n_nodes: int) -> tuple:
+    """The equality rows of a min-cost flow over the arcs tail -> head, as
+    the column-wise triple (start, index, value) HiGHS takes: column k's row
+    indices, in increasing order, are index[start[k]:start[k+1]], and value
+    holds its entries alongside.
+
+    Nodes are numbered sources, then middles, then sinks, and every arc runs
+    to a later node. An arc has +1 at its head, and at its tail +1 for a
+    source (outflow = p) or -1 for a middle (inflow - outflow = 0). The last
+    sink's row is dropped: the source rows minus the middle and the other
+    sink rows sum to it, so dropping it keeps the system full rank.
+    """
+    last = n_nodes - 1
+    index = np.stack([tails, heads], axis=1).ravel()
+    value = np.stack([np.where(tails < n_sources, 1.0, -1.0), np.ones(heads.shape[0])], axis=1)
+    start = np.zeros(heads.shape[0] + 1, dtype=np.int32)
+    np.cumsum(1 + (heads < last), out=start[1:])
+    keep = index < last
+    return start, index[keep].astype(np.int32), value.ravel()[keep]
 
 
-def _csc(rows, cols, values, n_cols: int) -> tuple:
-    """The sparse matrix with entries ``values`` at (``rows``, ``cols``),
-    no two at the same place, as a read-only CSC triple (start, index,
-    value): column j's row indices, in increasing order, are
-    index[start[j]:start[j+1]], and value holds its entries alongside."""
-    order = np.lexsort((rows, cols))
-    start = np.zeros(n_cols + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=n_cols), out=start[1:])
-    triple = (start, rows[order].astype(np.int32), values[order])
-    for array in triple:
-        array.setflags(write=False)
-    return triple
+# Every LP is solved on its masses times this, and its value and flow are
+# divided back, exactly, since it is a power of two. HiGHS's primal
+# feasibility tolerance is absolute, so masses far below it (down to 1e-16
+# in the tails of 14x14 Gaussian bumps) led it to a false "infeasible" or
+# to values 1e-9 relative below the optimum. On 160 such bump pairs 2^10
+# left none of either; 2^20 and 2^30 each gave one false "infeasible". The
+# benchmark's raster LPs keep their values bit for bit.
+_MASS_SCALE = 2.0**10
 
-
-def _csc_columns(a: tuple, keep: np.ndarray) -> tuple:
-    """The columns of the CSC triple ``a`` where the mask ``keep`` is set,
-    as another CSC triple."""
-    start, index, value = a
-    counts = np.diff(start)
-    kept = np.zeros(np.count_nonzero(keep) + 1, dtype=start.dtype)
-    np.cumsum(counts[keep], out=kept[1:])
-    entries = np.repeat(keep, counts)
-    return kept, index[entries], value[entries]
-
-
-def _csc_matvec(a: tuple, x: np.ndarray, n_rows: int) -> np.ndarray:
-    """A x for the CSC triple ``a``, summed column by column."""
-    start, index, value = a
-    return np.bincount(index, weights=value * np.repeat(x, np.diff(start)), minlength=n_rows)
-
-
-# An LP's value is kept when it lies within this of the lower bound,
-# relative: the tolerance of acceptance criterion 9 (README).
+# An LP's value is kept when it and its lower and upper bounds lie within
+# this of each other, relative: the tolerance of acceptance criterion 9
+# (README).
 _CERTIFIED_GAP = 1e-9
 
 
-def _certified_lp(which: str, c, a_eq, b_eq, p, q, cost) -> _LPResult:
-    """HiGHS's optimal solve of the transport LP min c.x, A x = b, x >= 0,
-    kept only when its value lies within :data:`_CERTIFIED_GAP`, relative,
-    of :func:`_sink_lower_bound` from the solve's own sink potentials over
-    ``cost``, the LP's cost matrix or its raster's per-axis costs.
+def _certified_lp(which: str, tails, heads, arc_cost, n_nodes: int, p, q, cost) -> float:
+    """The optimal value of the transport LP over the arcs tail -> head
+    (numbered as in :func:`_incidence`: d sources carrying p, n_nodes - 2 d
+    middles, d sinks taking q), kept only when it is bracketed.
+
+    The lower bound is :func:`_sink_lower_bound` of the solve's own sink
+    potentials over ``cost``, the LP's cost matrix or its raster's per-axis
+    costs. The upper bound is the cost of a plan of (p, q): the solve's own
+    flow when it passes the flow check (nonnegative, every node's balance
+    off by at most its number of arcs times the machine epsilon, rounding in
+    sums of at most unit mass), else its flow rounded onto (p, q) by
+    :func:`_rounded_cost`. Both bounds hold for any arcs the LP was given,
+    so they bound the full transport problem. The value is kept only when
+    it and both bounds lie within :data:`_CERTIFIED_GAP` of each other,
+    relative.
 
     Otherwise :class:`_LPFailure` names the LP (``which``), d, HiGHS's
-    status or the gap, and the smallest positive masses, since HiGHS has
-    been off or reported a false "infeasible" on marginals with tails below
-    about 1e-11; so no unchecked value becomes a metric.
+    status or the value with both bounds, and the smallest positive masses;
+    so no unchecked value becomes a metric.
     """
     d = p.shape[0]
+    mass = np.zeros(n_nodes)
+    mass[:d], mass[n_nodes - d:] = p, q
     try:
-        res = _highs(c, a_eq, b_eq)
+        res = _highs(arc_cost, _incidence(tails, heads, d, n_nodes), mass[:-1] * _MASS_SCALE)
     except _LPFailure as err:
         raise _LPFailure(
             f"{which} transport LP failed at d = {d}: {err} ({_smallest_masses(p, q)})"
         ) from None
+    value, flow = res.fun / _MASS_SCALE, res.x / _MASS_SCALE
     # The sinks' rows come last; the last sink's row is dropped, which is
     # its potential fixed at 0.
-    sink = np.append(res.row_dual[res.row_dual.shape[0] - d + 1:], 0.0)
-    lower = _sink_lower_bound(sink, p, q, cost)
-    gap = abs(res.fun - lower)
-    if gap > _CERTIFIED_GAP * res.fun:
-        relative = gap / res.fun if res.fun > 0 else math.inf
+    lower = _sink_lower_bound(np.append(res.row_dual[n_nodes - d:], 0.0), p, q, cost)
+    # A node's row: outflow at a source, inflow - outflow at a middle,
+    # inflow at a sink.
+    sign = np.where(np.arange(n_nodes) < d, 1.0, -1.0)
+    row = np.bincount(heads, flow, n_nodes) + sign * np.bincount(tails, flow, n_nodes)
+    arcs = np.bincount(tails, minlength=n_nodes) + np.bincount(heads, minlength=n_nodes)
+    if flow.min() >= 0 and (np.abs(row - mass) <= arcs * np.finfo(float).eps).all():
+        upper = float(arc_cost @ flow)
+    else:
+        upper = _rounded_cost(tails, heads, flow, n_nodes, p, q, cost)
+    spread = max(value, upper) - min(value, lower)
+    if not spread <= _CERTIFIED_GAP * value:
+        relative = spread / value if value > 0 else math.inf
         raise _LPFailure(
-            f"{which} transport LP at d = {d} is not certified: value "
-            f"{res.fun!r}, lower bound {lower!r}, relative gap {relative:.3e} "
-            f"above {_CERTIFIED_GAP:g} ({_smallest_masses(p, q)})"
+            f"{which} transport LP at d = {d} is not certified: value {value!r}, "
+            f"lower bound {lower!r}, upper bound {upper!r}, relative spread "
+            f"{relative:.3e} above {_CERTIFIED_GAP:g} ({_smallest_masses(p, q)})"
         )
-    return res
+    return value
 
 
 def _sink_lower_bound(sink: np.ndarray, p, q, cost) -> float:
@@ -719,35 +727,78 @@ def _sink_lower_bound(sink: np.ndarray, p, q, cost) -> float:
     return float(p @ f + q @ sink)
 
 
+def _rounded_cost(tails, heads, flow, n_nodes: int, p, q, cost) -> float:
+    """An upper bound on the transport cost from any flow of the LP (numbered
+    as in :func:`_certified_lp`): the cost of the flow as a d x d plan,
+    rounded onto a coupling of (p, q) (Altschuler, Weed & Rigollet,
+    *Near-linear time approximation algorithms for optimal transport via
+    Sinkhorn iteration*, NeurIPS 2017, Algorithm 2).
+
+    Negative flows count as zero. Through a middle layer, each middle node
+    passes what enters it on in proportion to what leaves it, over the
+    larger of the two, so no row of the plan exceeds its source's outflow
+    and no column its sink's inflow. Rows above p, then columns above q, are
+    scaled down to it; the mass still missing, the row deficits e_p and
+    column deficits e_q, is added as e_p e_q^T / |e_p|_1.
+    """
+    d = p.shape[0]
+    flow = np.maximum(flow, 0.0)
+
+    def block(first, rows, cols, arcs):
+        # The arcs from nodes first.. first+rows-1 to the next cols nodes.
+        index = (tails[arcs] - first) * cols + heads[arcs] - first - rows
+        return np.bincount(index, flow[arcs], rows * cols).reshape(rows, cols)
+
+    if n_nodes == 2 * d:
+        plan = block(0, d, d, slice(None))
+    else:
+        middles = n_nodes - 2 * d
+        enter, leave = block(0, d, middles, tails < d), block(d, middles, d, tails >= d)
+        through = np.maximum(enter.sum(axis=0), leave.sum(axis=1))[:, None]
+        plan = enter @ np.divide(leave, through, out=np.zeros_like(leave), where=through > 0)
+        c1, c2 = cost
+        cost = (c1[:, None, :, None] + c2[None, :, None, :]).reshape(d, d)
+    rows = plan.sum(axis=1)
+    plan *= np.divide(p, rows, out=np.ones_like(p), where=rows > p)[:, None]
+    cols = plan.sum(axis=0)
+    plan *= np.divide(q, cols, out=np.ones_like(q), where=cols > q)
+    short_p, short_q = p - plan.sum(axis=1), q - plan.sum(axis=0)
+    missing = short_p.sum()
+    added = short_p @ cost @ short_q / missing if missing > 0 else 0.0
+    return float(np.vdot(cost, plan) + added)
+
+
 @dataclass(frozen=True)
 class _GridLP:
-    """The 3-partite LP of one raster shape, in whole squared pixel offsets.
+    """The arcs of one raster shape's 3-partite LP, in whole squared pixel
+    offsets.
 
-    ``axes`` are the per-axis costs, ``cost`` the arc costs and ``a_eq`` the
-    CSC triple of :func:`_grid_transport_constraints`; ``move`` is
-    each arc's move along its axis, |a - c| for x1[a, c, b] and |b - e| for
-    x2[c, b, e]. Every array is read-only.
+    Arc x1[a, c, b] carries source (a, b) to middle (c, b) at cost
+    axes[0][a, c]; arc x2[c, b, e] carries middle (c, b) to sink (c, e) at
+    cost axes[1][b, e]. Both are row-major, x1 first, and their nodes are
+    numbered as :func:`_incidence` takes them: d sources, d middles, d
+    sinks, each row-major over the pixels. Every array is read-only.
     """
 
     axes: tuple
+    tails: np.ndarray
+    heads: np.ndarray
     cost: np.ndarray
-    a_eq: tuple
-    move: np.ndarray
 
 
 @functools.lru_cache(maxsize=4)
 def _grid_lp(rows: int, cols: int) -> _GridLP:
     """The :class:`_GridLP` of a rows x cols raster, built once per shape."""
+    d = rows * cols
     axes = (_squared_offsets(rows), _squared_offsets(cols))
-    cost = np.concatenate([
-        np.broadcast_to(axes[0][:, :, None], (rows, rows, cols)).ravel(),
-        np.broadcast_to(axes[1][None, :, :], (rows, cols, cols)).ravel(),
-    ])
-    move = np.sqrt(cost)  # exact: the costs are squares of whole numbers
-    a_eq = _grid_transport_constraints(rows, cols)
-    for array in (*axes, cost, move):
+    a, c, b = np.unravel_index(np.arange(rows * rows * cols), (rows, rows, cols))
+    c2, b2, e = np.unravel_index(np.arange(rows * cols * cols), (rows, cols, cols))
+    tails = np.concatenate([a * cols + b, d + c2 * cols + b2])
+    heads = np.concatenate([d + c * cols + b, 2 * d + c2 * cols + e])
+    cost = np.concatenate([axes[0][a, c], axes[1][b2, e]])
+    for array in (*axes, tails, heads, cost):
         array.setflags(write=False)
-    return _GridLP(axes=axes, cost=cost, a_eq=a_eq, move=move)
+    return _GridLP(axes=axes, tails=tails, heads=heads, cost=cost)
 
 
 def _grid_transport_lp(p: np.ndarray, q: np.ndarray, grid: GridCost) -> float:
@@ -763,74 +814,35 @@ def _grid_transport_lp(p: np.ndarray, q: np.ndarray, grid: GridCost) -> float:
 
     The LP is first solved on local arcs only, those that move at most r
     along their axis, where r is 1 plus the farthest move of the monotone
-    couplings of p's and q's row sums and of their column sums (see
-    :func:`_local_grid_value`). When that value is refused, or when every
-    arc is local, the full LP is solved, and its value is kept only with
-    :func:`_certified_lp`'s certificate.
+    couplings of p's and q's row sums and of their column sums. The bounds
+    of :func:`_certified_lp` hold for the full LP, so a local value they
+    bracket is its optimum (Schmitzer, *A sparse multiscale algorithm for
+    dense optimal transport*, JMIV 2016). When the local value is refused,
+    or when every arc is local, the full LP is solved and certified the
+    same way.
     """
     rows, cols = grid.shape
     lp = _grid_lp(rows, cols)
-    b_eq = np.concatenate([p, np.zeros(p.shape[0]), q[:-1]])
     p_image, q_image = p.reshape(rows, cols), q.reshape(rows, cols)
     reach = max(
         _monotone_reach(p_image.sum(axis=1), q_image.sum(axis=1)),  # row sums
         _monotone_reach(p_image.sum(axis=0), q_image.sum(axis=0)),  # column sums
     )
-    local = lp.move <= reach + 1
+
+    def solve(which, arcs):
+        value = _certified_lp(
+            which, lp.tails[arcs], lp.heads[arcs], lp.cost[arcs], 3 * p.shape[0], p, q, lp.axes
+        )
+        return value / grid.diagonal
+
+    # Exact: every arc cost is a whole square, the square of its move.
+    local = lp.cost <= (reach + 1) ** 2
     if not local.all():
-        value = _local_grid_value(lp, local, b_eq, p, q)
-        if value is not None:
-            return value / grid.diagonal
-    return _certified_lp("grid", lp.cost, lp.a_eq, b_eq, p, q, lp.axes).fun / grid.diagonal
-
-
-def _local_grid_value(lp: _GridLP, local: np.ndarray, b_eq, p, q) -> float | None:
-    """The 3-partite LP's value from its ``local`` arcs alone, or None unless
-    it is certified optimal for the full LP.
-
-    Dropping arcs can only raise the optimum, so the local value is an upper
-    bound once its flow is feasible: nonnegative, with no row off by more
-    than rounding (each row sums at most rows + cols flows of at most unit
-    mass). So the value is kept only when that flow check passes and
-    :func:`_certified_lp` finds it within :data:`_CERTIFIED_GAP` of a lower
-    bound from the solver's sink potentials (Schmitzer, *A sparse multiscale
-    algorithm for dense optimal transport*, JMIV 2016); a failed or refused
-    solve leaves the full LP to decide.
-    """
-    a_eq = _csc_columns(lp.a_eq, local)
-    try:
-        res = _certified_lp("local grid", lp.cost[local], a_eq, b_eq, p, q, lp.axes)
-    except _LPFailure:
-        return None
-    rows, cols = lp.axes[0].shape[0], lp.axes[1].shape[0]
-    residual = np.abs(_csc_matvec(a_eq, res.x, b_eq.shape[0]) - b_eq).max()
-    if res.x.min() < 0 or residual > (rows + cols) * np.finfo(float).eps:
-        return None
-    return res.fun
-
-
-def _grid_transport_constraints(rows: int, cols: int) -> tuple:
-    """Equality rows of the 3-partite LP on a rows x cols raster, d pixels,
-    as a :func:`_csc` triple.
-
-    Arc x1[a, c, b] carries (a, b) to (c, b); arc x2[c, b, e] carries (c, b)
-    to (c, e); both row-major, x1 first. Rows: d sources (outflow = p), d
-    middle nodes (inflow - outflow = 0), then the sinks (inflow = q) but the
-    last. Sources minus middles minus sinks sum to zero, so that sink row is
-    implied and dropping it keeps the system full rank.
-    """
-    d = rows * cols
-    a, c, b = np.unravel_index(np.arange(rows * rows * cols), (rows, rows, cols))
-    c2, b2, e = np.unravel_index(np.arange(rows * cols * cols), (rows, cols, cols))
-    n1 = a.shape[0]
-    row_index = np.concatenate([
-        a * cols + b, d + c * cols + b,  # x1: source (a, b), middle (c, b)
-        d + c2 * cols + b2, 2 * d + c2 * cols + e,  # x2: middle (c, b), sink (c, e)
-    ])
-    col_index = np.concatenate([np.arange(n1)] * 2 + [n1 + np.arange(e.shape[0])] * 2)
-    data = np.concatenate([np.ones(2 * n1), -np.ones(e.shape[0]), np.ones(e.shape[0])])
-    keep = row_index < 3 * d - 1
-    return _csc(row_index[keep], col_index[keep], data[keep], n1 + e.shape[0])
+        try:
+            return solve("local grid", local)
+        except _LPFailure:
+            pass
+    return solve("grid", slice(None))
 
 
 def k_bound(d: int, gamma: float, delta: float, rho: float | None = None) -> float:

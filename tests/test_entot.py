@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 from fractions import Fraction
@@ -79,6 +80,17 @@ class TestCostMatrix:
         pts = np.array([[0.0, 0.0], [3.0, 4.0]])
         got = entot.cost_matrix(pts, normalize=False)
         np.testing.assert_allclose(got, [[0.0, 25.0], [25.0, 0.0]], atol=1e-12)
+
+    def test_exactly_symmetric(self):
+        # (a - b)^2 and (b - a)^2 are equal in IEEE arithmetic and are summed
+        # over the coordinates in the same order, so no symmetrizing is needed.
+        rng = np.random.default_rng(35)
+        for _ in range(60):
+            d, dim = int(rng.integers(2, 121)), int(rng.integers(1, 4))
+            points = rng.standard_normal((d, dim)) * 10.0 ** rng.uniform(-3, 3)
+            for normalize in (False, True):
+                cost = entot.cost_matrix(points, normalize=normalize)
+                assert np.array_equal(cost, cost.T)
 
     def test_validate_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -409,10 +421,25 @@ def _loop_constraints(d):
     return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(2 * d - 1, d * d))
 
 
+def _dense_incidence(d):
+    """The dense transport LP's triple: arcs from source i to sink d + j,
+    row-major, as :func:`entot._transport_lp` solves them."""
+    tails, heads = np.divmod(np.arange(d * d), d)
+    return entot._incidence(tails, d + heads, d, 2 * d)
+
+
 def _csc_matrix(a_eq, n_rows):
     """An LP's CSC triple (start, index, value) as a scipy matrix."""
     start, index, value = a_eq
     return scipy.sparse.csc_matrix((value, index, start), shape=(n_rows, start.shape[0] - 1))
+
+
+def _assert_same_csc(got, want):
+    """A triple from :func:`entot._incidence` equals a scipy CSC matrix
+    entry for entry, with the same dtypes."""
+    for array, attr in zip(got, ("indptr", "indices", "data")):
+        assert np.array_equal(array, getattr(want, attr))
+        assert array.dtype == getattr(want, attr).dtype
 
 
 class TestExactOT:
@@ -458,12 +485,7 @@ class TestExactOT:
 
     def test_lp_constraints_match_the_entrywise_build(self):
         for d in (2, 3, 7, 196):
-            got = entot._transport_constraints(d)
-            want = _loop_constraints(d).tocsc()
-            for array, attr in zip(got, ("indptr", "indices", "data")):
-                assert np.array_equal(array, getattr(want, attr))
-                assert array.dtype == getattr(want, attr).dtype
-                assert not array.flags.writeable
+            _assert_same_csc(_dense_incidence(d), _loop_constraints(d).tocsc())
 
     def test_perturbed_dense_lp_duals_raise(self, monkeypatch):
         # A non-Monge cost takes the dense LP, whose value is kept only with
@@ -489,7 +511,9 @@ class TestExactOT:
         assert message.startswith(
             f"dense transport LP at d = 30 is not certified: value {value!r}, lower bound "
         )
-        assert re.search(r", relative gap \d\.\d{3}e-\d\d above 1e-09 \(", message)
+        assert re.search(
+            r", upper bound \S+, relative spread \d\.\d{3}e-\d\d above 1e-09 \(", message
+        )
         assert message.endswith(
             f"(smallest positive mass: p {p[p > 0].min():.3e}, q {q[q > 0].min():.3e})"
         )
@@ -834,7 +858,7 @@ def _c_transform_lower_bound(p, q, cost):
 
     d = p.shape[0]
     res = linprog(
-        cost.ravel(), A_eq=_csc_matrix(entot._transport_constraints(d), 2 * d - 1),
+        cost.ravel(), A_eq=_csc_matrix(_dense_incidence(d), 2 * d - 1),
         b_eq=np.concatenate([p, q[:-1]]), bounds=(0, None), method="highs",
         options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
@@ -934,7 +958,8 @@ class TestExactOTGrid:
         x1 = plan.sum(axis=3).transpose(0, 2, 1).ravel()
         x2 = plan.sum(axis=0).transpose(1, 0, 2).ravel()
         flow = np.concatenate([x1, x2])
-        a_eq = _csc_matrix(entot._grid_transport_constraints(rows, cols), 3 * d - 1).toarray()
+        lp = entot._grid_lp(rows, cols)
+        a_eq = _csc_matrix(entot._incidence(lp.tails, lp.heads, d, 3 * d), 3 * d - 1).toarray()
         assert a_eq.shape == (3 * d - 1, rows * rows * cols + rows * cols * cols)
         np.testing.assert_allclose(
             a_eq @ flow, np.concatenate([p, np.zeros(d), q[:-1]]), atol=1e-15
@@ -999,9 +1024,43 @@ def _grid_b_eq(p, q):
     return np.concatenate([p, np.zeros(p.shape[0]), q[:-1]])
 
 
-def _full_grid_value(lp, b_eq, p, q):
+def _full_grid_value(lp, p, q):
     """The certified value of the full 3-partite LP, as exact_ot takes it."""
-    return entot._certified_lp("grid", lp.cost, lp.a_eq, b_eq, p, q, lp.axes).fun
+    return entot._certified_lp("grid", lp.tails, lp.heads, lp.cost, 3 * p.shape[0], p, q, lp.axes)
+
+
+def _local_grid_value(lp, radius, p, q):
+    """The certified value of the 3-partite LP on the arcs that move at most
+    ``radius`` along their axis, or None when it is refused."""
+    local = lp.cost <= radius**2
+    try:
+        return entot._certified_lp(
+            "local grid", lp.tails[local], lp.heads[local], lp.cost[local], 3 * p.shape[0],
+            p, q, lp.axes,
+        )
+    except entot._LPFailure:
+        return None
+
+
+def _loop_grid_constraints(rows, cols):
+    """The 3-partite LP's equality rows, built arc by arc: x1[a, c, b] from
+    source (a, b) to middle (c, b), then x2[c, b, e] from middle (c, b) to
+    sink (c, e), with the last sink's row left out."""
+    d = rows * cols
+    entries = []  # (row, column, value)
+    column = 0
+    for a in range(rows):
+        for c in range(rows):
+            for b in range(cols):
+                entries += [(a * cols + b, column, 1.0), (d + c * cols + b, column, 1.0)]
+                column += 1
+    for c in range(rows):
+        for b in range(cols):
+            for e in range(cols):
+                entries += [(d + c * cols + b, column, -1.0), (2 * d + c * cols + e, column, 1.0)]
+                column += 1
+    row, col, value = zip(*[entry for entry in entries if entry[0] < 3 * d - 1])
+    return scipy.sparse.csr_matrix((value, (row, col)), shape=(3 * d - 1, column))
 
 
 def _sparse_14x14_pair():
@@ -1021,6 +1080,16 @@ class TestLocalGridLP:
             p, q = _dyadic_masses(rng, d), _dyadic_masses(rng, d)
             assert entot._monotone_reach(p, q) == _brute_force_reach(p, q)
 
+    @pytest.mark.parametrize("rows, cols", RASTERS + [(1, 5)])
+    def test_incidence_matches_the_entrywise_build_at_every_radius(self, rows, cols):
+        lp = entot._grid_lp(rows, cols)
+        d = rows * cols
+        want = _loop_grid_constraints(rows, cols).tocsc()
+        for radius in range(max(rows, cols)):
+            local = lp.cost <= radius**2
+            got = entot._incidence(lp.tails[local], lp.heads[local], d, 3 * d)
+            _assert_same_csc(got, want[:, np.flatnonzero(local)])
+
     @pytest.mark.parametrize("rows, cols", RASTERS)
     def test_local_and_full_lp_agree(self, rows, cols):
         # Every radius the local LP can take, on sparse masses: a certified
@@ -1031,10 +1100,9 @@ class TestLocalGridLP:
         certified = 0
         for _ in range(3):
             p, q = _sparse_masses(rng, rows * cols), _sparse_masses(rng, rows * cols)
-            b_eq = _grid_b_eq(p, q)
-            full = _full_grid_value(lp, b_eq, p, q)
+            full = _full_grid_value(lp, p, q)
             for radius in range(1, max(rows, cols) - 1):
-                value = entot._local_grid_value(lp, lp.move <= radius, b_eq, p, q)
+                value = _local_grid_value(lp, radius, p, q)
                 if value is not None:
                     certified += 1
                     assert abs(value - full) <= 1e-12 * full
@@ -1044,14 +1112,17 @@ class TestLocalGridLP:
         rng = np.random.default_rng(30)
         lp = entot._grid_lp(14, 14)
         p, q = _sparse_14x14_pair()
-        b_eq = _grid_b_eq(p, q)
-        local = lp.move <= 3
-        res = entot._highs(lp.cost[local], entot._csc_columns(lp.a_eq, local), b_eq)
+        local = lp.cost <= 9
+        res = entot._highs(
+            lp.cost[local], entot._incidence(lp.tails[local], lp.heads[local], 196, 588),
+            _grid_b_eq(p, q) * entot._MASS_SCALE,
+        )
+        value = res.fun / entot._MASS_SCALE
         sink = np.append(res.row_dual[2 * 196:], 0.0)
         lower = entot._sink_lower_bound(sink, p, q, lp.axes)
-        assert abs(res.fun - lower) <= 1e-12 * res.fun
+        assert abs(value - lower) <= 1e-12 * value
         # The lower bound holds for any potentials, the perturbed ones too.
-        full = _full_grid_value(lp, b_eq, p, q)
+        full = _full_grid_value(lp, p, q)
         noisy = sink + 0.1 * rng.standard_normal(sink.shape)
         assert entot._sink_lower_bound(noisy, p, q, lp.axes) <= full * (1.0 + 1e-12)
 
@@ -1062,9 +1133,7 @@ class TestLocalGridLP:
         grid = entot.GridCost(14, 14)
         lp = entot._grid_lp(14, 14)
         p, q = _sparse_14x14_pair()
-        b_eq = _grid_b_eq(p, q)
-        local = lp.move <= 3
-        assert entot._local_grid_value(lp, local, b_eq, p, q) is not None
+        assert _local_grid_value(lp, 3, p, q) is not None
         highs = entot._highs
         solves = []
 
@@ -1076,12 +1145,13 @@ class TestLocalGridLP:
             return res
 
         monkeypatch.setattr(entot, "_highs", perturbed)
-        assert entot._local_grid_value(lp, local, b_eq, p, q) is None
+        assert _local_grid_value(lp, 3, p, q) is None
         solves.clear()
         got = entot.exact_ot(p, q, grid)
         # The local solve was refused, so the full LP ran after it.
-        assert [res.x.shape[0] for res in solves] == [np.count_nonzero(local), lp.cost.shape[0]]
-        assert abs(got - solves[1].fun / grid.diagonal) <= 1e-12 * got
+        local = np.count_nonzero(lp.cost <= 9)
+        assert [res.x.shape[0] for res in solves] == [local, lp.cost.shape[0]]
+        assert abs(got - solves[1].fun / entot._MASS_SCALE / grid.diagonal) <= 1e-12 * got
 
     @pytest.mark.parametrize("every_arc_local", [False, True])
     def test_perturbed_full_lp_duals_raise(self, monkeypatch, every_arc_local):
@@ -1105,20 +1175,23 @@ class TestLocalGridLP:
             entot.exact_ot(p, q, entot.GridCost(14, 14))
         message = str(failure.value)
         assert message.startswith("grid transport LP at d = 196 is not certified: value ")
-        assert re.search(r", lower bound \S+, relative gap \d\.\d{3}e-\d\d above 1e-09 \(", message)
+        assert re.search(
+            r", lower bound \S+, upper bound \S+, relative spread \d\.\d{3}e-\d\d above 1e-09 \(",
+            message,
+        )
         assert f"(smallest positive mass: p {p[p > 0].min():.3e}, q {q[q > 0].min():.3e})" in message
         full = entot._grid_lp(14, 14).cost.shape[0]
         assert arcs[-1] == full and len(arcs) == (1 if every_arc_local else 2)
 
     @pytest.mark.parametrize("fault", ["negative flow", "row residual"])
-    def test_infeasible_local_flow_is_refused(self, monkeypatch, fault):
-        # The value and the duals stay as HiGHS gave them, so only the check
-        # on the flow itself can refuse it.
+    def test_infeasible_local_flow_is_rounded(self, monkeypatch, fault):
+        # The value and the duals stay as HiGHS gave them, and the flow
+        # fails the flow check: it is rounded onto a plan of (p, q), whose
+        # cost brackets the value, so the local value is still kept.
         lp = entot._grid_lp(14, 14)
         p, q = _sparse_14x14_pair()
-        b_eq = _grid_b_eq(p, q)
-        local = lp.move <= 3
-        highs = entot._highs
+        highs, rounded_cost = entot._highs, entot._rounded_cost
+        rounded = []
 
         def faulty(c, a_eq, b_eq):
             res = highs(c, a_eq, b_eq)
@@ -1126,12 +1199,40 @@ class TestLocalGridLP:
                 # A row residual of 1e-17, far inside rounding.
                 res.x[np.argmin(res.x)] = -1e-17
             else:
-                res.x[np.argmax(res.x)] -= 1e-12
+                res.x[np.argmax(res.x)] -= 1e-12 * entot._MASS_SCALE
             return res
 
-        assert entot._local_grid_value(lp, local, b_eq, p, q) is not None
+        def spy(*args):
+            rounded.append(rounded_cost(*args))
+            return rounded[-1]
+
+        want = _local_grid_value(lp, 3, p, q)
+        assert want is not None
         monkeypatch.setattr(entot, "_highs", faulty)
-        assert entot._local_grid_value(lp, local, b_eq, p, q) is None
+        monkeypatch.setattr(entot, "_rounded_cost", spy)
+        assert _local_grid_value(lp, 3, p, q) == want
+        assert len(rounded) == 1 and abs(rounded[0] - want) <= 1e-12 * want
+
+    def test_infeasible_local_flow_that_rounds_too_high_takes_the_full_lp(self, monkeypatch):
+        # Half of every local flow is missing; its rounding adds that half as
+        # the product of the deficits, far above the optimum, so the local
+        # value is refused and the full LP decides.
+        grid = entot.GridCost(14, 14)
+        p, q = _sparse_14x14_pair()
+        want = entot.exact_ot(p, q, grid)
+        highs = entot._highs
+        arcs = []
+
+        def halved(c, a_eq, b_eq):
+            res = highs(c, a_eq, b_eq)
+            arcs.append(c.shape[0])
+            if len(arcs) == 1:
+                res.x[:] *= 0.5
+            return res
+
+        monkeypatch.setattr(entot, "_highs", halved)
+        assert abs(entot.exact_ot(p, q, grid) - want) <= 1e-12 * want
+        assert arcs[0] < arcs[1] == entot._grid_lp(14, 14).cost.shape[0]
 
     @pytest.mark.parametrize("forced_reach", [0, 1])
     def test_too_small_radius_takes_the_full_lp(self, monkeypatch, forced_reach):
@@ -1159,7 +1260,7 @@ class TestLocalGridLP:
         if forced_reach == 0:
             assert str(results[0]) == "HiGHS model status 8: Infeasible"
         else:
-            assert results[0].fun / grid.diagonal > 1.01 * want
+            assert results[0].fun / entot._MASS_SCALE / grid.diagonal > 1.01 * want
         assert abs(got - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("rows, cols", [(2, 2), (5, 3), (14, 14)])
@@ -1190,11 +1291,183 @@ class TestLocalGridLP:
     def test_shape_data_is_built_once_and_read_only(self):
         lp = entot._grid_lp(7, 4)
         assert entot._grid_lp(7, 4) is lp
-        arrays = (*lp.axes, lp.cost, lp.move, *lp.a_eq)
+        arrays = (*lp.axes, lp.tails, lp.heads, lp.cost)
         assert not any(a.flags.writeable for a in arrays)
-        np.testing.assert_array_equal(lp.move**2, lp.cost)
-        for got, want in zip(lp.a_eq, entot._grid_transport_constraints(7, 4)):
-            np.testing.assert_array_equal(got, want)
+        # An arc's cost is its squared move along its own axis.
+        first = lp.heads < 2 * 28
+        move = np.where(first, (lp.heads - 28) // 4 - lp.tails // 4, lp.heads % 4 - lp.tails % 4)
+        np.testing.assert_array_equal(lp.cost, move.astype(float) ** 2)
+        assert (lp.tails < lp.heads).all()
+
+
+def _gaussian_on_a_line(rng, x):
+    """A Gaussian histogram on the points x, mean in [0.2, 0.8], standard
+    deviation in [0.05, 0.1]: its tails fall to 1e-43 on 100 points."""
+    mean, std = rng.uniform(0.2, 0.8), rng.uniform(0.05, 0.1)
+    mass = np.exp(-((x - mean) ** 2) / (2 * std**2))
+    return mass / mass.sum()
+
+
+def _gaussian_bump(rng, rows, cols, sigma, low, high):
+    """An isotropic Gaussian bump on a rows x cols raster, centred uniformly
+    in [low, high]^2: a product of two 1-D Gaussians, up to rounding."""
+    yy, xx = np.mgrid[0:rows, 0:cols].astype(float)
+    cy, cx = rng.uniform(low, high, 2)
+    image = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sigma**2)).ravel()
+    return image / image.sum()
+
+
+def _product_transport_cost(p, q, grid):
+    """The transport cost between two product measures on a raster: the 1-D
+    closed forms of their row sums and of their column sums, added. Every
+    coupling pays at least each axis's 1-D optimum, since the cost is
+    separable, and the product of the two 1-D optimal couplings is a
+    coupling of p and q that pays exactly their sum."""
+    p_image, q_image = p.reshape(grid.shape), q.reshape(grid.shape)
+    return sum(
+        entot._north_west_corner_cost(p_image.sum(axis=axis), q_image.sum(axis=axis), axes)
+        for axis, axes in ((1, grid.axes[0]), (0, grid.axes[1]))
+    )
+
+
+class TestTinyMasses:
+    """Marginals with masses far below HiGHS's absolute primal feasibility
+    tolerance, against exact references. Before the LPs were solved on
+    scaled masses and bracketed from above, HiGHS refused 7 of the first 60
+    Gaussian pairs of this stream and kept 5 values 1e-9 to 4.3e-9 below the
+    optimum, and refused 2 of 160 bump pairs (40 each at standard deviations
+    1.6 to 1.9) and kept 5 values 1e-9 to 3.3e-9 low. The tests take the
+    first 20 Gaussian pairs (2 refused, 2 low) and the first 30 bump pairs
+    (1 refused, 3 low), since each dense LP takes about 0.17 s."""
+
+    def test_mass_scale_is_a_power_of_two(self):
+        # So the masses, values and flows scale and scale back exactly.
+        assert math.frexp(entot._MASS_SCALE)[0] == 0.5
+
+    def test_permuted_gaussians_on_a_line(self):
+        # Permuted, the cost is not Monge and exact_ot takes the dense LP;
+        # sorted, it takes the closed form.
+        rng = np.random.default_rng(11)
+        x = np.linspace(0.0, 1.0, 100)
+        cost = entot.cost_matrix(x)
+        for _ in range(20):
+            p, q = _gaussian_on_a_line(rng, x), _gaussian_on_a_line(rng, x)
+            want = entot.exact_ot(p, q, cost)
+            perm = rng.permutation(100)
+            got = entot.exact_ot(p[perm], q[perm], cost[np.ix_(perm, perm)])
+            assert abs(got - want) <= 1e-9 * want
+
+    def test_gaussian_bumps_on_a_raster(self):
+        # Standard deviation 1.6 pixels: smallest masses down to 1e-16.
+        rng = np.random.default_rng(7)
+        grid = entot.GridCost(14, 14)
+        for _ in range(30):
+            p = _gaussian_bump(rng, 14, 14, 1.6, 3.0, 10.0)
+            q = _gaussian_bump(rng, 14, 14, 1.6, 3.0, 10.0)
+            want = _product_transport_cost(p, q, grid)
+            assert abs(entot.exact_ot(p, q, grid) - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2)])
+    def test_tiny_bumps_match_the_exact_rational_simplex(self, rows, cols):
+        # Smallest masses down to 1e-19. The reference is exact for the float
+        # costs and the float masses, normalized in exact arithmetic.
+        rng = np.random.default_rng([36, rows, cols])
+        grid = entot.GridCost(rows, cols)
+        c_fr = [[Fraction(float(x)) for x in row] for row in grid.dense]
+        for sigma in (0.25, 0.3, 0.35):
+            p = _gaussian_bump(rng, rows, cols, sigma, 0.0, max(rows, cols) - 1.0)
+            q = _gaussian_bump(rng, rows, cols, sigma, 0.0, max(rows, cols) - 1.0)
+            p_fr, q_fr = ([Fraction(float(a)) for a in mass] for mass in (p, q))
+            p_fr, q_fr = [a / sum(p_fr) for a in p_fr], [b / sum(q_fr) for b in q_fr]
+            want = lp_oracle.transport_exact(p_fr, q_fr, c_fr)
+            assert entot.exact_ot(p, q, grid) == pytest.approx(float(want), rel=1e-9)
+
+
+def _lp_case(kind):
+    """A pair of marginals and its cost: random planar points for the dense
+    LP, a 14x14 raster for the 3-partite one."""
+    if kind == "dense":
+        rng = np.random.default_rng(22)
+        cost = entot.cost_matrix(rng.random((30, 2)))
+        return _sparse_masses(rng, 30), _sparse_masses(rng, 30), cost
+    return (*_sparse_14x14_pair(), entot.GridCost(14, 14))
+
+
+class TestTwoSidedCertificate:
+    """A value is kept only between the c-transform lower bound and the cost
+    of a plan of (p, q) from the solve's own flow, whatever HiGHS reports."""
+
+    @pytest.mark.parametrize("kind", ["dense", "grid"])
+    def test_lowered_value_is_refused(self, monkeypatch, kind):
+        # The flow and duals stay as HiGHS gave them.
+        p, q, cost = _lp_case(kind)
+        highs = entot._highs
+        monkeypatch.setattr(
+            entot, "_highs", lambda *lp: (res := highs(*lp))._replace(fun=res.fun * (1 - 1e-6))
+        )
+        with pytest.raises(RuntimeError, match=f"^{kind} transport LP at d = .* is not certified"):
+            entot.exact_ot(p, q, cost)
+
+    @pytest.mark.parametrize("kind", ["dense", "grid"])
+    def test_lowered_flow_is_refused(self, monkeypatch, kind):
+        # Half of every flow is missing. Rounded onto (p, q), the missing
+        # half moves as the product of the deficits, far above the value.
+        p, q, cost = _lp_case(kind)
+        highs = entot._highs
+
+        def halved(*lp):
+            res = highs(*lp)
+            res.x[:] *= 0.5
+            return res
+
+        monkeypatch.setattr(entot, "_highs", halved)
+        with pytest.raises(RuntimeError, match=r", upper bound \S+, relative spread"):
+            entot.exact_ot(p, q, cost)
+
+    @pytest.mark.parametrize("kind", ["dense", "grid"])
+    def test_one_lowered_arc_is_rounded_back(self, monkeypatch, kind):
+        # Rounding moves the arc's missing mass from its source to the sinks
+        # it fed, along the arc's own paths: the plan, and so the upper
+        # bound, is the optimal one again, and the value is kept.
+        p, q, cost = _lp_case(kind)
+        want = entot.exact_ot(p, q, cost)
+        highs, rounded_cost = entot._highs, entot._rounded_cost
+        rounded = []
+
+        def lowered(*lp):
+            res = highs(*lp)
+            res.x[np.argmax(res.x)] = 0.0
+            return res
+
+        def spy(*args):
+            rounded.append(rounded_cost(*args))
+            return rounded[-1]
+
+        monkeypatch.setattr(entot, "_highs", lowered)
+        monkeypatch.setattr(entot, "_rounded_cost", spy)
+        assert abs(entot.exact_ot(p, q, cost) - want) <= 1e-12 * want
+        assert len(rounded) == 1
+
+    @pytest.mark.parametrize("kind", ["dense", "grid"])
+    def test_costlier_plan_is_refused(self, monkeypatch, kind):
+        # The product coupling as the flow: it passes the flow check, and
+        # its cost is far above the value.
+        p, q, cost = _lp_case(kind)
+        if kind == "dense":
+            flow = np.outer(p, q).ravel()
+        else:
+            monkeypatch.setattr(entot, "_monotone_reach", lambda p, q: 13)
+            plan = np.outer(p, q).reshape(14, 14, 14, 14)  # [a, b, c, e]
+            flow = np.concatenate([
+                plan.sum(axis=3).transpose(0, 2, 1).ravel(),  # x1[a, c, b]
+                plan.sum(axis=0).transpose(1, 0, 2).ravel(),  # x2[c, b, e]
+            ])
+        highs = entot._highs
+        monkeypatch.setattr(
+            entot, "_highs", lambda *lp: highs(*lp)._replace(x=flow * entot._MASS_SCALE)
+        )
+        with pytest.raises(RuntimeError, match=r", upper bound \S+, relative spread"):
+            entot.exact_ot(p, q, cost)
 
 
 def _linprog(c, a_eq, b_eq, presolve=False):
@@ -1211,26 +1484,29 @@ def _linprog(c, a_eq, b_eq, presolve=False):
 
 def _raster_lps(grid):
     """The local LP at the rule's radius and the full LP of every
-    :func:`_smooth_image_pairs` pair, as (c, a_eq, b_eq)."""
+    :func:`_smooth_image_pairs` pair, on scaled masses, as (c, a_eq, b_eq)."""
     lp = entot._grid_lp(*grid.shape)
+    d = grid.shape[0] * grid.shape[1]
     for p, q in _smooth_image_pairs(grid):
         p_image, q_image = p.reshape(grid.shape), q.reshape(grid.shape)
         reach = max(
             entot._monotone_reach(p_image.sum(axis=1), q_image.sum(axis=1)),
             entot._monotone_reach(p_image.sum(axis=0), q_image.sum(axis=0)),
         )
-        for keep in (lp.move <= reach + 1, np.ones(lp.cost.shape[0], dtype=bool)):
-            yield lp.cost[keep], entot._csc_columns(lp.a_eq, keep), _grid_b_eq(p, q)
+        for keep in (lp.cost <= (reach + 1) ** 2, np.ones(lp.cost.shape[0], dtype=bool)):
+            a_eq = entot._incidence(lp.tails[keep], lp.heads[keep], d, 3 * d)
+            yield lp.cost[keep], a_eq, _grid_b_eq(p, q) * entot._MASS_SCALE
 
 
 def _dense_lps():
-    """Dense transport LPs on random planar points and sparse masses, as
-    (c, a_eq, b_eq)."""
+    """Dense transport LPs on random planar points and sparse masses, on
+    scaled masses, as (c, a_eq, b_eq)."""
     rng = np.random.default_rng(32)
     for d in (5, 30, 60):
         cost = entot.cost_matrix(rng.random((d, 2)))
         p, q = _sparse_masses(rng, d), _sparse_masses(rng, d)
-        yield cost.ravel(), entot._transport_constraints(d), np.concatenate([p, q[:-1]])
+        b_eq = np.concatenate([p, q[:-1]]) * entot._MASS_SCALE
+        yield cost.ravel(), _dense_incidence(d), b_eq
 
 
 class TestHighs:
@@ -1274,9 +1550,9 @@ class TestHighs:
         # Row sums of 1 and column sums of 2 on a 3 x 3 plan, which linprog
         # reports as status 2, infeasible.
         b_eq = np.array([1.0, 0.0, 0.0, 2.0, 0.0])
-        assert _linprog(np.ones(9), entot._transport_constraints(3), b_eq).status == 2
+        assert _linprog(np.ones(9), _dense_incidence(3), b_eq).status == 2
         with pytest.raises(entot._LPFailure, match=r"^HiGHS model status 8: Infeasible$"):
-            entot._highs(np.ones(9), entot._transport_constraints(3), b_eq)
+            entot._highs(np.ones(9), _dense_incidence(3), b_eq)
 
     def test_missing_extension_names_the_scipy_floor(self, monkeypatch, tmp_path):
         import scipy

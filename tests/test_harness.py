@@ -690,13 +690,17 @@ class TestBenchmarkWorkloads:
 
     def test_grid2d_takes_one_solve_per_transport_lp(self, tmp_path, monkeypatch):
         # Every metrics LP of the raster workload is certified on its local
-        # arcs, so none pays for a second, full solve.
+        # arcs, so none pays for a second, full solve, and every flow passes
+        # the flow check, so none pays for a rounding onto its marginals.
         highs = entot._highs
         arcs = []
 
         def spy(c, a_eq, b_eq):
             arcs.append(c.shape[0])
             return highs(c, a_eq, b_eq)
+
+        def rounded_cost(*args):
+            raise AssertionError("a grid2d flow failed the flow check")
 
         exact_ot = entot.exact_ot
         lps = []
@@ -706,6 +710,7 @@ class TestBenchmarkWorkloads:
             return lps[-1]
 
         monkeypatch.setattr(entot, "_highs", spy)
+        monkeypatch.setattr(entot, "_rounded_cost", rounded_cost)
         monkeypatch.setattr(entot, "exact_ot", counting)
         raw = WORKLOADS.config("grid2d", 0, "bench", tmp_path)
         run_experiment(ExperimentConfig.from_dict(raw))
