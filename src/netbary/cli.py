@@ -84,19 +84,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     if cfg.out is None:
         raise ValueError("sweep needs --out (or out in the config) as the parent directory")
-    variants: list[tuple[str, dict]] = []
-    if args.families:
-        for family in args.families.split(","):
-            family = family.strip()
-            label = f"family-{family}"
-            raw = dict(cfg.to_dict(), family=family, out=str(Path(cfg.out) / label))
-            variants.append((label, raw))
-    if args.epoch_lens:
-        for epoch_len in args.epoch_lens.split(","):
-            epoch_len = epoch_len.strip()
-            label = f"epoch-{epoch_len}"
-            raw = dict(cfg.to_dict(), epoch_len=epoch_len, out=str(Path(cfg.out) / label))
-            variants.append((label, raw))
+    # Each variant writes into out/<label>, so a label listed twice would
+    # run two variants into one directory at once.
+    variants: dict[str, dict] = {}
+    for key, prefix, listed in (
+        ("family", "family", args.families), ("epoch_len", "epoch", args.epoch_lens)
+    ):
+        for value in listed.split(",") if listed else ():
+            value = value.strip()
+            label = f"{prefix}-{value}"
+            if label in variants:
+                raise ValueError(f"sweep variant {label} is listed twice")
+            variants[label] = dict(cfg.to_dict(), **{key: value}, out=str(Path(cfg.out) / label))
     if not variants:
         raise ValueError("sweep needs --families and/or --epoch-lens")
 
@@ -107,7 +106,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # Every variant runs to its end; one that fails is reported by its label
     # and leaves the others' artifacts and summary lines in place.
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = [(label, pool.submit(one, raw)) for label, raw in variants]
+        futures = [(label, pool.submit(one, raw)) for label, raw in variants.items()]
     failed = 0
     for label, future in futures:
         try:

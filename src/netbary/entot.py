@@ -122,33 +122,61 @@ def validate_cost_matrix(cost: np.ndarray, name: str = "cost") -> np.ndarray:
     return cost
 
 
-def _squared_offsets(n: int) -> np.ndarray:
-    """(a - c)^2 for a, c in range(n), as floats."""
-    return np.subtract.outer(np.arange(n), np.arange(n)).astype(float) ** 2
-
-
 class GridCost:
     """Normalized squared Euclidean cost over a rows x cols pixel raster.
 
-    Pixels are numbered row-major, as in a flattened image. The cost is
-    separable: pixel (a, b) to pixel (c, e) costs ``axes[0][a, c] +
-    axes[1][b, e]``, which is within one ulp of ``dense[a * cols + b,
-    c * cols + e]``. ``dense`` is :func:`cost_matrix` of the pixel
-    coordinates; the axes share its normalizer, ``diagonal``, the squared
-    length of the raster's diagonal. The dual oracle and :func:`exact_ot`
-    use the axes; the dense matrix serves every path that needs the whole
-    d x d cost. All arrays are read-only.
+    Pixels are numbered row-major, as in a flattened image. Everything is
+    built from the per-axis squared pixel offsets, ``offsets[0][a, c] =
+    (a - c)^2`` and ``offsets[1][b, e] = (b - e)^2``, and their normalizer,
+    ``diagonal``, the squared length of the raster's diagonal:
+
+    - ``axes``, the offsets divided by ``diagonal``, which the dual oracle
+      reads: pixel (a, b) to pixel (c, e) costs ``axes[0][a, c] +
+      axes[1][b, e]``, within one ulp of ``dense``;
+    - ``whole``, the d x d cost in whole squares, ``offsets[0][a, c] +
+      offsets[1][b, e]`` at [a * cols + b, c * cols + e], exact in binary;
+    - the arcs of the 3-partite transport LP (:func:`exact_ot`), in whole
+      squares: arc x1[a, c, b] carries source (a, b) to middle (c, b) at
+      ``offsets[0][a, c]``, arc x2[c, b, e] carries middle (c, b) to sink
+      (c, e) at ``offsets[1][b, e]``. ``tails``, ``heads`` and ``arc_cost``
+      list x1 then x2, each row-major, with nodes numbered as
+      :func:`_incidence` takes them: d sources, d middles, d sinks, each
+      row-major over the pixels;
+    - ``dense``, ``whole / diagonal``, which is :func:`cost_matrix` of the
+      pixel coordinates bit for bit. It is built on first access, once;
+      neither the oracle nor :func:`exact_ot` reads it.
+
+    All arrays are read-only. A raster of fewer than two pixels raises
+    ValueError.
     """
 
     def __init__(self, rows: int, cols: int):
-        ii, jj = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-        points = np.stack([ii.ravel(), jj.ravel()], axis=1).astype(float)
-        self.dense = cost_matrix(points, normalize=True)
+        rows, cols = int(rows), int(cols)
+        if min(rows, cols) < 1 or rows * cols < 2:
+            raise ValueError(f"a raster needs at least two pixels, got {rows} x {cols}")
+        d = rows * cols
+        self.shape = (rows, cols)
+        self.offsets = tuple(
+            np.subtract.outer(np.arange(n), np.arange(n)).astype(float) ** 2 for n in self.shape
+        )
         self.diagonal = float((rows - 1) ** 2 + (cols - 1) ** 2)
-        self.axes = tuple(_squared_offsets(n) / self.diagonal for n in (rows, cols))
-        for array in (self.dense, *self.axes):
+        self.axes = tuple(offset / self.diagonal for offset in self.offsets)
+        o1, o2 = self.offsets
+        self.whole = (o1[:, None, :, None] + o2[None, :, None, :]).reshape(d, d)
+        a, c, b = np.unravel_index(np.arange(rows * rows * cols), (rows, rows, cols))
+        c2, b2, e = np.unravel_index(np.arange(rows * cols * cols), (rows, cols, cols))
+        self.tails = np.concatenate([a * cols + b, d + c2 * cols + b2])
+        self.heads = np.concatenate([d + c * cols + b, 2 * d + c2 * cols + e])
+        self.arc_cost = np.concatenate([o1[a, c], o2[b2, e]])
+        for array in (*self.offsets, *self.axes, self.whole, self.tails, self.heads, self.arc_cost):
             array.setflags(write=False)
-        self.shape = (int(rows), int(cols))
+
+    @functools.cached_property
+    def dense(self) -> np.ndarray:
+        """The d x d normalized cost, ``whole / diagonal``."""
+        dense = self.whole / self.diagonal
+        dense.setflags(write=False)
+        return dense
 
 
 def _check_marginal(q, cost, gamma, name="q"):
@@ -351,8 +379,8 @@ class WassersteinDualOracle(DualOracle):
     evaluations check only the shape. The Gibbs kernel exp(-C / gamma) and
     the cost's maximum are built here too: d^2 doubles for a matrix (4.9 MB
     at d = 784), two small per-axis kernels for a grid, whose evaluations
-    never form a d x d array; ``cost`` is then the grid's own dense matrix,
-    not a copy.
+    never form a d x d array; ``cost`` is then the :class:`GridCost`
+    itself.
 
     An evaluation takes the scaling form, two kernel products per node,
     while every node's (max z - min z + c_max) / gamma stays below
@@ -368,11 +396,11 @@ class WassersteinDualOracle(DualOracle):
         if self.grid is None:
             cost = validate_cost_matrix(np.array(cost, dtype=float))
             cost.setflags(write=False)
-        else:
-            # Built and frozen by GridCost; the kernel reads only its axes.
-            cost = self.grid.dense
+        # A grid's arrays were built and frozen by GridCost; the kernel reads
+        # only its axes.
+        square = cost if self.grid is None else self.grid.whole
         for i, q in enumerate(marginals):
-            _check_marginal(q, cost, gamma, f"marginals[{i}]")
+            _check_marginal(q, square, gamma, f"marginals[{i}]")
         marginals.setflags(write=False)
         self.marginals = marginals
         self.cost = cost
@@ -426,9 +454,9 @@ def exact_ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray | GridCost) -> float
     grid = cost if isinstance(cost, GridCost) else None
     # A grid's arrays were built and frozen by GridCost; only a bare matrix
     # needs checking.
-    cost = grid.dense if grid is not None else validate_cost_matrix(cost)
+    square = grid.whole if grid is not None else validate_cost_matrix(cost)
     d = p.shape[0]
-    if cost.shape[0] != d or q.shape[0] != d:
+    if square.shape[0] != d or q.shape[0] != d:
         raise ValueError("cost shape incompatible with marginals")
     p = np.maximum(p, 0.0)
     q = np.maximum(q, 0.0)
@@ -436,9 +464,9 @@ def exact_ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray | GridCost) -> float
     q = q / q.sum()
     if grid is not None:
         return _grid_transport_lp(p, q, grid)
-    if _is_monge(cost):
-        return _north_west_corner_cost(p, q, cost)
-    return _transport_lp(p, q, cost)
+    if _is_monge(square):
+        return _north_west_corner_cost(p, q, square)
+    return _transport_lp(p, q, square)
 
 
 def _is_monge(cost: np.ndarray) -> bool:
@@ -659,15 +687,15 @@ def _certified_lp(which: str, tails, heads, arc_cost, n_nodes: int, p, q, cost) 
     middles, d sinks taking q), kept only when it is bracketed.
 
     The lower bound is :func:`_sink_lower_bound` of the solve's own sink
-    potentials over ``cost``, the LP's cost matrix or its raster's per-axis
-    costs. The upper bound is the cost of a plan of (p, q): the solve's own
-    flow when it passes the flow check (nonnegative, every node's balance
-    off by at most its number of arcs times the machine epsilon, rounding in
-    sums of at most unit mass), else its flow rounded onto (p, q) by
-    :func:`_rounded_cost`. Both bounds hold for any arcs the LP was given,
-    so they bound the full transport problem. The value is kept only when
-    it and both bounds lie within :data:`_CERTIFIED_GAP` of each other,
-    relative.
+    potentials over ``cost``, the d x d cost in the LP's own units: the
+    dense LP's matrix, or a raster's ``GridCost.whole``. The upper bound is
+    the cost of a plan of (p, q): the solve's own flow when it passes the
+    flow check (nonnegative, every node's balance off by at most its number
+    of arcs times the machine epsilon, rounding in sums of at most unit
+    mass), else its flow rounded onto (p, q) by :func:`_rounded_cost`. Both
+    bounds hold for any arcs the LP was given, so they bound the full
+    transport problem. The value is kept only when it and both bounds lie
+    within :data:`_CERTIFIED_GAP` of each other, relative.
 
     Otherwise :class:`_LPFailure` names the LP (``which``), d, HiGHS's
     status or the value with both bounds, and the smallest positive masses;
@@ -712,27 +740,19 @@ def _sink_lower_bound(sink: np.ndarray, p, q, cost) -> float:
     Their c-transform, f_i = min_j C_ij - g_j, makes (f, g) feasible for
     the dual of the transport LP, whatever g is, so <p, f> + <q, g> is at
     most the optimum (Peyre & Cuturi, *Computational Optimal Transport*,
-    2019, section 3). ``cost`` is a d x d matrix, or the pair of per-axis
-    costs of a raster, C[(a, b), (c, e)] = axes[0][a, c] + axes[1][b, e];
-    that separable transform is two passes of 1-D minima, O(R C (R + C))
-    instead of O(d^2).
+    2019, section 3). ``cost`` is the d x d matrix C.
     """
-    if isinstance(cost, np.ndarray):
-        f = (cost - sink).min(axis=1)
-    else:
-        c1, c2 = cost
-        g = sink.reshape(c1.shape[0], c2.shape[0])
-        over_e = (c2[None, :, :] - g[:, None, :]).min(axis=2)  # [c, b]
-        f = (c1[:, :, None] + over_e[None, :, :]).min(axis=1).ravel()  # [a, b]
+    f = (cost - sink).min(axis=1)
     return float(p @ f + q @ sink)
 
 
 def _rounded_cost(tails, heads, flow, n_nodes: int, p, q, cost) -> float:
     """An upper bound on the transport cost from any flow of the LP (numbered
-    as in :func:`_certified_lp`): the cost of the flow as a d x d plan,
-    rounded onto a coupling of (p, q) (Altschuler, Weed & Rigollet,
-    *Near-linear time approximation algorithms for optimal transport via
-    Sinkhorn iteration*, NeurIPS 2017, Algorithm 2).
+    as in :func:`_certified_lp`): the cost, over the d x d matrix ``cost``,
+    of the flow as a d x d plan, rounded onto a coupling of (p, q)
+    (Altschuler, Weed & Rigollet, *Near-linear time approximation algorithms
+    for optimal transport via Sinkhorn iteration*, NeurIPS 2017,
+    Algorithm 2).
 
     Negative flows count as zero. Through a middle layer, each middle node
     passes what enters it on in proportion to what leaves it, over the
@@ -756,8 +776,6 @@ def _rounded_cost(tails, heads, flow, n_nodes: int, p, q, cost) -> float:
         enter, leave = block(0, d, middles, tails < d), block(d, middles, d, tails >= d)
         through = np.maximum(enter.sum(axis=0), leave.sum(axis=1))[:, None]
         plan = enter @ np.divide(leave, through, out=np.zeros_like(leave), where=through > 0)
-        c1, c2 = cost
-        cost = (c1[:, None, :, None] + c2[None, :, None, :]).reshape(d, d)
     rows = plan.sum(axis=1)
     plan *= np.divide(p, rows, out=np.ones_like(p), where=rows > p)[:, None]
     cols = plan.sum(axis=0)
@@ -768,45 +786,13 @@ def _rounded_cost(tails, heads, flow, n_nodes: int, p, q, cost) -> float:
     return float(np.vdot(cost, plan) + added)
 
 
-@dataclass(frozen=True)
-class _GridLP:
-    """The arcs of one raster shape's 3-partite LP, in whole squared pixel
-    offsets.
-
-    Arc x1[a, c, b] carries source (a, b) to middle (c, b) at cost
-    axes[0][a, c]; arc x2[c, b, e] carries middle (c, b) to sink (c, e) at
-    cost axes[1][b, e]. Both are row-major, x1 first, and their nodes are
-    numbered as :func:`_incidence` takes them: d sources, d middles, d
-    sinks, each row-major over the pixels. Every array is read-only.
-    """
-
-    axes: tuple
-    tails: np.ndarray
-    heads: np.ndarray
-    cost: np.ndarray
-
-
-@functools.lru_cache(maxsize=4)
-def _grid_lp(rows: int, cols: int) -> _GridLP:
-    """The :class:`_GridLP` of a rows x cols raster, built once per shape."""
-    d = rows * cols
-    axes = (_squared_offsets(rows), _squared_offsets(cols))
-    a, c, b = np.unravel_index(np.arange(rows * rows * cols), (rows, rows, cols))
-    c2, b2, e = np.unravel_index(np.arange(rows * cols * cols), (rows, cols, cols))
-    tails = np.concatenate([a * cols + b, d + c2 * cols + b2])
-    heads = np.concatenate([d + c * cols + b, 2 * d + c2 * cols + e])
-    cost = np.concatenate([axes[0][a, c], axes[1][b2, e]])
-    for array in (*axes, tails, heads, cost):
-        array.setflags(write=False)
-    return _GridLP(axes=axes, tails=tails, heads=heads, cost=cost)
-
-
 def _grid_transport_lp(p: np.ndarray, q: np.ndarray, grid: GridCost) -> float:
     """Exact transport on a raster as a min-cost flow through a middle layer
     (Auricchio, Bassetti, Gualandi & Veneroni, NeurIPS 2018).
 
     Mass moves from pixel (a, b) to (c, b) along the first axis, paying
-    axes[0][a, c], then to (c, e) along the second, paying axes[1][b, e].
+    offsets[0][a, c], then to (c, e) along the second, paying
+    offsets[1][b, e]: the arcs of the :class:`GridCost`.
     Every coupling is such a flow and every flow splits into paths, so the
     optimum is the transport cost, from R^2 C + R C^2 arcs instead of d^2.
     The arcs cost whole squared pixel offsets, exact in binary, and the
@@ -821,9 +807,7 @@ def _grid_transport_lp(p: np.ndarray, q: np.ndarray, grid: GridCost) -> float:
     or when every arc is local, the full LP is solved and certified the
     same way.
     """
-    rows, cols = grid.shape
-    lp = _grid_lp(rows, cols)
-    p_image, q_image = p.reshape(rows, cols), q.reshape(rows, cols)
+    p_image, q_image = p.reshape(grid.shape), q.reshape(grid.shape)
     reach = max(
         _monotone_reach(p_image.sum(axis=1), q_image.sum(axis=1)),  # row sums
         _monotone_reach(p_image.sum(axis=0), q_image.sum(axis=0)),  # column sums
@@ -831,12 +815,13 @@ def _grid_transport_lp(p: np.ndarray, q: np.ndarray, grid: GridCost) -> float:
 
     def solve(which, arcs):
         value = _certified_lp(
-            which, lp.tails[arcs], lp.heads[arcs], lp.cost[arcs], 3 * p.shape[0], p, q, lp.axes
+            which, grid.tails[arcs], grid.heads[arcs], grid.arc_cost[arcs], 3 * p.shape[0],
+            p, q, grid.whole,
         )
         return value / grid.diagonal
 
     # Exact: every arc cost is a whole square, the square of its move.
-    local = lp.cost <= (reach + 1) ** 2
+    local = grid.arc_cost <= (reach + 1) ** 2
     if not local.all():
         try:
             return solve("local grid", local)

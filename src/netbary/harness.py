@@ -289,7 +289,8 @@ def config_value(key: str, value):
 
     Booleans read true/1/yes and false/0/no. An integer key that may be None
     (epoch_len) reads 'static', 'none' and 'inf' as None. An integer key
-    rejects a float with a fractional part, as it rejects the text '5.5'.
+    rejects a float with a fractional part, as it rejects the text '5.5'. A
+    float key rejects nan and infinities, text or typed, naming the key.
     """
     if value is None:
         return None
@@ -309,9 +310,12 @@ def config_value(key: str, value):
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"cannot parse int {key}={value!r}")
     try:
-        return kind(value)
+        parsed = kind(value)
     except ValueError as err:
         raise ValueError(f"cannot parse {kind.__name__} {key}={value!r}") from err
+    if kind is float and not math.isfinite(parsed):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return parsed
 
 
 def load_config(path: str | Path) -> dict:

@@ -362,6 +362,21 @@ class TestConfigFlags:
         assert code == 1
         assert "m='three'" in captured.err
 
+    @pytest.mark.parametrize(
+        "key", [key for key, (kind, _) in harness.CONFIG_TYPES.items() if kind is float]
+    )
+    def test_non_finite_float_flag_names_the_key(self, tmp_path, capsys, key):
+        # Before, nan and inf std or mean bounds ended in numpy's
+        # OverflowError traceback, and a nan gamma was reported as tau.
+        out_dir = tmp_path / "out"
+        flag = "--" + key.replace("_", "-")
+        for value in ("nan", "inf", "-inf"):
+            code = cli(["run", f"{flag}={value}", "--out", str(out_dir)])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.err == f"error: {key} must be finite, got {value!r}\n"
+            assert not out_dir.exists()
+
 
 class TestSweep:
     def test_family_sweep_writes_subdirectories(self, tmp_path, capsys):
@@ -448,6 +463,25 @@ class TestSweep:
         captured = capsys.readouterr()
         assert code == 1
         assert "error: jobs must be >= 1" in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "grid, label",
+        [
+            (["--families", "cycle,cycle"], "family-cycle"),
+            (["--families", "cycle, star ,star"], "family-star"),
+            (["--epoch-lens", "5,static,5"], "epoch-5"),
+            (["--families", "cycle", "--epoch-lens", "static,static"], "epoch-static"),
+        ],
+    )
+    def test_duplicate_label_rejected_before_any_variant(self, tmp_path, capsys, grid, label):
+        cfg_path = _write_config(tmp_path)
+        out_dir = tmp_path / "sweep"
+        code = cli(["sweep", "--config", str(cfg_path), *grid, "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: sweep variant {label} is listed twice\n"
         assert captured.out == ""
         assert not out_dir.exists()
 

@@ -571,17 +571,41 @@ RASTERS = [(2, 2), (2, 3), (3, 5), (5, 3), (7, 4), (14, 14)]
 
 
 class TestGridCost:
-    @pytest.mark.parametrize("rows, cols", RASTERS + [(1, 6), (6, 1)])
+    @pytest.mark.parametrize("rows, cols", RASTERS + [(1, 2), (2, 1), (1, 6), (6, 1), (28, 28)])
     def test_dense_is_the_cost_matrix_of_the_pixels(self, rows, cols):
         grid = entot.GridCost(rows, cols)
-        np.testing.assert_array_equal(grid.dense, entot.cost_matrix(_raster_points(rows, cols)))
+        points = _raster_points(rows, cols)
+        want = entot.cost_matrix(points)
+        # Bit for bit, signed zeros included.
+        assert grid.dense.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(grid.whole, entot.cost_matrix(points, normalize=False))
+        assert grid.diagonal == grid.whole.max()
+        for offsets, axes, n in zip(grid.offsets, grid.axes, (rows, cols)):
+            np.testing.assert_array_equal(offsets, np.subtract.outer(range(n), range(n)) ** 2)
+            assert axes.tobytes() == (offsets / grid.diagonal).tobytes()
         separable = (grid.axes[0][:, None, :, None] + grid.axes[1][None, :, None, :]).reshape(
             rows * cols, rows * cols
         )
         # Two normalized terms against one normalized sum: within one ulp.
         assert (np.abs(separable - grid.dense) <= np.spacing(grid.dense)).all()
         assert grid.shape == (rows, cols)
-        assert not any(a.flags.writeable for a in (grid.dense, *grid.axes))
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (0, 5), (5, 0), (-1, -2)])
+    def test_fewer_than_two_pixels_raise(self, rows, cols):
+        message = f"^a raster needs at least two pixels, got {rows} x {cols}$"
+        with pytest.raises(ValueError, match=message):
+            entot.GridCost(rows, cols)
+
+    def test_oracle_and_exact_ot_leave_dense_unbuilt(self):
+        rng = np.random.default_rng(37)
+        grid = entot.GridCost(5, 4)
+        marginals = _stack(rng, 3, 20)
+        oracle = entot.WassersteinDualOracle(marginals, grid, 0.01)
+        assert oracle.cost is grid
+        oracle.grad_conj_stack(rng.standard_normal((3, 20)))
+        oracle.grad_conj_stack(1e3 * rng.standard_normal((3, 20)))  # the log domain
+        assert entot.exact_ot(marginals[0], marginals[1], grid) > 0
+        assert "dense" not in vars(grid)
 
 
 class TestGridDualOracle:
@@ -598,7 +622,7 @@ class TestGridDualOracle:
         )
         z_stack = rng.standard_normal((m, d))
         oracle = entot.wb_dual_oracle(marginals, grid, 0.01)
-        assert oracle.grid is grid and oracle.cost is grid.dense
+        assert oracle.grid is grid and oracle.cost is grid
         got = oracle.grad_conj_stack(z_stack)
         dense = entot.wb_dual_oracle(marginals, grid.dense, 0.01).grad_conj_stack(z_stack)
         np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-300)
@@ -958,18 +982,18 @@ class TestExactOTGrid:
         x1 = plan.sum(axis=3).transpose(0, 2, 1).ravel()
         x2 = plan.sum(axis=0).transpose(1, 0, 2).ravel()
         flow = np.concatenate([x1, x2])
-        lp = entot._grid_lp(rows, cols)
-        a_eq = _csc_matrix(entot._incidence(lp.tails, lp.heads, d, 3 * d), 3 * d - 1).toarray()
+        a_eq = _csc_matrix(entot._incidence(grid.tails, grid.heads, d, 3 * d), 3 * d - 1).toarray()
         assert a_eq.shape == (3 * d - 1, rows * rows * cols + rows * cols * cols)
         np.testing.assert_allclose(
             a_eq @ flow, np.concatenate([p, np.zeros(d), q[:-1]]), atol=1e-15
         )
         assert np.linalg.matrix_rank(a_eq) == 3 * d - 1
         arc_cost = np.concatenate([
-            np.broadcast_to(grid.axes[0][:, :, None], (rows, rows, cols)).ravel(),
-            np.broadcast_to(grid.axes[1][None, :, :], (rows, cols, cols)).ravel(),
+            np.broadcast_to(grid.offsets[0][:, :, None], (rows, rows, cols)).ravel(),
+            np.broadcast_to(grid.offsets[1][None, :, :], (rows, cols, cols)).ravel(),
         ])
-        assert arc_cost @ flow == pytest.approx(float(p @ grid.dense @ q), rel=1e-14)
+        np.testing.assert_array_equal(grid.arc_cost, arc_cost)
+        assert arc_cost @ flow == pytest.approx(float(p @ grid.whole @ q), rel=1e-14)
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_failed_lp_names_the_lp_d_and_smallest_masses(self, monkeypatch, dense):
@@ -1024,19 +1048,22 @@ def _grid_b_eq(p, q):
     return np.concatenate([p, np.zeros(p.shape[0]), q[:-1]])
 
 
-def _full_grid_value(lp, p, q):
-    """The certified value of the full 3-partite LP, as exact_ot takes it."""
-    return entot._certified_lp("grid", lp.tails, lp.heads, lp.cost, 3 * p.shape[0], p, q, lp.axes)
+def _full_grid_value(grid, p, q):
+    """The certified value of the full 3-partite LP, as exact_ot takes it,
+    in whole squared pixel offsets."""
+    return entot._certified_lp(
+        "grid", grid.tails, grid.heads, grid.arc_cost, 3 * p.shape[0], p, q, grid.whole
+    )
 
 
-def _local_grid_value(lp, radius, p, q):
+def _local_grid_value(grid, radius, p, q):
     """The certified value of the 3-partite LP on the arcs that move at most
     ``radius`` along their axis, or None when it is refused."""
-    local = lp.cost <= radius**2
+    local = grid.arc_cost <= radius**2
     try:
         return entot._certified_lp(
-            "local grid", lp.tails[local], lp.heads[local], lp.cost[local], 3 * p.shape[0],
-            p, q, lp.axes,
+            "local grid", grid.tails[local], grid.heads[local], grid.arc_cost[local],
+            3 * p.shape[0], p, q, grid.whole,
         )
     except entot._LPFailure:
         return None
@@ -1082,12 +1109,12 @@ class TestLocalGridLP:
 
     @pytest.mark.parametrize("rows, cols", RASTERS + [(1, 5)])
     def test_incidence_matches_the_entrywise_build_at_every_radius(self, rows, cols):
-        lp = entot._grid_lp(rows, cols)
+        grid = entot.GridCost(rows, cols)
         d = rows * cols
         want = _loop_grid_constraints(rows, cols).tocsc()
         for radius in range(max(rows, cols)):
-            local = lp.cost <= radius**2
-            got = entot._incidence(lp.tails[local], lp.heads[local], d, 3 * d)
+            local = grid.arc_cost <= radius**2
+            got = entot._incidence(grid.tails[local], grid.heads[local], d, 3 * d)
             _assert_same_csc(got, want[:, np.flatnonzero(local)])
 
     @pytest.mark.parametrize("rows, cols", RASTERS)
@@ -1096,13 +1123,13 @@ class TestLocalGridLP:
         # local value is the full LP's to 1e-12, and some radius is
         # certified on every raster with more than two pixels a side.
         rng = np.random.default_rng([26, rows, cols])
-        lp = entot._grid_lp(rows, cols)
+        grid = entot.GridCost(rows, cols)
         certified = 0
         for _ in range(3):
             p, q = _sparse_masses(rng, rows * cols), _sparse_masses(rng, rows * cols)
-            full = _full_grid_value(lp, p, q)
+            full = _full_grid_value(grid, p, q)
             for radius in range(1, max(rows, cols) - 1):
-                value = _local_grid_value(lp, radius, p, q)
+                value = _local_grid_value(grid, radius, p, q)
                 if value is not None:
                     certified += 1
                     assert abs(value - full) <= 1e-12 * full
@@ -1110,47 +1137,46 @@ class TestLocalGridLP:
 
     def test_certificate_is_tight_on_the_local_optimum(self):
         rng = np.random.default_rng(30)
-        lp = entot._grid_lp(14, 14)
+        grid = entot.GridCost(14, 14)
         p, q = _sparse_14x14_pair()
-        local = lp.cost <= 9
+        local = grid.arc_cost <= 9
         res = entot._highs(
-            lp.cost[local], entot._incidence(lp.tails[local], lp.heads[local], 196, 588),
+            grid.arc_cost[local], entot._incidence(grid.tails[local], grid.heads[local], 196, 588),
             _grid_b_eq(p, q) * entot._MASS_SCALE,
         )
         value = res.fun / entot._MASS_SCALE
         sink = np.append(res.row_dual[2 * 196:], 0.0)
-        lower = entot._sink_lower_bound(sink, p, q, lp.axes)
+        lower = entot._sink_lower_bound(sink, p, q, grid.whole)
         assert abs(value - lower) <= 1e-12 * value
         # The lower bound holds for any potentials, the perturbed ones too.
-        full = _full_grid_value(lp, p, q)
+        full = _full_grid_value(grid, p, q)
         noisy = sink + 0.1 * rng.standard_normal(sink.shape)
-        assert entot._sink_lower_bound(noisy, p, q, lp.axes) <= full * (1.0 + 1e-12)
+        assert entot._sink_lower_bound(noisy, p, q, grid.whole) <= full * (1.0 + 1e-12)
 
     def test_perturbed_sink_duals_are_refused(self, monkeypatch):
         # Only the local solve's duals are perturbed; the full solve's are
         # HiGHS's own and certify it.
         rng = np.random.default_rng(31)
         grid = entot.GridCost(14, 14)
-        lp = entot._grid_lp(14, 14)
         p, q = _sparse_14x14_pair()
-        assert _local_grid_value(lp, 3, p, q) is not None
+        assert _local_grid_value(grid, 3, p, q) is not None
         highs = entot._highs
         solves = []
 
         def perturbed(c, a_eq, b_eq):
             res = highs(c, a_eq, b_eq)
-            if c.shape[0] < lp.cost.shape[0]:
+            if c.shape[0] < grid.arc_cost.shape[0]:
                 res.row_dual[2 * 196:] += 1e-3 * rng.standard_normal(195)
             solves.append(res)
             return res
 
         monkeypatch.setattr(entot, "_highs", perturbed)
-        assert _local_grid_value(lp, 3, p, q) is None
+        assert _local_grid_value(grid, 3, p, q) is None
         solves.clear()
         got = entot.exact_ot(p, q, grid)
         # The local solve was refused, so the full LP ran after it.
-        local = np.count_nonzero(lp.cost <= 9)
-        assert [res.x.shape[0] for res in solves] == [local, lp.cost.shape[0]]
+        local = np.count_nonzero(grid.arc_cost <= 9)
+        assert [res.x.shape[0] for res in solves] == [local, grid.arc_cost.shape[0]]
         assert abs(got - solves[1].fun / entot._MASS_SCALE / grid.diagonal) <= 1e-12 * got
 
     @pytest.mark.parametrize("every_arc_local", [False, True])
@@ -1180,7 +1206,7 @@ class TestLocalGridLP:
             message,
         )
         assert f"(smallest positive mass: p {p[p > 0].min():.3e}, q {q[q > 0].min():.3e})" in message
-        full = entot._grid_lp(14, 14).cost.shape[0]
+        full = entot.GridCost(14, 14).arc_cost.shape[0]
         assert arcs[-1] == full and len(arcs) == (1 if every_arc_local else 2)
 
     @pytest.mark.parametrize("fault", ["negative flow", "row residual"])
@@ -1188,7 +1214,7 @@ class TestLocalGridLP:
         # The value and the duals stay as HiGHS gave them, and the flow
         # fails the flow check: it is rounded onto a plan of (p, q), whose
         # cost brackets the value, so the local value is still kept.
-        lp = entot._grid_lp(14, 14)
+        grid = entot.GridCost(14, 14)
         p, q = _sparse_14x14_pair()
         highs, rounded_cost = entot._highs, entot._rounded_cost
         rounded = []
@@ -1206,11 +1232,11 @@ class TestLocalGridLP:
             rounded.append(rounded_cost(*args))
             return rounded[-1]
 
-        want = _local_grid_value(lp, 3, p, q)
+        want = _local_grid_value(grid, 3, p, q)
         assert want is not None
         monkeypatch.setattr(entot, "_highs", faulty)
         monkeypatch.setattr(entot, "_rounded_cost", spy)
-        assert _local_grid_value(lp, 3, p, q) == want
+        assert _local_grid_value(grid, 3, p, q) == want
         assert len(rounded) == 1 and abs(rounded[0] - want) <= 1e-12 * want
 
     def test_infeasible_local_flow_that_rounds_too_high_takes_the_full_lp(self, monkeypatch):
@@ -1232,7 +1258,7 @@ class TestLocalGridLP:
 
         monkeypatch.setattr(entot, "_highs", halved)
         assert abs(entot.exact_ot(p, q, grid) - want) <= 1e-12 * want
-        assert arcs[0] < arcs[1] == entot._grid_lp(14, 14).cost.shape[0]
+        assert arcs[0] < arcs[1] == grid.arc_cost.shape[0]
 
     @pytest.mark.parametrize("forced_reach", [0, 1])
     def test_too_small_radius_takes_the_full_lp(self, monkeypatch, forced_reach):
@@ -1286,18 +1312,27 @@ class TestLocalGridLP:
         monkeypatch.setattr(entot, "_highs", spy)
         monkeypatch.setattr(entot, "_monotone_reach", lambda p, q: 3)
         entot.exact_ot(p, q, grid)
-        assert arcs == [entot._grid_lp(5, 3).cost.shape[0]]
+        assert arcs == [grid.arc_cost.shape[0]]
 
     def test_shape_data_is_built_once_and_read_only(self):
-        lp = entot._grid_lp(7, 4)
-        assert entot._grid_lp(7, 4) is lp
-        arrays = (*lp.axes, lp.tails, lp.heads, lp.cost)
+        # A GridCost's arrays are read-only, and dense is built once, on
+        # first access, per object.
+        grid = entot.GridCost(7, 4)
+        assert "dense" not in vars(grid)
+        assert grid.dense is grid.dense
+        assert entot.GridCost(7, 4).dense is not grid.dense
+        arrays = (
+            *grid.offsets, *grid.axes, grid.whole, grid.tails, grid.heads, grid.arc_cost,
+            grid.dense,
+        )
         assert not any(a.flags.writeable for a in arrays)
         # An arc's cost is its squared move along its own axis.
-        first = lp.heads < 2 * 28
-        move = np.where(first, (lp.heads - 28) // 4 - lp.tails // 4, lp.heads % 4 - lp.tails % 4)
-        np.testing.assert_array_equal(lp.cost, move.astype(float) ** 2)
-        assert (lp.tails < lp.heads).all()
+        first = grid.heads < 2 * 28
+        move = np.where(
+            first, (grid.heads - 28) // 4 - grid.tails // 4, grid.heads % 4 - grid.tails % 4
+        )
+        np.testing.assert_array_equal(grid.arc_cost, move.astype(float) ** 2)
+        assert (grid.tails < grid.heads).all()
 
 
 def _gaussian_on_a_line(rng, x):
@@ -1485,7 +1520,6 @@ def _linprog(c, a_eq, b_eq, presolve=False):
 def _raster_lps(grid):
     """The local LP at the rule's radius and the full LP of every
     :func:`_smooth_image_pairs` pair, on scaled masses, as (c, a_eq, b_eq)."""
-    lp = entot._grid_lp(*grid.shape)
     d = grid.shape[0] * grid.shape[1]
     for p, q in _smooth_image_pairs(grid):
         p_image, q_image = p.reshape(grid.shape), q.reshape(grid.shape)
@@ -1493,9 +1527,9 @@ def _raster_lps(grid):
             entot._monotone_reach(p_image.sum(axis=1), q_image.sum(axis=1)),
             entot._monotone_reach(p_image.sum(axis=0), q_image.sum(axis=0)),
         )
-        for keep in (lp.cost <= (reach + 1) ** 2, np.ones(lp.cost.shape[0], dtype=bool)):
-            a_eq = entot._incidence(lp.tails[keep], lp.heads[keep], d, 3 * d)
-            yield lp.cost[keep], a_eq, _grid_b_eq(p, q) * entot._MASS_SCALE
+        for keep in (grid.arc_cost <= (reach + 1) ** 2, np.ones(grid.arc_cost.shape[0], dtype=bool)):
+            a_eq = entot._incidence(grid.tails[keep], grid.heads[keep], d, 3 * d)
+            yield grid.arc_cost[keep], a_eq, _grid_b_eq(p, q) * entot._MASS_SCALE
 
 
 def _dense_lps():

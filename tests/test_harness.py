@@ -303,6 +303,24 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"m": "5.5"})
         assert ExperimentConfig.from_dict({"m": 5.0}).m == 5
 
+    @pytest.mark.parametrize(
+        "key", [key for key, (kind, _) in harness.CONFIG_TYPES.items() if kind is float]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected_naming_the_key(self, key, value):
+        for raw in (value, float(value)):
+            with pytest.raises(ValueError, match=f"^{key} must be finite, got "):
+                harness.config_value(key, raw)
+            with pytest.raises(ValueError, match=f"^{key} must be finite, got "):
+                ExperimentConfig.from_dict({key: raw})
+
+    def test_non_finite_epoch_len_means_static(self):
+        # An integer key: 'inf' keeps meaning a static graph, and a typed
+        # infinity is no integer.
+        assert harness.config_value("epoch_len", "inf") is None
+        with pytest.raises(ValueError, match="cannot parse int epoch_len=inf"):
+            harness.config_value("epoch_len", float("inf"))
+
     def test_bad_boolean_rejected(self):
         with pytest.raises(ValueError, match="boolean"):
             ExperimentConfig.from_dict({"measure_walltime": "maybe"})
@@ -716,7 +734,7 @@ class TestBenchmarkWorkloads:
         run_experiment(ExperimentConfig.from_dict(raw))
         records = WORKLOADS.records(raw["n_iters"], raw["record_every"])
         assert len(lps) == raw["m"] * records
-        full = entot._grid_lp(WORKLOADS.GRID_SIDE, WORKLOADS.GRID_SIDE).cost.shape[0]
+        full = entot.GridCost(WORKLOADS.GRID_SIDE, WORKLOADS.GRID_SIDE).arc_cost.shape[0]
         assert len(arcs) == len(lps)
         assert max(arcs) < full
 
