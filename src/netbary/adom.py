@@ -79,7 +79,7 @@ class AdomParams:
 
     def __post_init__(self):
         for name in ("r", "gamma", "alpha", "eta", "theta", "sigma"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not (0.0 < self.tau < 1.0):
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
@@ -96,8 +96,9 @@ def derive_params(r: float, gamma: float, bounds: SpectralBounds) -> AdomParams:
     * sigma = 1 / lam_max
     * tau   = (lam_min+ / (7 lam_max)) sqrt(rg / (1 + rg))
     """
-    if r <= 0 or gamma <= 0:
-        raise ValueError(f"r and gamma must be positive, got r={r}, gamma={gamma}")
+    for name, value in (("r", r), ("gamma", gamma)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
     lam_min, lam_max = bounds.lambda_min_plus, bounds.lambda_max
     rg = r * gamma
     alpha = r / 2.0
@@ -303,8 +304,9 @@ def iteration_estimate(
     """Advisory iteration count for an eps-accurate value gap:
     ceil( 7 (lam_max/lam_min+) sqrt((1 + r gamma)/(r gamma)) ln(2 c2 / eps) ).
     """
-    if eps <= 0 or c2 <= 0:
-        raise ValueError("eps and c2 must be positive")
+    for name, value in (("eps", eps), ("r", r), ("gamma", gamma), ("c2", c2)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
     rg = r * gamma
     ratio = bounds.lambda_max / bounds.lambda_min_plus
     value = 7.0 * ratio * math.sqrt((1.0 + rg) / rg) * math.log(2.0 * c2 / eps)

@@ -85,8 +85,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if cfg.out is None:
         raise ValueError("sweep needs --out (or out in the config) as the parent directory")
     # Each variant writes into out/<label>, so a label listed twice would
-    # run two variants into one directory at once.
+    # run two variants into one directory at once, and two labels of one
+    # parsed value (epoch-static, epoch-inf) one variant twice. A value that
+    # does not parse fails in its own run, under its label.
     variants: dict[str, dict] = {}
+    labels: dict = {}
     for key, prefix, listed in (
         ("family", "family", args.families), ("epoch_len", "epoch", args.epoch_lens)
     ):
@@ -95,6 +98,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             label = f"{prefix}-{value}"
             if label in variants:
                 raise ValueError(f"sweep variant {label} is listed twice")
+            try:
+                parsed = (key, harness.config_value(key, value))
+            except ValueError:
+                parsed = label
+            if parsed in labels:
+                raise ValueError(f"sweep variants {labels[parsed]} and {label} are the same {key}")
+            labels[parsed] = label
             variants[label] = dict(cfg.to_dict(), **{key: value}, out=str(Path(cfg.out) / label))
     if not variants:
         raise ValueError("sweep needs --families and/or --epoch-lens")

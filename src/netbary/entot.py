@@ -78,7 +78,7 @@ def floor_histogram(q: np.ndarray, delta: float) -> np.ndarray:
     """
     q = validate_histogram(q, "q")
     d = q.shape[0]
-    if delta <= 0 or delta * d >= 1.0:
+    if not (delta > 0 and delta * d < 1.0):
         raise ValueError(f"delta must lie in (0, 1/d) with d={d}, got {delta}")
     return (1.0 - delta * d) * q + delta
 
@@ -181,7 +181,7 @@ class GridCost:
 
 def _check_marginal(q, cost, gamma, name="q"):
     """q as a strictly positive histogram on a validated cost's support."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     q = validate_histogram(q, name)
     if q.min() <= 0:
@@ -269,27 +269,48 @@ def _gibbs_factors(z_stack, c_max, gamma):
     return np.exp(u, out=u)
 
 
-def _scaling_conj_grad_stack(marginals, kernel, u):
+def _scaling_conj_grad_stack(marginals, axis_kernels, u):
     """The stacked gradient in the scaling form u * ((q / (u K)) K^T), from
     the Gibbs factors ``u`` of :func:`_gibbs_factors` (Peyre & Cuturi,
-    *Computational Optimal Transport*, 2019, section 4). Both products are
-    batches of one-row products, (m, 1, d) @ (d, d): one (m, d) @ (d, d)
-    product would sum in another order than a single row does, and
-    :func:`dual_grad` must equal a row of the stack bit for bit. Work is
-    2 m d^2 multiply-adds; besides the kernel, memory is O(m d)."""
-    rows = u[:, None, :]
-    mixed = np.matmul(rows, kernel)  # [i, ., j]: normalizer of column j
-    np.divide(marginals[:, None, :], mixed, out=mixed)
-    mixed = np.matmul(mixed, kernel.T)  # [i, ., l]: sum_j q_j K_lj / n_j
-    mixed *= rows
-    return mixed[:, 0, :]
+    *Computational Optimal Transport*, 2019, section 4). K is the Kronecker
+    product of the axes' Gibbs kernels K1 and K2 (Solomon et al.,
+    *Convolutional Wasserstein Distances*, SIGGRAPH 2015), so each product
+    with it is two small ones on the node's (rows, cols) image: the
+    normalizers are K1^T U K2, the mixed sums K1 W K2^T. Work is 4 m n^3 on
+    an n x n raster.
+
+    A d x d cost matrix is the second axis of a one-row raster, whose first
+    axis's kernel is [[1.0]]. Products with it are skipped: they change no
+    bit, but made a call 11-19% slower at the benchmark's matrix shapes (m
+    10, d 100 and m 50, d 20; one BLAS thread, 2-vCPU Xeon VM). What remains
+    are batches of one-row products, (m, 1, d) @ (d, d), 2 m d^2
+    multiply-adds: one (m, d) @ (d, d) product would sum in another order
+    than a single row does, and :func:`dual_grad` must equal a row of the
+    stack bit for bit. Besides the kernels, memory is O(m d)."""
+    k1, k2 = axis_kernels
+    one_row = k1.shape == (1, 1)
+    m = u.shape[0]
+    u = u.reshape(m, k1.shape[0], k2.shape[0])
+    mixed = u @ k2 if one_row else k1.T @ u @ k2  # [i, a, b]: normalizer of pixel (a, b)
+    np.divide(marginals.reshape(u.shape), mixed, out=mixed)
+    mixed = mixed @ k2.T if one_row else k1 @ mixed @ k2.T  # [i, c, e]: sum of q K / n
+    mixed *= u
+    return mixed.reshape(m, -1)
 
 
 def _conj_grad_stack(marginals, cost, gamma, z_stack):
-    """The log-domain fallback of :func:`_scaling_conj_grad_stack`, for spans
-    where exp(-C / gamma) or exp(z / gamma) would leave the normal doubles.
-    Works in place on one (m, d, d) array, indexed [i, l, j]: m d^2
-    doubles, 49 MB at m = 10, d = 784."""
+    """The log-domain fallback of :func:`_scaling_conj_grad_stack` for a
+    cost matrix, for spans where exp(-C / gamma) or exp(z / gamma) would
+    leave the normal doubles. Works in place on one (m, d, d) array, indexed
+    [i, l, j]: m d^2 doubles, 49 MB at m = 10, d = 784.
+
+    A matrix is a one-row raster here too, but it keeps this kernel rather
+    than :func:`_grid_conj_grad_stack`: this one does the arithmetic of the
+    per-column reference, a max-subtracted exponential of (z_l - C_lj) /
+    gamma, while the factorized log-sum-exps add logs of size |z| / gamma
+    and carry an error of that times the machine epsilon. At |z| / gamma
+    near 1e4 (m 4, d 50) that put one entry of 50 1.2e-12 relative off the
+    reference, against the 1e-12 the tests hold both kernels to."""
     work = z_stack[:, :, None] - cost
     work /= gamma
     work -= work.max(axis=1, keepdims=True)
@@ -312,26 +333,10 @@ def _lse_first_axis(work):
     return out
 
 
-def _grid_scaling_conj_grad_stack(marginals, axis_kernels, u):
-    """:func:`_scaling_conj_grad_stack` for a :class:`GridCost`, from the
-    axes' Gibbs kernels K1 and K2 alone. The kernel of the raster is their
-    Kronecker product (Solomon et al., *Convolutional Wasserstein
-    Distances*, SIGGRAPH 2015), so each product with it is two small ones
-    on the node's (rows, cols) image: the normalizers are K1^T U K2, the
-    mixed sums K1 W K2^T. Work is 4 m n^3 on an n x n raster."""
-    k1, k2 = axis_kernels
-    m = u.shape[0]
-    u = u.reshape(m, k1.shape[0], k2.shape[0])
-    mixed = k1.T @ u @ k2  # [i, a, b]: normalizer of pixel (a, b)
-    np.divide(marginals.reshape(u.shape), mixed, out=mixed)
-    mixed = k1 @ mixed @ k2.T  # [i, c, e]: sum over (a, b) of q K / n
-    mixed *= u
-    return mixed.reshape(m, -1)
-
-
 def _grid_conj_grad_stack(marginals, grid, gamma, z_stack):
-    """The log-domain fallback of :func:`_grid_scaling_conj_grad_stack`,
-    :func:`_conj_grad_stack` for a :class:`GridCost` from the axes alone.
+    """The log-domain fallback of :func:`_scaling_conj_grad_stack` for a
+    :class:`GridCost`: :func:`_conj_grad_stack` from the axes alone, which
+    never forms a d x d array (see there why a matrix keeps its own).
 
     With the pixel index split as l = (c, e) and j = (a, b), the Gibbs
     kernel factorizes, exp(-M_lj / gamma) = exp(-C1[c,a] / gamma)
@@ -376,16 +381,18 @@ class WassersteinDualOracle(DualOracle):
     Node i owns the fixed marginal ``marginals[i]``; all nodes share the
     cost, a d x d matrix or a :class:`GridCost`. Gamma, the cost and every
     marginal are validated here, once, and kept as read-only copies, so
-    evaluations check only the shape. The Gibbs kernel exp(-C / gamma) and
-    the cost's maximum are built here too: d^2 doubles for a matrix (4.9 MB
-    at d = 784), two small per-axis kernels for a grid, whose evaluations
-    never form a d x d array; ``cost`` is then the :class:`GridCost`
-    itself.
+    evaluations check only the shape; for a grid, ``cost`` is the
+    :class:`GridCost` itself. Every cost is described by its per-axis
+    costs: a grid's ``axes``, and a matrix C as ``(zeros((1, 1)), C)``, the
+    second axis of a one-row raster. The per-axis Gibbs kernels
+    exp(-C_k / gamma) and c_max, the sum of the axes' maxima, are built here
+    too: d^2 doubles for a matrix (4.9 MB at d = 784), two small kernels for
+    a grid, whose evaluations never form a d x d array.
 
     An evaluation takes the scaling form, two kernel products per node,
     while every node's (max z - min z + c_max) / gamma stays below
     :data:`_SCALING_SPAN_LIMIT`; otherwise the whole stack takes the
-    log-domain kernels, which stay finite for any |z| / gamma.
+    log-domain kernel of its cost, which stays finite for any |z| / gamma.
     """
 
     def __init__(self, marginals: np.ndarray, cost: np.ndarray | GridCost, gamma: float):
@@ -396,9 +403,10 @@ class WassersteinDualOracle(DualOracle):
         if self.grid is None:
             cost = validate_cost_matrix(np.array(cost, dtype=float))
             cost.setflags(write=False)
-        # A grid's arrays were built and frozen by GridCost; the kernel reads
-        # only its axes.
-        square = cost if self.grid is None else self.grid.whole
+            axes, square = (np.zeros((1, 1)), cost), cost
+        else:
+            # A grid's arrays were built and frozen by GridCost.
+            axes, square = self.grid.axes, self.grid.whole
         for i, q in enumerate(marginals):
             _check_marginal(q, square, gamma, f"marginals[{i}]")
         marginals.setflags(write=False)
@@ -406,29 +414,21 @@ class WassersteinDualOracle(DualOracle):
         self.cost = cost
         self.gamma = float(gamma)
         self.m, self.dim = marginals.shape
-        if self.grid is None:
-            self._kernel = np.exp(-cost / self.gamma)
-            self._c_max = float(cost.max())
-            kept = [self._kernel]
-        else:
-            self._axis_kernels = tuple(np.exp(-a / self.gamma) for a in self.grid.axes)
-            self._c_max = float(sum(a.max() for a in self.grid.axes))
-            kept = self._axis_kernels
-        for array in kept:
-            array.setflags(write=False)
+        self._axis_kernels = tuple(np.exp(-a / self.gamma) for a in axes)
+        self._c_max = float(sum(a.max() for a in axes))
+        for kernel in self._axis_kernels:
+            kernel.setflags(write=False)
 
     def grad_conj_stack(self, z_stack: np.ndarray) -> np.ndarray:
         z_stack = np.asarray(z_stack, dtype=float)
         if z_stack.shape != self.marginals.shape:
             raise ValueError(f"z_stack shape {z_stack.shape} != {self.marginals.shape}")
         u = _gibbs_factors(z_stack, self._c_max, self.gamma)
+        if u is not None:
+            return _scaling_conj_grad_stack(self.marginals, self._axis_kernels, u)
         if self.grid is None:
-            if u is None:
-                return _conj_grad_stack(self.marginals, self.cost, self.gamma, z_stack)
-            return _scaling_conj_grad_stack(self.marginals, self._kernel, u)
-        if u is None:
-            return _grid_conj_grad_stack(self.marginals, self.grid, self.gamma, z_stack)
-        return _grid_scaling_conj_grad_stack(self.marginals, self._axis_kernels, u)
+            return _conj_grad_stack(self.marginals, self.cost, self.gamma, z_stack)
+        return _grid_conj_grad_stack(self.marginals, self.grid, self.gamma, z_stack)
 
 
 def wb_dual_oracle(
@@ -841,13 +841,13 @@ def k_bound(d: int, gamma: float, delta: float, rho: float | None = None) -> flo
     i = j. rho defaults to delta/2, the natural choice when every histogram
     entry is at least delta after flooring.
     """
-    if delta <= 0 or delta > 1.0 / d:
+    if not 0 < delta <= 1.0 / d:
         raise ValueError(f"delta must lie in (0, 1/d] with d={d}, got {delta}")
     if rho is None:
         rho = delta / 2.0
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     base = 2.0 * gamma * math.log(d) - gamma * math.log(rho)
     return d * base**2
@@ -866,7 +866,7 @@ class AccuracyParams:
 def params_for_eps(eps: float, m: int, d: int, delta: float) -> AccuracyParams:
     """Accuracy-driven regularization: gamma = eps / (8 log d) (so the
     entropic gap 2 gamma log d spends eps/4) and r = eps / (4 m K^2)."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if d < 2:
         raise ValueError(f"need d >= 2 support points, got {d}")

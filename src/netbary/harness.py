@@ -83,7 +83,9 @@ class GaussianSpec:
             raise ValueError(f"grid must be 1-d with >= 2 points, got {grid.shape}")
         if not np.isfinite(grid).all():
             raise ValueError("grid has non-finite entries")
-        if self.std <= 0:
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if not self.std > 0:
             raise ValueError(f"std must be positive, got {self.std}")
         object.__setattr__(self, "grid", grid)
 

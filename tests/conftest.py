@@ -8,12 +8,11 @@ import pytest
 import netbary
 from netbary import entot
 
-# The oracle's evaluation paths: the Gibbs-kernel scaling form and its
-# log-domain fallback, for a cost matrix and for a GridCost.
+# The oracle's evaluation paths: the Gibbs-kernel scaling form, for every
+# cost, and its log-domain fallbacks, for a cost matrix and for a GridCost.
 KERNELS = (
     "_scaling_conj_grad_stack",
     "_conj_grad_stack",
-    "_grid_scaling_conj_grad_stack",
     "_grid_conj_grad_stack",
 )
 

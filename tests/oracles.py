@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from the defining formulas rather
 than by calling into the package, so tests compare two separate routes to
-the same quantity. Slow and simple on purpose.
+the same quantity. Slow and simple on purpose. The one copy of package code
+is ``scaling_conj_grad_stack_reference``, the former matrix scaling kernel,
+kept verbatim so the oracle's stack can be held to it bit for bit.
 
 The test-only references at the end (the quadratic oracle, the (L, mu)
 closed form of the step parameters, the zero-sum projection, log-domain
@@ -121,6 +123,21 @@ def conj_grad_reference(q, cost, gamma, z):
         weights = np.exp(logits - logits.max())
         grad += q[j] * weights / weights.sum()
     return grad
+
+
+def scaling_conj_grad_stack_reference(marginals, kernel, u):
+    """The matrix scaling kernel the oracle ran before one Kronecker-product
+    kernel served matrices and rasters alike, kept verbatim: the stacked
+    gradient u * ((q / (u K)) K^T) from the Gibbs kernel K = exp(-C / gamma)
+    and the factors u = exp((z - max z) / gamma). Both products are batches
+    of one-row products, (m, 1, d) @ (d, d), so the oracle's stack on a cost
+    matrix must equal this bit for bit."""
+    rows = u[:, None, :]
+    mixed = np.matmul(rows, kernel)  # [i, ., j]: normalizer of column j
+    np.divide(marginals[:, None, :], mixed, out=mixed)
+    mixed = np.matmul(mixed, kernel.T)  # [i, ., l]: sum_j q_j K_lj / n_j
+    mixed *= rows
+    return mixed[:, 0, :]
 
 
 def fd_gradient(func, z, step=1e-6):

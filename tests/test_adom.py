@@ -167,10 +167,12 @@ class TestDeriveParams:
         )
 
     def test_rejects_nonpositive_inputs(self):
-        with pytest.raises(ValueError):
-            adom.derive_params(r=0.0, gamma=0.1, bounds=PAIR_BOUNDS)
-        with pytest.raises(ValueError):
-            adom.derive_params(r=0.1, gamma=-1.0, bounds=PAIR_BOUNDS)
+        # nan fails the check too, naming the parameter.
+        for bad in ("r", "gamma"):
+            for value in (0.0, -1.0, np.nan):
+                args = {"r": 0.1, "gamma": 0.1, bad: value}
+                with pytest.raises(ValueError, match=f"^{bad} must be positive, got {value}$"):
+                    adom.derive_params(bounds=PAIR_BOUNDS, **args)
 
     def test_baseline_parameters_coincide_under_substitution(self):
         # L = 1/r and mu = gamma/(1 + r gamma) turn the generic step sizes
@@ -572,10 +574,11 @@ class TestGuaranteeConstants:
         ) == 1
 
     def test_iteration_estimate_validates(self):
-        with pytest.raises(ValueError):
-            adom.iteration_estimate(
-                eps=0.0, r=0.1, gamma=0.1, bounds=PAIR_BOUNDS, c2=1.0
-            )
+        for bad in ("eps", "r", "gamma", "c2"):
+            for value in (0.0, np.nan):
+                args = {"eps": 0.1, "r": 0.1, "gamma": 0.1, "c2": 1.0, bad: value}
+                with pytest.raises(ValueError, match=f"^{bad} must be positive, got {value}$"):
+                    adom.iteration_estimate(bounds=PAIR_BOUNDS, **args)
 
 
 class TestConsensusMetricHelpers:

@@ -120,6 +120,14 @@ class TestOracleCheck:
         )
         assert float(rel_line.split(":")[1]) <= 1e-6
 
+    @pytest.mark.parametrize("gamma", ["nan", "0", "-0.5"])
+    def test_gamma_that_is_not_positive_is_an_error(self, capsys, gamma):
+        code = cli(["oracle-check", "--gamma", gamma])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: gamma must be positive, got {float(gamma)}\n"
+        assert captured.out == ""
+
 
 class TestRun:
     def test_config_file_run_writes_artifacts(self, tmp_path, capsys):
@@ -482,6 +490,27 @@ class TestSweep:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == f"error: sweep variant {label} is listed twice\n"
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "grid, first, second",
+        [
+            (["--epoch-lens", "static,inf,none"], "epoch-static", "epoch-inf"),
+            (["--epoch-lens", "5,05"], "epoch-5", "epoch-05"),
+            (["--epoch-lens", "NONE,5,Static"], "epoch-NONE", "epoch-Static"),
+        ],
+    )
+    def test_variants_of_one_value_rejected_before_any_variant(
+        self, tmp_path, capsys, grid, first, second
+    ):
+        cfg_path = _write_config(tmp_path)
+        out_dir = tmp_path / "sweep"
+        code = cli(["sweep", "--config", str(cfg_path), *grid, "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        message = f"sweep variants {first} and {second} are the same epoch_len"
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not out_dir.exists()
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import lp_oracle
 import oracles
+from conftest import KERNELS
 from netbary import adom, entot, netgraph
 
 
@@ -64,6 +65,10 @@ class TestFloorHistogram:
     def test_rejects_delta_too_large(self):
         with pytest.raises(ValueError, match="delta"):
             entot.floor_histogram(np.full(4, 0.25), 0.25)
+
+    def test_rejects_nan_delta(self):
+        with pytest.raises(ValueError, match="^delta must lie in .*, got nan$"):
+            entot.floor_histogram(np.full(4, 0.25), np.nan)
 
 
 class TestCostMatrix:
@@ -206,10 +211,17 @@ class TestDualGrad:
             entot.dual_grad(q, cost, 0.1, np.zeros(3))
 
     def test_rejects_nonpositive_gamma(self):
+        # nan fails the check too, at each entry point that takes gamma.
         q = np.array([0.5, 0.5])
         cost = entot.cost_matrix(np.array([0.0, 1.0]))
-        with pytest.raises(ValueError, match="gamma"):
-            entot.dual_grad(q, cost, 0.0, np.zeros(2))
+        for gamma in (0.0, -1.0, np.nan):
+            message = f"^gamma must be positive, got {gamma}$"
+            with pytest.raises(ValueError, match=message):
+                entot.dual_grad(q, cost, gamma, np.zeros(2))
+            with pytest.raises(ValueError, match=message):
+                entot.dual_value(q, cost, gamma, np.zeros(2))
+            with pytest.raises(ValueError, match=message):
+                entot.WassersteinDualOracle(q[None, :], cost, gamma)
 
     @pytest.mark.parametrize("func", [entot.dual_value, entot.dual_grad], ids=["value", "grad"])
     @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
@@ -712,7 +724,7 @@ class TestGibbsKernel:
     it replaces and the per-column reference, and the span guard that
     chooses between them."""
 
-    SCALING = {"line": "_scaling_conj_grad_stack", "raster": "_grid_scaling_conj_grad_stack"}
+    SCALING = "_scaling_conj_grad_stack"
     FALLBACK = {"line": "_conj_grad_stack", "raster": "_grid_conj_grad_stack"}
 
     def _check(self, marginals, cost, gamma, z_stack, got, atol=1e-300):
@@ -743,8 +755,27 @@ class TestGibbsKernel:
         marginals = _stack(rng, m, d)
         z_stack = 0.3 * rng.standard_normal((m, d))
         got = entot.wb_dual_oracle(marginals, cost, gamma).grad_conj_stack(z_stack)
-        assert kernel_calls == [self.SCALING[kind]]
+        assert kernel_calls == [self.SCALING]
         self._check(marginals, cost, gamma, z_stack, got)
+
+    # The benchmark's two matrix shapes, and a one-row raster, whose dense
+    # cost is its second axis bit for bit.
+    @pytest.mark.parametrize("m, d, kind", [(10, 100, "line"), (50, 20, "line"), (3, 12, "row")])
+    def test_scaling_form_is_the_matrix_kernel_it_replaced(self, kernel_calls, m, d, kind):
+        rng = np.random.default_rng([38, m, d])
+        gamma = 0.01
+        if kind == "line":
+            cost = entot.cost_matrix(np.sort(rng.random(d)))
+        else:
+            cost = entot.GridCost(1, d)
+        marginals = _stack(rng, m, d)
+        z_stack = 0.3 * rng.standard_normal((m, d))
+        got = entot.wb_dual_oracle(marginals, cost, gamma).grad_conj_stack(z_stack)
+        assert kernel_calls == [self.SCALING]
+        u = np.exp((z_stack - z_stack.max(axis=1, keepdims=True)) / gamma)
+        kernel = np.exp(-_dense(cost) / gamma)
+        want = oracles.scaling_conj_grad_stack_reference(marginals, kernel, u)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind, d", [("line", 40), ("raster", 49)])
     @pytest.mark.parametrize("side", ["under", "over"])
@@ -760,8 +791,8 @@ class TestGibbsKernel:
         z_stack[:-1] *= 0.5
         marginals = _stack(rng, m, d)
         got = entot.wb_dual_oracle(marginals, cost, gamma).grad_conj_stack(z_stack)
-        path = self.SCALING if side == "under" else self.FALLBACK
-        assert kernel_calls == [path[kind]]
+        path = self.SCALING if side == "under" else self.FALLBACK[kind]
+        assert kernel_calls == [path]
         # Every entry is a normal double here, down to about 1e-230, and
         # each is relatively accurate: no absolute slack.
         assert got.min() > 1e-250
@@ -806,7 +837,7 @@ class TestGibbsKernel:
         assert np.array_equal(large - 128.0, small)
         kernel_calls.clear()
         got = oracle.grad_conj_stack(large)
-        assert kernel_calls == [self.SCALING[kind]]
+        assert kernel_calls == [self.SCALING]
         self._check(marginals, cost, gamma, small, got)
 
     @pytest.mark.parametrize("kind, d", [("line", 12), ("raster", 16)])
@@ -826,29 +857,41 @@ class TestGibbsKernel:
         if bad != -np.inf:
             assert not np.isfinite(got[1]).all()
 
+    def test_kernel_spy_names_every_kernel(self):
+        # The path tests see only the kernels conftest.KERNELS spies on, so
+        # a kernel added to or deleted from entot must show here.
+        kernels = [
+            name for name, value in vars(entot).items()
+            if name.endswith("_conj_grad_stack") and callable(value)
+        ]
+        assert sorted(kernels) == sorted(KERNELS)
+
     def test_dual_grad_runs_the_oracle_kernel(self, kernel_calls):
         rng = np.random.default_rng(36)
         cost = entot.cost_matrix(np.sort(rng.random(8)))
         q = entot.floor_histogram(rng.dirichlet(np.ones(8)), 1e-6)
         entot.dual_grad(q, cost, 0.05, 0.1 * rng.standard_normal(8))
         entot.dual_grad(q, cost, 0.05, 100.0 * rng.standard_normal(8))
-        assert kernel_calls == ["_scaling_conj_grad_stack", "_conj_grad_stack"]
+        assert kernel_calls == [self.SCALING, self.FALLBACK["line"]]
 
     @pytest.mark.parametrize("kind, d", [("line", 20), ("raster", 25)])
     def test_kernels_are_kept_read_only(self, kind, d):
         rng = np.random.default_rng([37, d])
         cost = _support(kind, d, rng)
         oracle = entot.wb_dual_oracle(_stack(rng, 2, d), cost, 0.05)
+        first, second = oracle._axis_kernels
         if kind == "line":
-            kernels = [oracle._kernel]
-            np.testing.assert_array_equal(oracle._kernel, np.exp(-cost / 0.05))
+            # A matrix is the second axis of a one-row raster.
+            assert first.shape == (1, 1) and first[0, 0] == 1.0
+            np.testing.assert_array_equal(second, np.exp(-cost / 0.05))
+            assert oracle._c_max == cost.max()
         else:
             # The raster's kernel is the axes' Kronecker product; the axes
             # sum to the dense cost within one ulp.
-            kernels = list(oracle._axis_kernels)
-            np.testing.assert_allclose(np.kron(*kernels), np.exp(-cost.dense / 0.05), rtol=1e-13)
-        assert not any(k.flags.writeable for k in kernels)
-        assert oracle._c_max == pytest.approx(_dense(cost).max(), rel=1e-15)
+            kernel = np.exp(-cost.dense / 0.05)
+            np.testing.assert_allclose(np.kron(first, second), kernel, rtol=1e-13)
+            assert oracle._c_max == pytest.approx(cost.dense.max(), rel=1e-15)
+        assert not first.flags.writeable and not second.flags.writeable
 
 
 def _smooth_image_grid(n=12):
@@ -1670,10 +1713,14 @@ class TestKBound:
         assert got == pytest.approx(3 * base**2, rel=1e-14)
 
     def test_rejects_delta_out_of_range(self):
-        with pytest.raises(ValueError, match="delta"):
-            entot.k_bound(4, 0.1, 0.3)
-        with pytest.raises(ValueError, match="delta"):
-            entot.k_bound(4, 0.1, 0.0)
+        for delta in (0.3, 0.0, np.nan):
+            with pytest.raises(ValueError, match=f"^delta must lie in .*, got {delta}$"):
+                entot.k_bound(4, 0.1, delta)
+
+    def test_rejects_nonpositive_gamma(self):
+        for gamma in (0.0, np.nan):
+            with pytest.raises(ValueError, match=f"^gamma must be positive, got {gamma}$"):
+                entot.k_bound(4, gamma, 0.01)
 
     def test_matches_broadcast_formula(self):
         # The row term min_i max_l |M_jl - M_il| evaluated over (d, d, d)
@@ -1713,8 +1760,9 @@ class TestParamsForEps:
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError, match="d >= 2"):
             entot.params_for_eps(0.1, 3, 1, 0.5)
-        with pytest.raises(ValueError, match="eps"):
-            entot.params_for_eps(0.0, 3, 4, 0.01)
+        for eps in (0.0, np.nan):
+            with pytest.raises(ValueError, match=f"^eps must be positive, got {eps}$"):
+                entot.params_for_eps(eps, 3, 4, 0.01)
 
 
 class TestSimplexProperties:

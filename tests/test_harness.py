@@ -89,6 +89,11 @@ class TestGenTruncatedGaussian:
             GaussianSpec(mean=0.5, std=0.1, grid=np.zeros((2, 2)))
         with pytest.raises(ValueError, match="non-finite"):
             GaussianSpec(mean=0.5, std=0.1, grid=np.array([0.0, np.inf]))
+        # nan fails too, naming the parameter.
+        with pytest.raises(ValueError, match="^std must be positive, got nan$"):
+            GaussianSpec(mean=0.5, std=np.nan, grid=grid)
+        with pytest.raises(ValueError, match="^mean must be finite, got nan$"):
+            GaussianSpec(mean=np.nan, std=0.1, grid=grid)
 
 
 class TestAnalyticBarycenter:
@@ -701,10 +706,7 @@ class TestBenchmarkWorkloads:
         # 136, against a limit of 600.
         raw = WORKLOADS.config(workload, 0, "bench", tmp_path)
         run_experiment(ExperimentConfig.from_dict(raw))
-        path = "_grid_scaling_conj_grad_stack" if raw["dataset"] == "mnist" else (
-            "_scaling_conj_grad_stack"
-        )
-        assert kernel_calls == [path] * (raw["n_iters"] + 1)
+        assert kernel_calls == ["_scaling_conj_grad_stack"] * (raw["n_iters"] + 1)
 
     def test_grid2d_takes_one_solve_per_transport_lp(self, tmp_path, monkeypatch):
         # Every metrics LP of the raster workload is certified on its local
