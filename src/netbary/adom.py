@@ -79,8 +79,10 @@ class AdomParams:
 
     def __post_init__(self):
         for name in ("r", "gamma", "alpha", "eta", "theta", "sigma"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}"
+                )
         if not (0.0 < self.tau < 1.0):
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
 
@@ -97,8 +99,8 @@ def derive_params(r: float, gamma: float, bounds: SpectralBounds) -> AdomParams:
     * tau   = (lam_min+ / (7 lam_max)) sqrt(rg / (1 + rg))
     """
     for name, value in (("r", r), ("gamma", gamma)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     lam_min, lam_max = bounds.lambda_min_plus, bounds.lambda_max
     rg = r * gamma
     alpha = r / 2.0
@@ -291,6 +293,9 @@ def c2_bound(
     ``k`` bounds the norm of every conjugate gradient over the dual domain
     (sqrt of the transport layer's k_bound for barycenter problems).
     """
+    for name, value in (("r", r), ("gamma", gamma), ("k", k)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     rg = r * gamma
     ratio = bounds.lambda_max / bounds.lambda_min_plus
     term1 = m * (1.0 + rg) * k / (math.sqrt(2.0) * gamma) * math.sqrt(ratio)
@@ -305,8 +310,8 @@ def iteration_estimate(
     ceil( 7 (lam_max/lam_min+) sqrt((1 + r gamma)/(r gamma)) ln(2 c2 / eps) ).
     """
     for name, value in (("eps", eps), ("r", r), ("gamma", gamma), ("c2", c2)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     rg = r * gamma
     ratio = bounds.lambda_max / bounds.lambda_min_plus
     value = 7.0 * ratio * math.sqrt((1.0 + rg) / rg) * math.log(2.0 * c2 / eps)

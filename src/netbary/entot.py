@@ -181,8 +181,8 @@ class GridCost:
 
 def _check_marginal(q, cost, gamma, name="q"):
     """q as a strictly positive histogram on a validated cost's support."""
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     q = validate_histogram(q, name)
     if q.min() <= 0:
         raise ValueError(
@@ -847,8 +847,8 @@ def k_bound(d: int, gamma: float, delta: float, rho: float | None = None) -> flo
         rho = delta / 2.0
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     base = 2.0 * gamma * math.log(d) - gamma * math.log(rho)
     return d * base**2
 
@@ -866,8 +866,8 @@ class AccuracyParams:
 def params_for_eps(eps: float, m: int, d: int, delta: float) -> AccuracyParams:
     """Accuracy-driven regularization: gamma = eps / (8 log d) (so the
     entropic gap 2 gamma log d spends eps/4) and r = eps / (4 m K^2)."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if d < 2:
         raise ValueError(f"need d >= 2 support points, got {d}")
     if m < 1:

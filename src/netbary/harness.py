@@ -85,8 +85,8 @@ class GaussianSpec:
             raise ValueError("grid has non-finite entries")
         if not math.isfinite(self.mean):
             raise ValueError(f"mean must be finite, got {self.mean}")
-        if not self.std > 0:
-            raise ValueError(f"std must be positive, got {self.std}")
+        if not 0.0 < self.std < math.inf:
+            raise ValueError(f"std must be positive and finite, got {self.std}")
         object.__setattr__(self, "grid", grid)
 
 

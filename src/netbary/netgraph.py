@@ -52,6 +52,11 @@ _ER_MAX_DRAWS = 1000
 # |lowest eigenvalue| of a Laplacian may not exceed this times max(1, lambda_max).
 _EIG_FLOOR = 1e-10
 
+# An epoch's eigen-solve is skipped only when a proof puts both of its
+# extremes inside the running ones by at least this share of lambda_max
+# (see _certified_inside).
+_CERT_MARGIN = 1e-8
+
 
 class DisconnectedGraphError(ValueError):
     """The edge list does not describe a connected graph."""
@@ -110,9 +115,9 @@ class SpectralBounds:
     lambda_max: float
 
     def __post_init__(self):
-        if not (0.0 < self.lambda_min_plus <= self.lambda_max):
+        if not (0.0 < self.lambda_min_plus <= self.lambda_max < math.inf):
             raise ValueError(
-                "need 0 < lambda_min_plus <= lambda_max, got "
+                "need 0 < lambda_min_plus <= lambda_max < inf, got "
                 f"({self.lambda_min_plus}, {self.lambda_max})"
             )
 
@@ -434,6 +439,55 @@ def _positive_extremes(eigs: np.ndarray) -> tuple[float, float]:
     return lam_min_plus, lam_max
 
 
+def _certified_inside(lap: Laplacian, lo: float, hi: float) -> bool:
+    """True when a proof shows that an eigen-solve of ``lap`` could move
+    neither running extreme: its lambda_min+ lies above ``lo`` and its
+    lambda_max below ``hi``, each by more than the margin.
+
+    Degree checks first, read off L's diagonal: lambda_max >= d_max + 1
+    (Grone & Merris) and lambda_min+ <= m / (m - 1) d_min (Fiedler). When
+    either bound puts the epoch within the margin of a running extreme, or
+    past it, no certificate can succeed, and the answer is False at once.
+    This is the common case for dense graphs, where a node of degree m - 1
+    makes lambda_max exactly m. An unset extreme (``hi`` = 0) always fails.
+
+    Then one Cholesky call on two matrices, with s = lo + margin:
+    A = L + (s + 1)/m 11^T - s I has eigenvalue 1 on the constants and
+    lambda_k - s on their complement, so it is positive definite iff
+    lambda_min+ > s; B = (hi - margin) I - L is iff lambda_max < hi - margin.
+    A factorization that fails is no proof, and the answer is False.
+
+    The margin is 1e-8 hi. Both matrices have 2-norm at most hi, since a
+    graph with an edge has lambda_max >= 2. A Cholesky factorization that
+    succeeds in floating point proves positive definite a matrix within
+    about m^2 u hi of the one given (u = 2^-53, the unit roundoff), so a
+    success still puts each exact extreme inside its running one by more
+    than margin - m^2 u hi. ``eigvalsh`` is backward stable too: its
+    computed extremes lie within about the same distance of the exact
+    ones. At m = 50, m^2 u is 2.8e-13, and at m = 200 it is 4.4e-12, far
+    below 1e-8; so a skipped epoch's computed extremes would lie strictly
+    inside the running ones, and skipping it changes no bit of the
+    result. Past m of about 3000, where 4 m^2 eps overtakes 1e-8, the
+    margin grows with it.
+    """
+    m = lap.m
+    margin = max(_CERT_MARGIN, 4 * m * m * np.finfo(float).eps) * hi
+    degrees = np.diagonal(lap.entries)
+    if degrees.max() + 1.0 >= hi - margin or m / (m - 1) * degrees.min() <= lo + margin:
+        return False
+    s = lo + margin
+    pair = np.empty((2, m, m))
+    np.add(lap.entries, (s + 1.0) / m, out=pair[0])
+    pair[0].ravel()[:: m + 1] -= s
+    np.negative(lap.entries, out=pair[1])
+    pair[1].ravel()[:: m + 1] += hi - margin
+    try:
+        np.linalg.cholesky(pair)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def spectral_bounds(schedule: NetworkSchedule, horizon: int) -> SpectralBounds:
     """Extreme eigenvalues over all epochs realized in iterations 0..horizon-1.
 
@@ -443,6 +497,12 @@ def spectral_bounds(schedule: NetworkSchedule, horizon: int) -> SpectralBounds:
     spectrum is permutation-invariant. The epochs read here stay stored on
     the schedule, so a solver run on the same schedule draws none of them
     again.
+
+    Every epoch's Laplacian is built and checked, but only the epochs that
+    ``_certified_inside`` cannot exclude are eigen-solved; epoch 0 always
+    is. A skipped epoch's extremes would lie strictly inside the running
+    ones, so the result is bit for bit that of solving every epoch. A
+    skipped graph is connected: its lambda_min+ exceeds a positive one.
     """
     epochs = schedule.epoch_count(horizon)
     if schedule.family in _RELABEL_FAMILIES:
@@ -451,6 +511,8 @@ def spectral_bounds(schedule: NetworkSchedule, horizon: int) -> SpectralBounds:
     lam_max = 0.0
     for epoch in range(epochs):
         lap = laplacian_from_edges(schedule.m, _epoch_edges(schedule, epoch))
+        if _certified_inside(lap, lam_min_plus, lam_max):
+            continue
         lo, hi = _positive_extremes(lap.eigenvalues())
         lam_min_plus = min(lam_min_plus, lo)
         lam_max = max(lam_max, hi)

@@ -2,9 +2,11 @@
 
 Everything here is deliberately written from the defining formulas rather
 than by calling into the package, so tests compare two separate routes to
-the same quantity. Slow and simple on purpose. The one copy of package code
-is ``scaling_conj_grad_stack_reference``, the former matrix scaling kernel,
-kept verbatim so the oracle's stack can be held to it bit for bit.
+the same quantity. Slow and simple on purpose. The two copies of package
+code are ``scaling_conj_grad_stack_reference``, the former matrix scaling
+kernel, and ``spectral_bounds_reference``, the former loop that eigen-solves
+every epoch; each is kept verbatim so the package can be held to it bit for
+bit.
 
 The test-only references at the end (the quadratic oracle, the (L, mu)
 closed form of the step parameters, the zero-sum projection, log-domain
@@ -23,7 +25,16 @@ import numpy as np
 
 from netbary.adom import AdomParams, DualOracle
 from netbary.entot import validate_cost_matrix, validate_histogram
-from netbary.netgraph import DisconnectedGraphError, Laplacian, SpectralBounds
+from netbary.netgraph import (
+    _RELABEL_FAMILIES,
+    DisconnectedGraphError,
+    Laplacian,
+    NetworkSchedule,
+    SpectralBounds,
+    _epoch_edges,
+    _positive_extremes,
+    laplacian_from_edges,
+)
 
 
 def simplex_grid(d, steps):
@@ -238,6 +249,22 @@ def laplacian_reference(m: int, edges) -> Laplacian:
         entries[b, b] += 1.0
     entries.flags.writeable = False
     return Laplacian(m=m, entries=entries)
+
+
+def spectral_bounds_reference(schedule: NetworkSchedule, horizon: int) -> SpectralBounds:
+    """The package's ``spectral_bounds`` loop before it skipped certified
+    epochs, kept verbatim: one ``eigvalsh`` per epoch."""
+    epochs = schedule.epoch_count(horizon)
+    if schedule.family in _RELABEL_FAMILIES:
+        epochs = 1
+    lam_min_plus = math.inf
+    lam_max = 0.0
+    for epoch in range(epochs):
+        lap = laplacian_from_edges(schedule.m, _epoch_edges(schedule, epoch))
+        lo, hi = _positive_extremes(lap.eigenvalues())
+        lam_min_plus = min(lam_min_plus, lo)
+        lam_max = max(lam_max, hi)
+    return SpectralBounds(lambda_min_plus=lam_min_plus, lambda_max=lam_max)
 
 
 class QuadraticOracle(DualOracle):

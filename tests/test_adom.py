@@ -167,11 +167,12 @@ class TestDeriveParams:
         )
 
     def test_rejects_nonpositive_inputs(self):
-        # nan fails the check too, naming the parameter.
+        # nan and inf fail the check too, naming the parameter.
         for bad in ("r", "gamma"):
-            for value in (0.0, -1.0, np.nan):
+            for value in (0.0, -1.0, np.nan, np.inf):
                 args = {"r": 0.1, "gamma": 0.1, bad: value}
-                with pytest.raises(ValueError, match=f"^{bad} must be positive, got {value}$"):
+                message = f"^{bad} must be positive and finite, got {value}$"
+                with pytest.raises(ValueError, match=message):
                     adom.derive_params(bounds=PAIR_BOUNDS, **args)
 
     def test_baseline_parameters_coincide_under_substitution(self):
@@ -199,6 +200,11 @@ class TestDeriveParams:
             adom.AdomParams(
                 r=0.1, gamma=0.1, alpha=0.05, eta=0.1, theta=0.1, sigma=0.5,
                 tau=1.5, bounds=PAIR_BOUNDS,
+            )
+        with pytest.raises(ValueError, match="^eta must be positive and finite, got inf$"):
+            adom.AdomParams(
+                r=0.1, gamma=0.1, alpha=0.05, eta=np.inf, theta=0.1, sigma=0.5,
+                tau=0.5, bounds=PAIR_BOUNDS,
             )
         with pytest.raises(ValueError, match="smoothness"):
             oracles.derive_baseline_params(0.5, 1.0, PAIR_BOUNDS)
@@ -575,10 +581,19 @@ class TestGuaranteeConstants:
 
     def test_iteration_estimate_validates(self):
         for bad in ("eps", "r", "gamma", "c2"):
-            for value in (0.0, np.nan):
+            for value in (0.0, np.nan, np.inf):
                 args = {"eps": 0.1, "r": 0.1, "gamma": 0.1, "c2": 1.0, bad: value}
-                with pytest.raises(ValueError, match=f"^{bad} must be positive, got {value}$"):
+                message = f"^{bad} must be positive and finite, got {value}$"
+                with pytest.raises(ValueError, match=message):
                     adom.iteration_estimate(bounds=PAIR_BOUNDS, **args)
+
+    def test_c2_bound_validates(self):
+        for bad in ("r", "gamma", "k"):
+            for value in (0.0, np.nan, np.inf):
+                args = {"r": 0.1, "gamma": 0.1, "k": 1.0, bad: value}
+                message = f"^{bad} must be positive and finite, got {value}$"
+                with pytest.raises(ValueError, match=message):
+                    adom.c2_bound(m=3, bounds=PAIR_BOUNDS, **args)
 
 
 class TestConsensusMetricHelpers:

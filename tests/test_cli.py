@@ -120,12 +120,12 @@ class TestOracleCheck:
         )
         assert float(rel_line.split(":")[1]) <= 1e-6
 
-    @pytest.mark.parametrize("gamma", ["nan", "0", "-0.5"])
+    @pytest.mark.parametrize("gamma", ["nan", "0", "-0.5", "inf"])
     def test_gamma_that_is_not_positive_is_an_error(self, capsys, gamma):
         code = cli(["oracle-check", "--gamma", gamma])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err == f"error: gamma must be positive, got {float(gamma)}\n"
+        assert captured.err == f"error: gamma must be positive and finite, got {float(gamma)}\n"
         assert captured.out == ""
 
 

@@ -211,11 +211,11 @@ class TestDualGrad:
             entot.dual_grad(q, cost, 0.1, np.zeros(3))
 
     def test_rejects_nonpositive_gamma(self):
-        # nan fails the check too, at each entry point that takes gamma.
+        # nan and inf fail the check too, at each entry point that takes gamma.
         q = np.array([0.5, 0.5])
         cost = entot.cost_matrix(np.array([0.0, 1.0]))
-        for gamma in (0.0, -1.0, np.nan):
-            message = f"^gamma must be positive, got {gamma}$"
+        for gamma in (0.0, -1.0, np.nan, np.inf):
+            message = f"^gamma must be positive and finite, got {gamma}$"
             with pytest.raises(ValueError, match=message):
                 entot.dual_grad(q, cost, gamma, np.zeros(2))
             with pytest.raises(ValueError, match=message):
@@ -1718,8 +1718,10 @@ class TestKBound:
                 entot.k_bound(4, 0.1, delta)
 
     def test_rejects_nonpositive_gamma(self):
-        for gamma in (0.0, np.nan):
-            with pytest.raises(ValueError, match=f"^gamma must be positive, got {gamma}$"):
+        for gamma in (0.0, np.nan, np.inf):
+            with pytest.raises(
+                ValueError, match=f"^gamma must be positive and finite, got {gamma}$"
+            ):
                 entot.k_bound(4, gamma, 0.01)
 
     def test_matches_broadcast_formula(self):
@@ -1760,8 +1762,8 @@ class TestParamsForEps:
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError, match="d >= 2"):
             entot.params_for_eps(0.1, 3, 1, 0.5)
-        for eps in (0.0, np.nan):
-            with pytest.raises(ValueError, match=f"^eps must be positive, got {eps}$"):
+        for eps in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"^eps must be positive and finite, got {eps}$"):
                 entot.params_for_eps(eps, 3, 4, 0.01)
 
 

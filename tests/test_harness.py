@@ -89,9 +89,10 @@ class TestGenTruncatedGaussian:
             GaussianSpec(mean=0.5, std=0.1, grid=np.zeros((2, 2)))
         with pytest.raises(ValueError, match="non-finite"):
             GaussianSpec(mean=0.5, std=0.1, grid=np.array([0.0, np.inf]))
-        # nan fails too, naming the parameter.
-        with pytest.raises(ValueError, match="^std must be positive, got nan$"):
-            GaussianSpec(mean=0.5, std=np.nan, grid=grid)
+        # nan and inf fail too, naming the parameter.
+        for std in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"^std must be positive and finite, got {std}$"):
+                GaussianSpec(mean=0.5, std=std, grid=grid)
         with pytest.raises(ValueError, match="^mean must be finite, got nan$"):
             GaussianSpec(mean=np.nan, std=0.1, grid=grid)
 

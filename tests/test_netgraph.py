@@ -530,6 +530,9 @@ class TestSpectralBounds:
             SpectralBounds(lambda_min_plus=3.0, lambda_max=2.0)
         with pytest.raises(ValueError):
             SpectralBounds(lambda_min_plus=0.0, lambda_max=2.0)
+        for pair in ((1.0, np.inf), (np.inf, np.inf), (1.0, np.nan)):
+            with pytest.raises(ValueError, match=r"lambda_max < inf"):
+                SpectralBounds(*pair)
 
     def test_complete_family_analytic(self):
         for m in (4, 6, 11):
@@ -576,6 +579,129 @@ class TestSpectralBounds:
         sched = NetworkSchedule(family="cycle", m=4, epoch_len=None, seed=0)
         with pytest.raises(ValueError):
             spectral_bounds(sched, horizon=0)
+
+
+# The schedules of the three benchmark workloads at bench length, as
+# (NetworkSchedule keywords, horizon).
+BENCH_SCHEDULES = {
+    "gauss-er": ({"family": "erdos_renyi", "m": 10, "p": 0.9, "epoch_len": 5}, 1250),
+    "net-many": ({"family": "erdos_renyi", "m": 50, "p": 0.2, "epoch_len": 1}, 500),
+    "grid2d": ({"family": "erdos_renyi", "m": 8, "p": 0.5, "epoch_len": 10}, 1000),
+}
+
+REFERENCE_CASES = [
+    *[(BENCH_SCHEDULES[name][0] | {"seed": seed}, BENCH_SCHEDULES[name][1])
+      for name in BENCH_SCHEDULES for seed in range(4)],
+    *[({"family": "mst_of_er", "m": 20, "p": 0.3, "epoch_len": 1, "seed": seed}, 200)
+      for seed in range(4)],
+    ({"family": "erdos_renyi", "m": 200, "p": 0.2, "epoch_len": 1, "seed": 0}, 12),
+    ({"family": "erdos_renyi", "m": 2, "p": 0.5, "epoch_len": 1, "seed": 0}, 20),
+    ({"family": "mst_of_er", "m": 2, "p": 1.0, "epoch_len": 1, "seed": 0}, 20),
+    *[({"family": family, "m": m, "epoch_len": 1, "seed": 1}, 30)
+      for family in ("cycle", "star", "complete") for m in (2, 9)],
+]
+
+
+def _assert_reference_bits(schedule, horizon):
+    got = spectral_bounds(schedule, horizon)
+    want = oracles.spectral_bounds_reference(schedule, horizon)
+    assert (got.lambda_min_plus.hex(), got.lambda_max.hex()) == (
+        want.lambda_min_plus.hex(), want.lambda_max.hex()
+    )
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every Laplacian eigen-solved, in call order."""
+    calls = []
+    solve = Laplacian.eigenvalues
+
+    def spy(lap):
+        calls.append(lap)
+        return solve(lap)
+
+    monkeypatch.setattr(Laplacian, "eigenvalues", spy)
+    return calls
+
+
+class TestCertifiedSkips:
+    """spectral_bounds eigen-solves only the epochs whose extremes a degree
+    check or a Cholesky certificate cannot place inside the running ones,
+    and returns the bits of the loop that solves every epoch."""
+
+    @pytest.mark.parametrize("kwargs, horizon", REFERENCE_CASES, ids=str)
+    def test_bits_equal_the_every_epoch_reference(self, kwargs, horizon):
+        _assert_reference_bits(NetworkSchedule(**kwargs), horizon)
+
+    def test_net_many_solves_few_epochs(self, solves):
+        kwargs, horizon = BENCH_SCHEDULES["net-many"]
+        spectral_bounds(NetworkSchedule(seed=0, **kwargs), horizon)
+        assert 1 <= len(solves) <= 25
+
+    def test_a_repeat_of_the_extreme_graph_is_solved(self, monkeypatch, solves):
+        # Every epoch repeats epoch 0's graph, which set both extremes: each
+        # ties them, so no certificate can exclude it.
+        draw = netgraph._draw_edges
+        monkeypatch.setattr(netgraph, "_draw_edges", lambda schedule, epoch: draw(schedule, 0))
+        kwargs, _ = BENCH_SCHEDULES["net-many"]
+        sched = NetworkSchedule(seed=0, **kwargs)
+        spectral_bounds(sched, horizon=40)
+        assert len(solves) == 40
+        _assert_reference_bits(sched, horizon=40)
+
+    def test_a_failed_factorization_falls_back_to_the_solve(self, monkeypatch, solves):
+        factorizations = []
+
+        def refuse(stack):
+            factorizations.append(stack.shape)
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        kwargs, _ = BENCH_SCHEDULES["net-many"]
+        sched = NetworkSchedule(seed=0, **kwargs)
+        spectral_bounds(sched, horizon=60)
+        assert len(solves) == 60
+        assert factorizations and set(factorizations) == {(2, 50, 50)}
+        _assert_reference_bits(sched, horizon=60)
+
+
+class TestCertifiedInside:
+    """_certified_inside on a cycle of 8 nodes, whose spectrum is known:
+    lambda_min+ = 2 - 2 cos(pi / 4) and lambda_max = 4."""
+
+    M = 8
+    LOW, HIGH = _cycle_eigs(M)[1], 4.0
+
+    @pytest.fixture
+    def lap(self):
+        return laplacian_from_edges(self.M, [(i, (i + 1) % self.M) for i in range(self.M)])
+
+    def test_both_extremes_inside_by_more_than_the_margin(self, lap):
+        hi = self.HIGH * (1 + 3 * netgraph._CERT_MARGIN)
+        lo = self.LOW - 3 * netgraph._CERT_MARGIN * hi
+        assert netgraph._certified_inside(lap, lo, hi)
+
+    @pytest.mark.parametrize("share", [0.0, 0.5])
+    def test_an_extreme_within_the_margin_is_not_excluded(self, lap, share):
+        wide_hi = self.HIGH * (1 + 3 * netgraph._CERT_MARGIN)
+        close_hi = self.HIGH * (1 + share * netgraph._CERT_MARGIN)
+        assert not netgraph._certified_inside(lap, self.LOW / 2, close_hi)
+        lo = self.LOW - share * netgraph._CERT_MARGIN * wide_hi
+        assert not netgraph._certified_inside(lap, lo, wide_hi)
+
+    def test_degree_checks_refuse_without_factorizing(self, monkeypatch):
+        def refuse(stack):
+            raise AssertionError("factorized")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        # A star's lambda_max is m = d_max + 1, so a running maximum of m
+        # ties it; its Fiedler bound m / (m - 1) d_min is 6/5, so a running
+        # minimum of 6/5 cannot lie below its lambda_min+ by the margin.
+        star = laplacian_from_edges(6, [(0, j) for j in range(1, 6)])
+        assert not netgraph._certified_inside(star, 0.5, 6.0)
+        assert not netgraph._certified_inside(star, 6 / 5, 100.0)
+        # An unset running maximum refuses every graph.
+        assert not netgraph._certified_inside(star, 0.5, 0.0)
 
 
 @st.composite
