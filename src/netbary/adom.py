@@ -45,6 +45,15 @@ __all__ = [
 ]
 
 
+def _positive_finite(name: str, value: float) -> float:
+    """``value`` if 0 < value < inf, else a ValueError naming ``name``; nan
+    fails the test too. The one copy of the rule for every positive
+    parameter of the package."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 class DualOracle(abc.ABC):
     """Stacked gradient oracle for the conjugates of the node objectives.
 
@@ -78,11 +87,11 @@ class AdomParams:
     bounds: SpectralBounds
 
     def __post_init__(self):
-        for name in ("r", "gamma", "alpha", "eta", "theta", "sigma"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(
-                    f"{name} must be positive and finite, got {getattr(self, name)}"
-                )
+        _positive_finite("r", self.r)
+        _positive_finite("gamma", self.gamma)
+        _positive_finite("r * gamma", self.r * self.gamma)
+        for name in ("alpha", "eta", "theta", "sigma"):
+            _positive_finite(name, getattr(self, name))
         if not (0.0 < self.tau < 1.0):
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
 
@@ -97,10 +106,12 @@ def derive_params(r: float, gamma: float, bounds: SpectralBounds) -> AdomParams:
     * theta = gamma / (lam_max (1 + rg))
     * sigma = 1 / lam_max
     * tau   = (lam_min+ / (7 lam_max)) sqrt(rg / (1 + rg))
+
+    An rg that leaves the double range is refused by :class:`AdomParams`,
+    naming ``r * gamma``.
     """
     for name, value in (("r", r), ("gamma", gamma)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+        _positive_finite(name, value)
     lam_min, lam_max = bounds.lambda_min_plus, bounds.lambda_max
     rg = r * gamma
     alpha = r / 2.0
@@ -285,37 +296,45 @@ def run(
     return Trajectory(records=records, state=state)
 
 
-def c2_bound(
-    m: int, r: float, gamma: float, k: float, bounds: SpectralBounds
-) -> float:
-    """Value-gap constant of the convergence guarantee.
+def c2_bound(params: AdomParams, m: int, k: float) -> float:
+    """Value-gap constant of the convergence guarantee:
+    m (1 + rg) k sqrt(chi / 2) / gamma + m (1 + rg)^2 / (4 rg gamma),
+    with rg = r gamma and chi = lam_max / lam_min+ from ``params``.
 
     ``k`` bounds the norm of every conjugate gradient over the dual domain
-    (sqrt of the transport layer's k_bound for barycenter problems).
+    (sqrt of the transport layer's k_bound for barycenter problems). Both
+    terms go through (1 + rg) / gamma, so gamma^2 never underflows; a value
+    past the double range raises ValueError naming the inputs.
     """
-    for name, value in (("r", r), ("gamma", gamma), ("k", k)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    _positive_finite("k", k)
+    r, gamma = params.r, params.gamma
     rg = r * gamma
-    ratio = bounds.lambda_max / bounds.lambda_min_plus
-    term1 = m * (1.0 + rg) * k / (math.sqrt(2.0) * gamma) * math.sqrt(ratio)
-    term2 = m * (1.0 + rg) ** 2 / (4.0 * r * gamma**2)
-    return term1 + term2
+    chi = params.bounds.lambda_max / params.bounds.lambda_min_plus
+    spread = (1.0 + rg) / gamma
+    term1 = m * (k * spread) * math.sqrt(chi / 2.0)
+    term2 = m * ((1.0 + rg) * (spread / (4.0 * rg)))
+    name = f"c2_bound(m={m}, k={k}) at r={r}, gamma={gamma}"
+    return _positive_finite(name, term1 + term2)
 
 
-def iteration_estimate(
-    eps: float, r: float, gamma: float, bounds: SpectralBounds, c2: float
-) -> int:
+def iteration_estimate(params: AdomParams, eps: float, c2: float) -> int:
     """Advisory iteration count for an eps-accurate value gap:
-    ceil( 7 (lam_max/lam_min+) sqrt((1 + r gamma)/(r gamma)) ln(2 c2 / eps) ).
+    ceil( 7 chi sqrt((1 + rg) / rg) ln(2 c2 / eps) ), at least 1, with
+    rg = r gamma and chi = lam_max / lam_min+ from ``params``.
+
+    The logarithm is taken term by term and the root as a quotient of
+    roots, so neither 2 c2 / eps nor (1 + rg) / rg can overflow; a count
+    past the double range raises ValueError naming the inputs.
     """
-    for name, value in (("eps", eps), ("r", r), ("gamma", gamma), ("c2", c2)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    _positive_finite("eps", eps)
+    _positive_finite("c2", c2)
+    r, gamma = params.r, params.gamma
     rg = r * gamma
-    ratio = bounds.lambda_max / bounds.lambda_min_plus
-    value = 7.0 * ratio * math.sqrt((1.0 + rg) / rg) * math.log(2.0 * c2 / eps)
-    return max(1, math.ceil(value))
+    chi = params.bounds.lambda_max / params.bounds.lambda_min_plus
+    log_ratio = math.log(2.0) + math.log(c2) - math.log(eps)
+    value = 7.0 * chi * (math.sqrt(1.0 + rg) / math.sqrt(rg)) * log_ratio
+    name = f"iteration_estimate(eps={eps}, c2={c2}) at r={r}, gamma={gamma}"
+    return math.ceil(_positive_finite(name, max(1.0, value)))
 
 
 def mean_pairwise_sq_dist(stack: np.ndarray) -> float:

@@ -148,7 +148,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     d, gamma = args.d, args.gamma
     points = np.sort(rng.random(d))
-    cost = entot.cost_matrix(points, normalize=True)
+    cost = entot.cost_matrix(points)
     q = entot.floor_histogram(_random_histogram(rng, d), 1e-4)
     z = 0.5 * rng.standard_normal(d)
 
@@ -209,9 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_spec = sub.add_parser("spectra", help="print spectral bounds of a schedule")
-    p_spec.add_argument("--family", choices=list(netgraph.FAMILIES), required=True)
-    p_spec.add_argument("--m", type=int, required=True)
-    _add_config_flags(p_spec, ("p", "epoch_len", "seed"))
+    _add_config_flags(p_spec, ("family", "m", "p", "epoch_len", "seed"))
     p_spec.add_argument("--horizon", type=int, default=1000)
     p_spec.set_defaults(func=_cmd_spectra)
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adom import DualOracle
+from .adom import DualOracle, _positive_finite
 
 __all__ = [
     "validate_histogram",
@@ -83,12 +83,12 @@ def floor_histogram(q: np.ndarray, delta: float) -> np.ndarray:
     return (1.0 - delta * d) * q + delta
 
 
-def cost_matrix(points: np.ndarray, normalize: bool = True) -> np.ndarray:
-    """Pairwise squared Euclidean costs over support points.
+def cost_matrix(points: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean costs over support points, divided by
+    their maximum so costs lie in [0, 1].
 
     ``points`` has one support point per row; 1-d input is treated as points
-    on a line. With ``normalize`` the matrix is divided by its maximum so
-    costs lie in [0, 1].
+    on a line.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -98,12 +98,10 @@ def cost_matrix(points: np.ndarray, normalize: bool = True) -> np.ndarray:
     diff = points[:, None, :] - points[None, :, :]
     cost = np.sum(diff * diff, axis=2)
     np.fill_diagonal(cost, 0.0)
-    if normalize:
-        top = cost.max()
-        if top <= 0:
-            raise ValueError("all support points coincide; cannot normalize")
-        cost = cost / top
-    return cost
+    top = cost.max()
+    if top <= 0:
+        raise ValueError("all support points coincide; cannot normalize")
+    return cost / top
 
 
 def validate_cost_matrix(cost: np.ndarray, name: str = "cost") -> np.ndarray:
@@ -179,10 +177,8 @@ class GridCost:
         return dense
 
 
-def _check_marginal(q, cost, gamma, name="q"):
+def _check_marginal(q, cost, name="q"):
     """q as a strictly positive histogram on a validated cost's support."""
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     q = validate_histogram(q, name)
     if q.min() <= 0:
         raise ValueError(
@@ -197,7 +193,8 @@ def _check_marginal(q, cost, gamma, name="q"):
 
 def _check_oracle_inputs(q, cost, gamma, z):
     cost = validate_cost_matrix(cost)
-    q = _check_marginal(q, cost, gamma)
+    _positive_finite("gamma", gamma)
+    q = _check_marginal(q, cost)
     z = np.asarray(z, dtype=float)
     if z.shape != q.shape:
         raise ValueError(f"z shape {z.shape} != histogram shape {q.shape}")
@@ -407,8 +404,9 @@ class WassersteinDualOracle(DualOracle):
         else:
             # A grid's arrays were built and frozen by GridCost.
             axes, square = self.grid.axes, self.grid.whole
+        _positive_finite("gamma", gamma)
         for i, q in enumerate(marginals):
-            _check_marginal(q, square, gamma, f"marginals[{i}]")
+            _check_marginal(q, square, f"marginals[{i}]")
         marginals.setflags(write=False)
         self.marginals = marginals
         self.cost = cost
@@ -839,18 +837,21 @@ def k_bound(d: int, gamma: float, delta: float, rho: float | None = None) -> flo
 
     since the row term vanishes for every cost M: the min over i includes
     i = j. rho defaults to delta/2, the natural choice when every histogram
-    entry is at least delta after flooring.
+    entry is at least delta after flooring. A K^2 outside the positive
+    doubles raises ValueError naming the inputs.
     """
+    if d < 1:
+        raise ValueError(f"need d >= 1 support points, got {d}")
     if not 0 < delta <= 1.0 / d:
         raise ValueError(f"delta must lie in (0, 1/d] with d={d}, got {delta}")
     if rho is None:
         rho = delta / 2.0
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _positive_finite("gamma", gamma)
     base = 2.0 * gamma * math.log(d) - gamma * math.log(rho)
-    return d * base**2
+    name = f"k_bound(d={d}, gamma={gamma}, delta={delta}, rho={rho})"
+    return _positive_finite(name, d * (base * base))
 
 
 @dataclass(frozen=True)
@@ -865,14 +866,16 @@ class AccuracyParams:
 
 def params_for_eps(eps: float, m: int, d: int, delta: float) -> AccuracyParams:
     """Accuracy-driven regularization: gamma = eps / (8 log d) (so the
-    entropic gap 2 gamma log d spends eps/4) and r = eps / (4 m K^2)."""
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    entropic gap 2 gamma log d spends eps/4) and r = eps / (4 m K^2). An eps
+    whose K^2 leaves the positive doubles raises :func:`k_bound`'s
+    ValueError."""
+    _positive_finite("eps", eps)
     if d < 2:
         raise ValueError(f"need d >= 2 support points, got {d}")
     if m < 1:
         raise ValueError(f"need m >= 1 measures, got {m}")
     gamma = eps / (8.0 * math.log(d))
     k_sq = k_bound(d, gamma, delta)
-    r = eps / (4.0 * m * k_sq)
+    # Dividing twice keeps 4 m K^2 from overflowing where r is a double.
+    r = eps / (4.0 * m) / k_sq
     return AccuracyParams(gamma=gamma, r=r, k_sq=k_sq)

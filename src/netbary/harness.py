@@ -85,18 +85,15 @@ class GaussianSpec:
             raise ValueError("grid has non-finite entries")
         if not math.isfinite(self.mean):
             raise ValueError(f"mean must be finite, got {self.mean}")
-        if not 0.0 < self.std < math.inf:
-            raise ValueError(f"std must be positive and finite, got {self.std}")
+        adom._positive_finite("std", self.std)
         object.__setattr__(self, "grid", grid)
 
 
-def gaussian_grid(d: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-    """Uniform support grid of d points on [lo, hi]."""
+def gaussian_grid(d: int) -> np.ndarray:
+    """Uniform support grid of d points on [0, 1]."""
     if d < 2:
         raise ValueError(f"need d >= 2 grid points, got {d}")
-    if not hi > lo:
-        raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
-    return np.linspace(lo, hi, d)
+    return np.linspace(0.0, 1.0, d)
 
 
 def gen_truncated_gaussian(spec: GaussianSpec, delta: float = DELTA_DEFAULT) -> np.ndarray:
@@ -382,7 +379,7 @@ def _build_dataset(cfg: ExperimentConfig):
             std_range=(cfg.std_low, cfg.std_high),
         )
         marginals = np.stack([gen_truncated_gaussian(sp, cfg.delta) for sp in specs])
-        cost = entot.cost_matrix(grid, normalize=True)
+        cost = entot.cost_matrix(grid)
         reference = analytic_barycenter(specs, cfg.delta)
         return marginals, cost, reference
     for path in (cfg.mnist_images, cfg.mnist_labels):

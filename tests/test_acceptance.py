@@ -55,7 +55,7 @@ class TestAcceptance:
         worst_simplex = 0.0
         for gamma, d in cases:
             points = np.sort(rng.random(d))
-            cost = entot.cost_matrix(points, normalize=True)
+            cost = entot.cost_matrix(points)
             raw = rng.random(d) + 0.1
             q = entot.floor_histogram(raw / raw.sum(), 1e-4)
             z = 0.1 * rng.standard_normal(d)
@@ -109,7 +109,7 @@ class TestAcceptance:
         m, d = 5, 10
         marginals = _random_marginals(rng, m, d, 1e-6)
         points = np.linspace(0.0, 1.0, d)
-        cost = entot.cost_matrix(points, normalize=True)
+        cost = entot.cost_matrix(points)
         oracle = entot.wb_dual_oracle(marginals, cost, 0.05)
         schedule = netgraph.NetworkSchedule(
             family="erdos_renyi", m=m, epoch_len=7, seed=3, p=0.6
@@ -212,7 +212,7 @@ class TestAcceptance:
         marginals = np.stack(
             [harness.gen_truncated_gaussian(sp, 1e-4) for sp in specs]
         )
-        cost = entot.cost_matrix(grid, normalize=True)
+        cost = entot.cost_matrix(grid)
         oracle = entot.wb_dual_oracle(marginals, cost, gamma)
         schedule = netgraph.NetworkSchedule(family="cycle", m=m, epoch_len=None, seed=0)
         bounds = netgraph.spectral_bounds(schedule, 2000)
@@ -290,7 +290,7 @@ class TestAcceptance:
         gamma, r = 0.1, 0.05
         marginals = _random_marginals(rng, m, d, 1e-4)
         points = np.linspace(0.0, 1.0, d)
-        cost = entot.cost_matrix(points, normalize=True)
+        cost = entot.cost_matrix(points)
         oracle = entot.wb_dual_oracle(marginals, cost, gamma)
 
         counts = {}

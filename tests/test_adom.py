@@ -555,11 +555,15 @@ class TestSumFiniteness:
             assert not np.isfinite(sum(iterates).sum())
 
 
+FLOAT_64 = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
 class TestGuaranteeConstants:
     def test_c2_bound_recomputed_from_formula(self):
         bounds = SpectralBounds(lambda_min_plus=0.3819660112501051, lambda_max=4.0)
         m, r, gamma, k = 10, 0.001, 0.01, np.sqrt(0.414507)
-        got = adom.c2_bound(m=m, r=r, gamma=gamma, k=k, bounds=bounds)
+        params = adom.derive_params(r, gamma, bounds)
+        got = adom.c2_bound(params, m=m, k=k)
         rg = r * gamma
         ratio = 4.0 / 0.3819660112501051
         expected = (
@@ -571,29 +575,89 @@ class TestGuaranteeConstants:
 
     def test_iteration_estimate_frozen_and_positive(self):
         bounds = SpectralBounds(lambda_min_plus=0.3819660112501051, lambda_max=4.0)
-        got = adom.iteration_estimate(
-            eps=0.1, r=0.001, gamma=0.01, bounds=bounds, c2=25001973.24051102
-        )
+        params = adom.derive_params(0.001, 0.01, bounds)
+        got = adom.iteration_estimate(params, eps=0.1, c2=25001973.24051102)
         assert got == 464324
-        assert adom.iteration_estimate(
-            eps=1e6, r=1.0, gamma=1.0, bounds=PAIR_BOUNDS, c2=1e-6
-        ) == 1
+        params = adom.derive_params(1.0, 1.0, PAIR_BOUNDS)
+        assert adom.iteration_estimate(params, eps=1e6, c2=1e-6) == 1
 
     def test_iteration_estimate_validates(self):
-        for bad in ("eps", "r", "gamma", "c2"):
+        params = adom.derive_params(0.1, 0.1, PAIR_BOUNDS)
+        for bad in ("eps", "c2"):
             for value in (0.0, np.nan, np.inf):
-                args = {"eps": 0.1, "r": 0.1, "gamma": 0.1, "c2": 1.0, bad: value}
+                args = {"eps": 0.1, "c2": 1.0, bad: value}
                 message = f"^{bad} must be positive and finite, got {value}$"
                 with pytest.raises(ValueError, match=message):
-                    adom.iteration_estimate(bounds=PAIR_BOUNDS, **args)
+                    adom.iteration_estimate(params, **args)
 
     def test_c2_bound_validates(self):
-        for bad in ("r", "gamma", "k"):
-            for value in (0.0, np.nan, np.inf):
-                args = {"r": 0.1, "gamma": 0.1, "k": 1.0, bad: value}
-                message = f"^{bad} must be positive and finite, got {value}$"
-                with pytest.raises(ValueError, match=message):
-                    adom.c2_bound(m=3, bounds=PAIR_BOUNDS, **args)
+        params = adom.derive_params(0.1, 0.1, PAIR_BOUNDS)
+        for value in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"^k must be positive and finite, got {value}$"):
+                adom.c2_bound(params, m=3, k=value)
+
+    def test_c2_bound_where_gamma_squared_underflows(self):
+        # gamma^2 = 1e-400 is below the doubles; the value is not.
+        params = adom.derive_params(1e100, 1e-200, PAIR_BOUNDS)
+        want = 3 * 1.0 / (np.sqrt(2.0) * 1e-200) + 3 * 0.25e300
+        assert adom.c2_bound(params, m=3, k=1.0) == pytest.approx(want, rel=1e-14)
+
+    def test_c2_bound_past_the_doubles_names_its_inputs(self):
+        # The value is about 7.5e399.
+        params = adom.derive_params(1e-200, 1e-100, PAIR_BOUNDS)
+        message = (
+            r"^c2_bound\(m=3, k=1\.0\) at r=1e-200, gamma=1e-100 "
+            r"must be positive and finite, got inf$"
+        )
+        with pytest.raises(ValueError, match=message):
+            adom.c2_bound(params, m=3, k=1.0)
+
+    def test_iteration_estimate_of_a_ratio_past_the_doubles(self):
+        # 2 c2 / eps = 2e600 overflows; its logarithm does not.
+        params = adom.derive_params(0.1, 0.1, SpectralBounds(1.0, 2.0))
+        want = 14.0 * math.sqrt(1.01 / 0.01) * (math.log(2.0) + 600.0 * math.log(10.0))
+        assert 194480 - 1 < want < 194480
+        assert adom.iteration_estimate(params, eps=1e-300, c2=1e300) == 194480
+
+    def test_iteration_estimate_at_a_subnormal_r_gamma(self):
+        # r gamma = 1e-310 is subnormal; the count, about 9.7e158, is a
+        # finite double.
+        params = adom.derive_params(1e-300, 1e-10, PAIR_BOUNDS)
+        got = adom.iteration_estimate(params, eps=0.1, c2=1e300)
+        want = 7.0 * math.log(2e301) / math.sqrt(1e-310)
+        assert isinstance(got, int)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("r, gamma, got", [(1e-200, 1e-200, "0.0"), (1e300, 1e300, "inf")])
+    def test_derive_params_names_a_product_outside_the_doubles(self, r, gamma, got):
+        message = f"^r \\* gamma must be positive and finite, got {got}$"
+        with pytest.raises(ValueError, match=message):
+            adom.derive_params(r, gamma, SpectralBounds(1.0, 2.0))
+
+    @given(FLOAT_64, FLOAT_64, FLOAT_64, FLOAT_64, FLOAT_64, FLOAT_64)
+    @settings(max_examples=300, deadline=None)
+    def test_positive_doubles_give_a_positive_finite_value_or_a_value_error(
+        self, r, gamma, k, eps, c2, delta
+    ):
+        # No theory formula raises anything but ValueError, at any inputs.
+        def value_of(call):
+            try:
+                return call()
+            except ValueError:
+                return None
+
+        values = []
+        params = value_of(lambda: adom.derive_params(r, gamma, SpectralBounds(0.5, 3.0)))
+        if params is not None:
+            values += [params.alpha, params.eta, params.theta, params.sigma, params.tau]
+            values.append(value_of(lambda: adom.c2_bound(params, 4, k)))
+            estimate = value_of(lambda: adom.iteration_estimate(params, eps, c2))
+            assert estimate is None or (isinstance(estimate, int) and estimate >= 1)
+        values.append(value_of(lambda: entot.k_bound(5, gamma, delta)))
+        accuracy = value_of(lambda: entot.params_for_eps(eps, 3, 5, delta))
+        if accuracy is not None:
+            values += [accuracy.gamma, accuracy.r, accuracy.k_sq]
+        assert all(0.0 < v < math.inf for v in values if v is not None)
 
 
 class TestConsensusMetricHelpers:

@@ -98,10 +98,19 @@ class TestSpectra:
             cli(["spectra", "--family", "hypercube", "--m", "6"])
 
     def test_defaults_are_the_config_defaults(self):
-        args = _build_parser().parse_args(["spectra", "--family", "cycle", "--m", "4"])
+        args = _build_parser().parse_args(["spectra"])
         cfg = _config_from_args(args)
         default = harness.ExperimentConfig()
-        assert (cfg.p, cfg.seed, cfg.epoch_len) == (default.p, default.seed, default.epoch_len)
+        keys = ("family", "m", "p", "seed", "epoch_len")
+        assert [getattr(cfg, k) for k in keys] == [getattr(default, k) for k in keys]
+        assert (cfg.family, cfg.m) == ("cycle", 10)
+
+    def test_m_is_read_as_the_config_reads_it(self, capsys):
+        code = cli(["spectra", "--m", "5.5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: cannot parse int m='5.5'\n"
+        assert captured.out == ""
 
 
 class TestOracleCheck:

@@ -77,14 +77,16 @@ class TestCostMatrix:
         expected = np.array([[0, 1, 4], [1, 0, 1], [4, 1, 0]]) / 4.0
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
 
-    def test_unnormalized_keeps_squared_distances(self):
-        got = entot.cost_matrix(np.array([0.0, 1.0, 2.0]), normalize=False)
-        np.testing.assert_allclose(got, [[0, 1, 4], [1, 0, 1], [4, 1, 0]], atol=1e-15)
+    def test_squared_distances_over_their_maximum(self):
+        pts = np.array([0.0, 1.0, 2.0])
+        raw = np.subtract.outer(pts, pts) ** 2
+        np.testing.assert_array_equal(entot.cost_matrix(pts), raw / raw.max())
 
     def test_planar_points(self):
-        pts = np.array([[0.0, 0.0], [3.0, 4.0]])
-        got = entot.cost_matrix(pts, normalize=False)
-        np.testing.assert_allclose(got, [[0.0, 25.0], [25.0, 0.0]], atol=1e-12)
+        pts = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
+        got = entot.cost_matrix(pts)
+        raw = [[0.0, 25.0, 100.0], [25.0, 0.0, 25.0], [100.0, 25.0, 0.0]]
+        np.testing.assert_allclose(got, np.array(raw) / 100.0, atol=1e-15)
 
     def test_exactly_symmetric(self):
         # (a - b)^2 and (b - a)^2 are equal in IEEE arithmetic and are summed
@@ -93,9 +95,8 @@ class TestCostMatrix:
         for _ in range(60):
             d, dim = int(rng.integers(2, 121)), int(rng.integers(1, 4))
             points = rng.standard_normal((d, dim)) * 10.0 ** rng.uniform(-3, 3)
-            for normalize in (False, True):
-                cost = entot.cost_matrix(points, normalize=normalize)
-                assert np.array_equal(cost, cost.T)
+            cost = entot.cost_matrix(points)
+            assert np.array_equal(cost, cost.T)
 
     def test_validate_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -561,7 +562,7 @@ class TestExactOTClosedForm:
             assert abs(got - ref) <= 1e-12 * ref
 
     def test_hand_value_with_zero_mass_entries(self):
-        cost = entot.cost_matrix(np.arange(4.0), normalize=False)
+        cost = np.subtract.outer(np.arange(4.0), np.arange(4.0)) ** 2
         p = np.array([0.5, 0.0, 0.0, 0.5])
         q = np.array([0.0, 0.5, 0.5, 0.0])
         assert entot.exact_ot(p, q, cost) == pytest.approx(1.0, rel=1e-15)
@@ -590,7 +591,8 @@ class TestGridCost:
         want = entot.cost_matrix(points)
         # Bit for bit, signed zeros included.
         assert grid.dense.tobytes() == want.tobytes()
-        np.testing.assert_array_equal(grid.whole, entot.cost_matrix(points, normalize=False))
+        whole = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
+        np.testing.assert_array_equal(grid.whole, whole)
         assert grid.diagonal == grid.whole.max()
         for offsets, axes, n in zip(grid.offsets, grid.axes, (rows, cols)):
             np.testing.assert_array_equal(offsets, np.subtract.outer(range(n), range(n)) ** 2)
@@ -1724,6 +1726,19 @@ class TestKBound:
             ):
                 entot.k_bound(4, gamma, 0.01)
 
+    @pytest.mark.parametrize("gamma, got", [(1e300, "inf"), (1e-320, "0.0")])
+    def test_value_outside_the_doubles_names_its_inputs(self, gamma, got):
+        # K^2 is about 3.6e601 at gamma 1e300 and below the subnormals at
+        # 1e-320, where it would round to 0.0, which bounds nothing.
+        name = f"k_bound(d=5, gamma={gamma}, delta=0.01, rho=0.005)"
+        message = f"^{re.escape(name)} must be positive and finite, got {got}$"
+        with pytest.raises(ValueError, match=message):
+            entot.k_bound(5, gamma, 0.01)
+
+    def test_rejects_an_empty_support(self):
+        with pytest.raises(ValueError, match="^need d >= 1 support points, got 0$"):
+            entot.k_bound(0, 0.1, 0.01)
+
     def test_matches_broadcast_formula(self):
         # The row term min_i max_l |M_jl - M_il| evaluated over (d, d, d)
         # broadcasts, on symmetric and non-symmetric costs.
@@ -1765,6 +1780,17 @@ class TestParamsForEps:
         for eps in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match=f"^eps must be positive and finite, got {eps}$"):
                 entot.params_for_eps(eps, 3, 4, 0.01)
+
+    @pytest.mark.parametrize("eps, got", [(1e308, "inf"), (1e-320, "0.0")])
+    def test_eps_whose_k_sq_leaves_the_doubles(self, eps, got):
+        with pytest.raises(ValueError, match=rf"^k_bound\(d=4, .* got {got}$"):
+            entot.params_for_eps(eps, 3, 4, 0.01)
+
+    def test_r_where_four_m_k_sq_overflows(self):
+        # K^2 is about 1.5e307, so 4 m K^2 alone is past the doubles.
+        got = entot.params_for_eps(1.5407741015643584e152, 3, 5, 7.58350393545112e-62)
+        assert got.r == pytest.approx(1.5407741015643584e152 / 12 / got.k_sq, rel=1e-15)
+        assert 0.0 < got.r < 1e-150
 
 
 class TestSimplexProperties:

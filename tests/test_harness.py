@@ -27,10 +27,6 @@ from netbary.harness import (
 
 
 class TestGaussianGrid:
-    def test_endpoints_and_spacing(self):
-        grid = gaussian_grid(5, lo=-1.0, hi=3.0)
-        np.testing.assert_allclose(grid, [-1.0, 0.0, 1.0, 2.0, 3.0])
-
     def test_default_unit_interval(self):
         grid = gaussian_grid(101)
         assert grid[0] == 0.0
@@ -41,15 +37,11 @@ class TestGaussianGrid:
         with pytest.raises(ValueError, match="d >= 2"):
             gaussian_grid(1)
 
-    def test_inverted_interval(self):
-        with pytest.raises(ValueError, match="hi > lo"):
-            gaussian_grid(10, lo=1.0, hi=0.0)
-
 
 class TestGenTruncatedGaussian:
     def test_matches_pointwise_recompute(self):
         # Recompute the density from the defining formula, point by point.
-        grid = gaussian_grid(9, lo=0.0, hi=1.0)
+        grid = gaussian_grid(9)
         spec = GaussianSpec(mean=0.4, std=0.2, grid=grid)
         delta = 1e-4
         raw = np.array(
@@ -198,7 +190,7 @@ class TestLoadMnist:
         _, cost = load_mnist(img_path, lab_path, digit=7, count=1)
         # 2x2 pixel grid: farthest pair is the diagonal, distance^2 = 2.
         points = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        expected = entot.cost_matrix(points, normalize=True)
+        expected = entot.cost_matrix(points)
         np.testing.assert_allclose(cost, expected, atol=1e-15)
         assert cost.max() == 1.0
 
