@@ -25,7 +25,7 @@ import numpy as np
 
 from . import entot, harness, netgraph
 
-__all__ = ["cli", "main"]
+__all__ = ["main"]
 
 _FD_THRESHOLD = 1e-6
 
@@ -221,18 +221,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cli(argv=None) -> int:
+def main(argv=None) -> int:
+    """The ``[project.scripts]`` target; returns the process exit code."""
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-
-
-def main(argv=None) -> int:
-    """The ``[project.scripts]`` target; returns the process exit code."""
-    return cli(argv)
 
 
 if __name__ == "__main__":

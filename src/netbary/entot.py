@@ -828,29 +828,25 @@ def _grid_transport_lp(p: np.ndarray, q: np.ndarray, grid: GridCost) -> float:
     return solve("grid", slice(None))
 
 
-def k_bound(d: int, gamma: float, delta: float, rho: float | None = None) -> float:
+def k_bound(d: int, gamma: float, delta: float) -> float:
     """Squared bound on conjugate-gradient norms over the dual domain, for
-    d support points.
+    d support points whose histogram entries are at least delta after
+    flooring.
 
     K^2 = sum_j (2 gamma log d + min_i max_l |M_jl - M_il| - gamma log rho)^2
-        = d (2 gamma log d - gamma log rho)^2
+        = d (2 gamma log d - gamma log rho)^2,   rho = delta / 2,
 
     since the row term vanishes for every cost M: the min over i includes
-    i = j. rho defaults to delta/2, the natural choice when every histogram
-    entry is at least delta after flooring. A K^2 outside the positive
-    doubles raises ValueError naming the inputs.
+    i = j. A K^2 outside the positive doubles raises ValueError naming the
+    inputs.
     """
     if d < 1:
         raise ValueError(f"need d >= 1 support points, got {d}")
     if not 0 < delta <= 1.0 / d:
         raise ValueError(f"delta must lie in (0, 1/d] with d={d}, got {delta}")
-    if rho is None:
-        rho = delta / 2.0
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")
     _positive_finite("gamma", gamma)
-    base = 2.0 * gamma * math.log(d) - gamma * math.log(rho)
-    name = f"k_bound(d={d}, gamma={gamma}, delta={delta}, rho={rho})"
+    base = 2.0 * gamma * math.log(d) - gamma * math.log(delta / 2.0)
+    name = f"k_bound(d={d}, gamma={gamma}, delta={delta})"
     return _positive_finite(name, d * (base * base))
 
 

@@ -318,8 +318,10 @@ def config_value(key: str, value):
 
 
 def load_config(path: str | Path) -> dict:
-    """Parse a flat ``key = value`` config file; '#' starts a comment."""
+    """Parse a flat ``key = value`` config file; '#' starts a comment. A key
+    set on two lines is an error naming both."""
     raw: dict = {}
+    set_on: dict = {}
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -327,8 +329,11 @@ def load_config(path: str | Path) -> dict:
             continue
         if "=" not in stripped:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = stripped.split("=", 1)
-        raw[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in set_on:
+            raise ValueError(f"{path}:{lineno}: key {key!r} is already set on line {set_on[key]}")
+        set_on[key] = lineno
+        raw[key] = value
     return raw
 
 

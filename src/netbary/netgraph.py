@@ -86,20 +86,20 @@ class _UnionFind:
 class Laplacian:
     """Combinatorial Laplacian D - A of one communication round."""
 
-    m: int
     entries: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.entries.shape[0]
 
     def apply(self, stack: np.ndarray) -> np.ndarray:
         """Multiply an (m, d) node stack by the Laplacian.
 
         Equivalent to acting with the block matrix ``kron(entries, I_d)`` on
-        the stacked vector, without ever forming the Kronecker product.
+        the stacked vector, without ever forming the Kronecker product. The
+        stack is not checked: the solver builds every stack it passes with
+        the schedule's m.
         """
-        stack = np.asarray(stack, dtype=float)
-        if stack.ndim != 2 or stack.shape[0] != self.m:
-            raise ValueError(
-                f"stack must have shape ({self.m}, d), got {stack.shape}"
-            )
         return self.entries @ stack
 
     def eigenvalues(self) -> np.ndarray:
@@ -193,8 +193,6 @@ def _epoch_rng(schedule: NetworkSchedule, epoch: int) -> np.random.Generator:
 
 def _random_spanning_tree(rng: np.random.Generator, m: int) -> np.ndarray:
     """Uniform random labeled tree via a Pruefer sequence."""
-    if m == 2:
-        return np.array([(0, 1)])
     prufer = rng.integers(0, m, size=m - 2)
     degree = [1] * m
     for v in prufer:
@@ -333,43 +331,24 @@ def _edge_array(edges) -> np.ndarray:
 
 def _reject(m: int, pairs: np.ndarray) -> NoReturn:
     """Raise the error that names what is wrong with an edge array the fast
-    checks refused: the first bad edge in input order, else the component
-    count."""
-    pairs = pairs.astype(np.intp)
-    _check_edges(m, pairs)
+    checks refused: the first edge, in input order, that is out of range, a
+    self-loop, or a repeat of an earlier edge in either orientation; else
+    the component count."""
+    seen = set()
+    for a, b in pairs.tolist():
+        if not (0 <= a < m and 0 <= b < m):
+            raise ValueError(f"edge ({a}, {b}) out of range for m={m}")
+        if a == b:
+            raise ValueError(f"self-loop at node {a}")
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            raise ValueError(f"duplicate edge {key}")
+        seen.add(key)
     comps = _component_count(m, pairs)
     raise DisconnectedGraphError(
         f"graph has {comps} components; Laplacian kernel dimension would "
         f"be {comps}, expected 1"
     )
-
-
-def _check_edges(m: int, pairs: np.ndarray) -> None:
-    """Raise on the first edge, in input order, that is out of range, a
-    self-loop, or a repeat of an earlier edge in either orientation.
-    ``pairs`` must be intp, so that ``lo * m + hi`` cannot wrap."""
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    out = (lo < 0) | (hi >= m)
-    loop = lo == hi
-    keys = lo * m + hi
-    # A stable sort puts the first occurrence of each key first, so every
-    # later occurrence sits right after an equal key.
-    order = np.argsort(keys, kind="stable")
-    repeat = np.zeros(len(keys), dtype=bool)
-    repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
-    bad = out | loop | repeat
-    if not bad.any():
-        return
-    # A flagged repeat is spurious only if an earlier out-of-range edge
-    # shares its key, and that edge is flagged first.
-    i = int(np.argmax(bad))
-    a, b = int(pairs[i, 0]), int(pairs[i, 1])
-    if out[i]:
-        raise ValueError(f"edge ({a}, {b}) out of range for m={m}")
-    if loop[i]:
-        raise ValueError(f"self-loop at node {a}")
-    raise ValueError(f"duplicate edge ({int(lo[i])}, {int(hi[i])})")
 
 
 def laplacian_from_edges(m: int, edges) -> Laplacian:
@@ -415,7 +394,7 @@ def laplacian_from_edges(m: int, edges) -> Laplacian:
     if count < m and m > 1:  # a single node is connected with no edges
         _reject(m, pairs)
     entries.flags.writeable = False
-    return Laplacian(m=m, entries=entries)
+    return Laplacian(entries)
 
 
 def schedule_laplacian(schedule: NetworkSchedule, n: int) -> Laplacian:

@@ -248,7 +248,7 @@ def laplacian_reference(m: int, edges) -> Laplacian:
         entries[a, a] += 1.0
         entries[b, b] += 1.0
     entries.flags.writeable = False
-    return Laplacian(m=m, entries=entries)
+    return Laplacian(entries)
 
 
 def spectral_bounds_reference(schedule: NetworkSchedule, horizon: int) -> SpectralBounds:

@@ -242,7 +242,7 @@ class TestStepByHand:
         q = entot.floor_histogram(rng.dirichlet(np.ones(6)), 1e-6)
         cost = entot.cost_matrix(np.sort(rng.random(6)))
         oracle = entot.wb_dual_oracle(q[None, :], cost, 0.1)
-        lap = adom.Laplacian(m=1, entries=np.zeros((1, 1)))
+        lap = adom.Laplacian(np.zeros((1, 1)))
         params = adom.derive_params(r=0.05, gamma=0.1, bounds=PAIR_BOUNDS)
         state = adom.initial_state(1, 6)
         for _ in range(5):
@@ -286,6 +286,26 @@ class TestRun:
         )
         adom.run(sched, oracle, params, n_iters=21)
         assert calls["n"] == 42
+
+    def test_oracle_of_another_m_is_refused_before_any_laplacian_apply(self, monkeypatch):
+        # Laplacian.apply does not check its stack; the oracle's own shape
+        # check refuses the schedule's (4, d) stack at iteration 0.
+        from netbary import netgraph
+
+        applies = []
+        original = netgraph.Laplacian.apply
+
+        def spy(self, stack):
+            applies.append(np.shape(stack))
+            return original(self, stack)
+
+        monkeypatch.setattr(netgraph.Laplacian, "apply", spy)
+        oracle = _wb_setup(np.random.default_rng(8), m=3, d=5, gamma=0.1)
+        sched = NetworkSchedule(family="erdos_renyi", m=4, epoch_len=2, seed=1, p=0.7)
+        params = adom.derive_params(r=0.02, gamma=0.1, bounds=spectral_bounds(sched, 10))
+        with pytest.raises(ValueError, match=r"^z_stack shape \(4, 5\) != \(3, 5\)$"):
+            adom.run(sched, oracle, params, n_iters=10)
+        assert applies == []
 
     def test_record_thinning_includes_last(self):
         rng = np.random.default_rng(6)

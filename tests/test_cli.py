@@ -13,7 +13,7 @@ import pytest
 
 import netbary
 from netbary import entot, harness, netgraph
-from netbary.cli import _build_parser, _config_from_args, cli
+from netbary.cli import _build_parser, _config_from_args, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -76,14 +76,14 @@ def _printed_bounds(out):
 
 class TestSpectra:
     def test_complete_graph_bounds(self, capsys):
-        code = cli(["spectra", "--family", "complete", "--m", "6"])
+        code = main(["spectra", "--family", "complete", "--m", "6"])
         out = capsys.readouterr().out
         assert code == 0
         values = _printed_bounds(out)
         np.testing.assert_allclose(values, [6.0, 6.0], atol=1e-9)
 
     def test_matches_library_bounds(self, capsys):
-        code = cli(
+        code = main(
             ["spectra", "--family", "cycle", "--m", "10", "--horizon", "50"]
         )
         out = capsys.readouterr().out
@@ -95,7 +95,7 @@ class TestSpectra:
 
     def test_unknown_family_rejected(self):
         with pytest.raises(SystemExit):
-            cli(["spectra", "--family", "hypercube", "--m", "6"])
+            main(["spectra", "--family", "hypercube", "--m", "6"])
 
     def test_defaults_are_the_config_defaults(self):
         args = _build_parser().parse_args(["spectra"])
@@ -106,7 +106,7 @@ class TestSpectra:
         assert (cfg.family, cfg.m) == ("cycle", 10)
 
     def test_m_is_read_as_the_config_reads_it(self, capsys):
-        code = cli(["spectra", "--m", "5.5"])
+        code = main(["spectra", "--m", "5.5"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == "error: cannot parse int m='5.5'\n"
@@ -115,13 +115,13 @@ class TestSpectra:
 
 class TestOracleCheck:
     def test_default_instance_passes(self, capsys):
-        code = cli(["oracle-check"])
+        code = main(["oracle-check"])
         out = capsys.readouterr().out
         assert code == 0
         assert "OK" in out
 
     def test_seeded_instance_reports_small_deviation(self, capsys):
-        code = cli(["oracle-check", "--d", "5", "--gamma", "0.05", "--seed", "1"])
+        code = main(["oracle-check", "--d", "5", "--gamma", "0.05", "--seed", "1"])
         out = capsys.readouterr().out
         assert code == 0
         rel_line = next(
@@ -131,7 +131,7 @@ class TestOracleCheck:
 
     @pytest.mark.parametrize("gamma", ["nan", "0", "-0.5", "inf"])
     def test_gamma_that_is_not_positive_is_an_error(self, capsys, gamma):
-        code = cli(["oracle-check", "--gamma", gamma])
+        code = main(["oracle-check", "--gamma", gamma])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == f"error: gamma must be positive and finite, got {float(gamma)}\n"
@@ -142,7 +142,7 @@ class TestRun:
     def test_config_file_run_writes_artifacts(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path)
         out_dir = tmp_path / "out"
-        code = cli(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+        code = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
         captured = capsys.readouterr()
         assert code == 0
         assert "run complete: 5 recorded iterations" in captured.out
@@ -159,7 +159,7 @@ class TestRun:
         # per record; the 11th fails, in the record of iteration 20.
         cfg_path = _write_config(tmp_path)
         clean = tmp_path / "clean"
-        assert cli(["run", "--config", str(cfg_path), "--out", str(clean)]) == 0
+        assert main(["run", "--config", str(cfg_path), "--out", str(clean)]) == 0
         exact_ot = entot.exact_ot
         calls = []
         message = "dense transport LP at d = 6 is not certified: (a stand-in)"
@@ -173,7 +173,7 @@ class TestRun:
         monkeypatch.setattr(entot, "exact_ot", failing)
         capsys.readouterr()
         out_dir = tmp_path / "out"
-        code = cli(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+        code = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == f"error: {message}\n"
@@ -189,7 +189,7 @@ class TestRun:
     def test_flags_override_config_file(self, tmp_path):
         cfg_path = _write_config(tmp_path)
         out_dir = tmp_path / "out"
-        code = cli(
+        code = main(
             [
                 "run",
                 "--config", str(cfg_path),
@@ -206,14 +206,14 @@ class TestRun:
 
     def test_run_without_out_is_not_persisted(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path)
-        code = cli(["run", "--config", str(cfg_path)])
+        code = main(["run", "--config", str(cfg_path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "(not persisted)" in out
 
     def test_missing_dataset_file_fails_with_path(self, tmp_path, capsys):
         absent = tmp_path / "absent.idx"
-        code = cli(
+        code = main(
             [
                 "run",
                 "--dataset", "mnist",
@@ -232,7 +232,7 @@ class TestRun:
         images.write_bytes(struct.pack(">IIII", 0x803, 2**31, 2**16, 2**16) + b"\0" * 16)
         labels = tmp_path / "labels.idx"
         labels.write_bytes(struct.pack(">II", 0x801, 2) + b"\1\1")
-        code = cli(
+        code = main(
             [
                 "run",
                 "--dataset", "mnist",
@@ -249,7 +249,7 @@ class TestRun:
     def test_record_every_zero_fails_before_the_manifest(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path)
         out_dir = tmp_path / "out"
-        code = cli(
+        code = main(
             ["run", "--config", str(cfg_path), "--record-every", "0", "--out", str(out_dir)]
         )
         captured = capsys.readouterr()
@@ -261,7 +261,7 @@ class TestRun:
     def test_n_iters_below_one_fails_before_any_output(self, tmp_path, capsys, n_iters):
         cfg_path = _write_config(tmp_path)
         out_dir = tmp_path / "out"
-        code = cli(
+        code = main(
             ["run", "--config", str(cfg_path), "--n-iters", n_iters, "--out", str(out_dir)]
         )
         captured = capsys.readouterr()
@@ -282,7 +282,7 @@ class TestRun:
     ):
         # The dataset build would fail first, with numpy's own message.
         cfg_path = _write_config(tmp_path)
-        code = cli(["run", "--config", str(cfg_path), flag, value])
+        code = main(["run", "--config", str(cfg_path), flag, value])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == f"error: {message}\n"
@@ -329,17 +329,26 @@ class TestRun:
     def test_bad_config_key_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("iterations = 5\n")
-        code = cli(["run", "--config", str(cfg_path)])
+        code = main(["run", "--config", str(cfg_path)])
         captured = capsys.readouterr()
         assert code == 1
         assert "unknown config key" in captured.err
+
+    def test_config_key_set_twice_fails_but_a_flag_may_override(self, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path, SMALL_CONFIG + "m = 4\n")
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg_path}:12: key 'm' is already set on line 3\n"
+        cfg_path = _write_config(tmp_path)
+        args = _build_parser().parse_args(["run", "--config", str(cfg_path), "--m", "4"])
+        assert _config_from_args(args).m == 4
 
     def test_reruns_byte_identical(self, tmp_path):
         cfg_path = _write_config(tmp_path)
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        assert cli(["run", "--config", str(cfg_path), "--out", str(out_a)]) == 0
-        assert cli(["run", "--config", str(cfg_path), "--out", str(out_b)]) == 0
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_a)]) == 0
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_b)]) == 0
         assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
         np.testing.assert_array_equal(
             np.load(out_a / "histograms.npy"), np.load(out_b / "histograms.npy")
@@ -374,7 +383,7 @@ class TestConfigFlags:
         assert from_file.epoch_len is None
 
     def test_bad_flag_value_names_the_key(self, capsys):
-        code = cli(["run", "--m", "three"])
+        code = main(["run", "--m", "three"])
         captured = capsys.readouterr()
         assert code == 1
         assert "m='three'" in captured.err
@@ -388,7 +397,7 @@ class TestConfigFlags:
         out_dir = tmp_path / "out"
         flag = "--" + key.replace("_", "-")
         for value in ("nan", "inf", "-inf"):
-            code = cli(["run", f"{flag}={value}", "--out", str(out_dir)])
+            code = main(["run", f"{flag}={value}", "--out", str(out_dir)])
             captured = capsys.readouterr()
             assert code == 1
             assert captured.err == f"error: {key} must be finite, got {value!r}\n"
@@ -399,7 +408,7 @@ class TestSweep:
     def test_family_sweep_writes_subdirectories(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path)
         out_dir = tmp_path / "sweep"
-        code = cli(
+        code = main(
             [
                 "sweep",
                 "--config", str(cfg_path),
@@ -420,7 +429,7 @@ class TestSweep:
     def test_epoch_sweep_coerces_static(self, tmp_path):
         cfg_path = _write_config(tmp_path)
         out_dir = tmp_path / "sweep"
-        code = cli(
+        code = main(
             [
                 "sweep",
                 "--config", str(cfg_path),
@@ -439,7 +448,7 @@ class TestSweep:
     def test_failing_variant_keeps_the_others(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path)
         out_dir = tmp_path / "sweep"
-        code = cli(
+        code = main(
             [
                 "sweep",
                 "--config", str(cfg_path),
@@ -458,7 +467,7 @@ class TestSweep:
 
     def test_sweep_requires_out(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path)
-        code = cli(["sweep", "--config", str(cfg_path), "--families", "cycle"])
+        code = main(["sweep", "--config", str(cfg_path), "--families", "cycle"])
         captured = capsys.readouterr()
         assert code == 1
         assert "error:" in captured.err
@@ -468,7 +477,7 @@ class TestSweep:
     def test_jobs_below_one_rejected_before_any_variant(self, tmp_path, capsys, jobs):
         cfg_path = _write_config(tmp_path)
         out_dir = tmp_path / "sweep"
-        code = cli(
+        code = main(
             [
                 "sweep",
                 "--config", str(cfg_path),
@@ -495,7 +504,7 @@ class TestSweep:
     def test_duplicate_label_rejected_before_any_variant(self, tmp_path, capsys, grid, label):
         cfg_path = _write_config(tmp_path)
         out_dir = tmp_path / "sweep"
-        code = cli(["sweep", "--config", str(cfg_path), *grid, "--out", str(out_dir)])
+        code = main(["sweep", "--config", str(cfg_path), *grid, "--out", str(out_dir)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == f"error: sweep variant {label} is listed twice\n"
@@ -515,7 +524,7 @@ class TestSweep:
     ):
         cfg_path = _write_config(tmp_path)
         out_dir = tmp_path / "sweep"
-        code = cli(["sweep", "--config", str(cfg_path), *grid, "--out", str(out_dir)])
+        code = main(["sweep", "--config", str(cfg_path), *grid, "--out", str(out_dir)])
         captured = capsys.readouterr()
         assert code == 1
         message = f"sweep variants {first} and {second} are the same epoch_len"
@@ -525,7 +534,7 @@ class TestSweep:
 
     def test_sweep_requires_a_grid(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path)
-        code = cli(
+        code = main(
             ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "s")]
         )
         captured = capsys.readouterr()
@@ -536,7 +545,7 @@ class TestSweep:
 class TestEntryPoint:
     def test_missing_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit):
-            cli([])
+            main([])
 
     def test_installed_script_runs(self):
         # Run the declared console-script target the way the generated

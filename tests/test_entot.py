@@ -1709,11 +1709,6 @@ class TestKBound:
         assert got == pytest.approx(total, rel=1e-14)
         assert got == pytest.approx(0.4213736177439613, rel=1e-12)
 
-    def test_rho_override(self):
-        got = entot.k_bound(3, 0.1, 0.01, rho=0.5)
-        base = 2 * 0.1 * np.log(3) - 0.1 * np.log(0.5)
-        assert got == pytest.approx(3 * base**2, rel=1e-14)
-
     def test_rejects_delta_out_of_range(self):
         for delta in (0.3, 0.0, np.nan):
             with pytest.raises(ValueError, match=f"^delta must lie in .*, got {delta}$"):
@@ -1730,7 +1725,7 @@ class TestKBound:
     def test_value_outside_the_doubles_names_its_inputs(self, gamma, got):
         # K^2 is about 3.6e601 at gamma 1e300 and below the subnormals at
         # 1e-320, where it would round to 0.0, which bounds nothing.
-        name = f"k_bound(d=5, gamma={gamma}, delta=0.01, rho=0.005)"
+        name = f"k_bound(d=5, gamma={gamma}, delta=0.01)"
         message = f"^{re.escape(name)} must be positive and finite, got {got}$"
         with pytest.raises(ValueError, match=message):
             entot.k_bound(5, gamma, 0.01)
@@ -1746,10 +1741,9 @@ class TestKBound:
         for d in range(2, 61):
             gamma = float(rng.uniform(1e-3, 1.0))
             delta = float(rng.uniform(0.01, 1.0)) / d
-            rho = None if d % 2 else float(rng.uniform(1e-6, 0.9))
             for cost in (entot.cost_matrix(rng.random((d, 2))), rng.random((d, d))):
-                want = oracles.k_bound_reference(cost, gamma, delta, rho)
-                got = entot.k_bound(d, gamma, delta, rho)
+                want = oracles.k_bound_reference(cost, gamma, delta)
+                got = entot.k_bound(d, gamma, delta)
                 assert got == pytest.approx(want, rel=1e-14)
 
 

@@ -360,6 +360,12 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=r"run\.cfg:2: expected 'key = value'"):
             load_config(path)
 
+    def test_key_set_twice_names_both_lines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("m = 3\ngamma = 0.1\n  m=4   # again\n")
+        with pytest.raises(ValueError, match=r"^.*run\.cfg:3: key 'm' is already set on line 1$"):
+            load_config(path)
+
     def test_feeds_from_dict(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("m = 3\nd = 8\nepoch_len = static\n")
