@@ -313,11 +313,16 @@ def _draw_edges(schedule: NetworkSchedule, epoch: int) -> np.ndarray:
     return _kruskal_mst(m, edges, weights)
 
 
-def _edge_array(edges) -> np.ndarray:
+def _edge_array(m: int, edges) -> np.ndarray:
     """The edge list as an (E, 2) array of its own integer dtype; an empty
-    list gives E = 0."""
+    list gives E = 0.
+
+    numpy reads a list of Python ints as int64 when they all fit, else as
+    float64 or object. Such a list has an endpoint outside int64, so out of
+    range for every m, and goes to ``_reject`` as the ints it holds."""
+    listed = edges if isinstance(edges, np.ndarray) else list(edges)
     try:
-        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        pairs = np.asarray(listed)
     except ValueError:
         raise ValueError("edges must be pairs of node indices, got a ragged sequence") from None
     if pairs.ndim == 1 and pairs.size == 0:
@@ -325,6 +330,8 @@ def _edge_array(edges) -> np.ndarray:
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"edges must have shape (E, 2), got {pairs.shape}")
     if pairs.dtype.kind not in "iu":
+        if not isinstance(edges, np.ndarray) and all(isinstance(v, int) for pair in listed for v in pair):
+            _reject(m, np.array(listed, dtype=object))
         raise ValueError(f"edge endpoints must be integers, got dtype {pairs.dtype}")
     return pairs
 
@@ -367,7 +374,7 @@ def laplacian_from_edges(m: int, edges) -> Laplacian:
     """
     if m < 1:
         raise ValueError(f"need m >= 1 nodes, got {m}")
-    pairs = _edge_array(edges)
+    pairs = _edge_array(m, edges)
     if pairs.size and (
         pairs.max() >= m or (pairs.dtype.kind == "i" and pairs.min() < 0)
     ):

@@ -512,8 +512,8 @@ class TestExactOT:
         value = entot.exact_ot(p, q, cost)
         highs = entot._highs
 
-        def perturbed(c, a_eq, b_eq):
-            res = highs(c, a_eq, b_eq)
+        def perturbed(c, a_eq, b_eq, basis=None):
+            res = highs(c, a_eq, b_eq, basis)
             res.row_dual[d:] += 1e-3 * rng.standard_normal(d - 1)
             return res
 
@@ -1042,7 +1042,7 @@ class TestExactOTGrid:
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_failed_lp_names_the_lp_d_and_smallest_masses(self, monkeypatch, dense):
-        def infeasible(c, a_eq, b_eq):
+        def infeasible(c, a_eq, b_eq, basis=None):
             raise entot._LPFailure("HiGHS model status 8: Infeasible")
 
         monkeypatch.setattr(entot, "_highs", infeasible)
@@ -1208,8 +1208,8 @@ class TestLocalGridLP:
         highs = entot._highs
         solves = []
 
-        def perturbed(c, a_eq, b_eq):
-            res = highs(c, a_eq, b_eq)
+        def perturbed(c, a_eq, b_eq, basis=None):
+            res = highs(c, a_eq, b_eq, basis)
             if c.shape[0] < grid.arc_cost.shape[0]:
                 res.row_dual[2 * 196:] += 1e-3 * rng.standard_normal(195)
             solves.append(res)
@@ -1224,6 +1224,33 @@ class TestLocalGridLP:
         assert [res.x.shape[0] for res in solves] == [local, grid.arc_cost.shape[0]]
         assert abs(got - solves[1].fun / entot._MASS_SCALE / grid.diagonal) <= 1e-12 * got
 
+    def test_warm_local_solve_with_perturbed_duals_is_refused(self, monkeypatch):
+        # Only a kept value leaves a basis: the local solve after a refused
+        # one is cold. A warm local solve with perturbed sink duals is
+        # refused all the same, and the full LP, warm too, decides.
+        rng = np.random.default_rng(37)
+        grid = entot.GridCost(14, 14)
+        p, q = _sparse_14x14_pair()
+        highs = entot._highs
+        solves = []
+        perturb = [True]
+
+        def spy(c, a_eq, b_eq, basis=None):
+            res = highs(c, a_eq, b_eq, basis)
+            if perturb[0] and c.shape[0] < grid.arc_cost.shape[0]:
+                res.row_dual[2 * 196:] += 1e-3 * rng.standard_normal(195)
+            solves.append((c.shape[0], basis is not None))
+            return res
+
+        monkeypatch.setattr(entot, "_highs", spy)
+        values = []
+        for perturbed in (True, False, True):
+            perturb[0] = perturbed
+            values.append(entot.exact_ot(p, q, grid))
+        local, full = np.count_nonzero(grid.arc_cost <= 9), grid.arc_cost.shape[0]
+        assert solves == [(local, False), (full, False), (local, False), (local, True), (full, True)]
+        assert all(abs(value - values[1]) <= 1e-12 * values[1] for value in values)
+
     @pytest.mark.parametrize("every_arc_local", [False, True])
     def test_perturbed_full_lp_duals_raise(self, monkeypatch, every_arc_local):
         # After a refused local solve, and when every arc is local, the full
@@ -1233,8 +1260,8 @@ class TestLocalGridLP:
         highs = entot._highs
         arcs = []
 
-        def perturbed(c, a_eq, b_eq):
-            res = highs(c, a_eq, b_eq)
+        def perturbed(c, a_eq, b_eq, basis=None):
+            res = highs(c, a_eq, b_eq, basis)
             res.row_dual[2 * 196:] += 1e-3 * rng.standard_normal(195)
             arcs.append(c.shape[0])
             return res
@@ -1264,8 +1291,8 @@ class TestLocalGridLP:
         highs, rounded_cost = entot._highs, entot._rounded_cost
         rounded = []
 
-        def faulty(c, a_eq, b_eq):
-            res = highs(c, a_eq, b_eq)
+        def faulty(c, a_eq, b_eq, basis=None):
+            res = highs(c, a_eq, b_eq, basis)
             if fault == "negative flow":
                 # A row residual of 1e-17, far inside rounding.
                 res.x[np.argmin(res.x)] = -1e-17
@@ -1294,8 +1321,8 @@ class TestLocalGridLP:
         highs = entot._highs
         arcs = []
 
-        def halved(c, a_eq, b_eq):
-            res = highs(c, a_eq, b_eq)
+        def halved(c, a_eq, b_eq, basis=None):
+            res = highs(c, a_eq, b_eq, basis)
             arcs.append(c.shape[0])
             if len(arcs) == 1:
                 res.x[:] *= 0.5
@@ -1316,9 +1343,9 @@ class TestLocalGridLP:
         highs = entot._highs
         results = []
 
-        def spy(c, a_eq, b_eq):
+        def spy(c, a_eq, b_eq, basis=None):
             try:
-                results.append(highs(c, a_eq, b_eq))
+                results.append(highs(c, a_eq, b_eq, basis))
             except entot._LPFailure as failure:
                 results.append(failure)
                 raise
@@ -1350,9 +1377,9 @@ class TestLocalGridLP:
         highs = entot._highs
         arcs = []
 
-        def spy(c, a_eq, b_eq):
+        def spy(c, a_eq, b_eq, basis=None):
             arcs.append(c.shape[0])
-            return highs(c, a_eq, b_eq)
+            return highs(c, a_eq, b_eq, basis)
 
         monkeypatch.setattr(entot, "_highs", spy)
         monkeypatch.setattr(entot, "_monotone_reach", lambda p, q: 3)
@@ -1624,6 +1651,30 @@ class TestHighs:
         )
         with pytest.raises(RuntimeError, match=r"^HiGHS refused the option presolv = 'off'$"):
             entot._highs(*next(_dense_lps()))
+
+    def test_refused_warm_option_raises(self, monkeypatch):
+        # The warm options are set only on a solve from a starting basis.
+        lp = next(_dense_lps())
+        basis = entot._highs(*lp).basis
+        monkeypatch.setattr(entot, "_WARM_OPTIONS", (("simplex_dual_edge_weight_strategy", 7),))
+        entot._highs(*lp)
+        with pytest.raises(
+            RuntimeError, match=r"^HiGHS refused the option simplex_dual_edge_weight_strategy = 7$"
+        ):
+            entot._highs(*lp, basis)
+
+    def test_basis_of_another_arc_set_raises(self):
+        # A 4x4 raster's full-LP basis on its radius-1 arcs. HiGHS itself
+        # only returns an error status.
+        rng = np.random.default_rng(39)
+        grid = entot.GridCost(4, 4)
+        p, q = _sparse_masses(rng, 16), _sparse_masses(rng, 16)
+        b_eq = _grid_b_eq(p, q) * entot._MASS_SCALE
+        full = entot._highs(grid.arc_cost, entot._incidence(grid.tails, grid.heads, 16, 48), b_eq)
+        local = grid.arc_cost <= 1
+        a_eq = entot._incidence(grid.tails[local], grid.heads[local], 16, 48)
+        with pytest.raises(RuntimeError, match=r"^HiGHS refused the starting basis$"):
+            entot._highs(grid.arc_cost[local], a_eq, b_eq, full.basis)
 
     def test_infeasible_lp_raises_highs_status_text(self):
         # Row sums of 1 and column sums of 2 on a 3 x 3 plan, which linprog

@@ -711,12 +711,16 @@ class TestBenchmarkWorkloads:
         # Every metrics LP of the raster workload is certified on its local
         # arcs, so none pays for a second, full solve, and every flow passes
         # the flow check, so none pays for a rounding onto its marginals.
+        # The run's LPs fall on two arc sets: the first LP on each is cold,
+        # and every other starts from its arc set's first basis.
         highs = entot._highs
         arcs = []
+        warm = []
 
-        def spy(c, a_eq, b_eq):
+        def spy(c, a_eq, b_eq, basis=None):
             arcs.append(c.shape[0])
-            return highs(c, a_eq, b_eq)
+            warm.append(basis is not None)
+            return highs(c, a_eq, b_eq, basis)
 
         def rounded_cost(*args):
             raise AssertionError("a grid2d flow failed the flow check")
@@ -738,6 +742,79 @@ class TestBenchmarkWorkloads:
         full = entot.GridCost(WORKLOADS.GRID_SIDE, WORKLOADS.GRID_SIDE).arc_cost.shape[0]
         assert len(arcs) == len(lps)
         assert max(arcs) < full
+        assert len(set(arcs)) == 2
+        assert warm.count(False) == 2 and warm.count(True) == 14
+
+
+@pytest.fixture(scope="module")
+def grid2d_pairs(tmp_path_factory):
+    """The marginals of every ``exact_ot`` call of the raster workload's
+    instances 0-3 at bench length: one list of (p, q) per instance, in call
+    order."""
+    exact_ot = entot.exact_ot
+    pairs = []
+    with pytest.MonkeyPatch.context() as patch:
+        for instance in range(4):
+            calls = []
+
+            def recording(p, q, cost, calls=calls):
+                calls.append((p.copy(), q.copy()))
+                return exact_ot(p, q, cost)
+
+            patch.setattr(entot, "exact_ot", recording)
+            raw = WORKLOADS.config("grid2d", instance, "bench", tmp_path_factory.mktemp("grid2d"))
+            run_experiment(ExperimentConfig.from_dict(raw))
+            pairs.append(calls)
+    return pairs
+
+
+def _raster():
+    return entot.GridCost(WORKLOADS.GRID_SIDE, WORKLOADS.GRID_SIDE)
+
+
+class TestWarmStartedGridLPs:
+    """The raster workload's LPs, replayed in call order on one GridCost,
+    each starting from the first basis of its arc set, against cold solves
+    on fresh GridCosts, the slow reference."""
+
+    def test_warm_values_match_cold_solves(self, grid2d_pairs):
+        for pairs in grid2d_pairs:
+            grid = _raster()
+            for p, q in pairs:
+                warm = entot.exact_ot(p, q, grid)
+                cold = entot.exact_ot(p, q, _raster())
+                assert abs(warm - cold) <= 1e-12 * cold
+
+    def test_two_grids_fed_the_same_pairs_agree_bit_for_bit(self, grid2d_pairs):
+        for pairs in grid2d_pairs:
+            grids = _raster(), _raster()
+            first, second = ([entot.exact_ot(p, q, grid) for p, q in pairs] for grid in grids)
+            assert first == second
+
+    def test_first_lp_on_each_arc_set_is_cold_and_unchanged(self, grid2d_pairs, monkeypatch):
+        # A cold solve takes the options and path of a fresh GridCost's
+        # first solve, so its value is that one bit for bit.
+        highs = entot._highs
+        solves = []
+
+        def spy(c, a_eq, b_eq, basis=None):
+            solves.append((c.shape[0], basis is not None))
+            return highs(c, a_eq, b_eq, basis)
+
+        for pairs in grid2d_pairs:
+            grid = _raster()
+            seen = set()
+            for p, q in pairs:
+                solves.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(entot, "_highs", spy)
+                    value = entot.exact_ot(p, q, grid)
+                ((arcs, warm),) = solves
+                assert warm == (arcs in seen)
+                if not warm:
+                    assert value == entot.exact_ot(p, q, _raster())
+                seen.add(arcs)
+            assert len(seen) == 2
 
 
 class TestGitDescribe:

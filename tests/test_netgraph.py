@@ -170,11 +170,12 @@ class TestAgainstLoopReference:
 
     @staticmethod
     def _same_as_reference(m, pairs):
-        """``laplacian_from_edges`` on an edge array against the reference
-        on the same edges as tuples of ints, the form its messages quote.
-        Returns the reference's outcome."""
-        want = _outcome(oracles.laplacian_reference, m, [tuple(e) for e in pairs.tolist()])
-        assert _outcome(laplacian_from_edges, m, pairs) == want, (m, pairs.tolist())
+        """``laplacian_from_edges`` on an edge array or list against the
+        reference on the same edges as tuples of ints, the form its messages
+        quote. Returns the reference's outcome."""
+        edges = [tuple(e) for e in (pairs.tolist() if isinstance(pairs, np.ndarray) else pairs)]
+        want = _outcome(oracles.laplacian_reference, m, edges)
+        assert _outcome(laplacian_from_edges, m, pairs) == want, (m, edges)
         return want
 
     @staticmethod
@@ -272,6 +273,18 @@ class TestAgainstLoopReference:
             edges = path + [(1, 0), (big, 0)]
             want = self._same_as_reference(m, self._read_only(edges, np.uint64))
             assert want == (ValueError, "duplicate edge (0, 1)")
+
+    @pytest.mark.parametrize(
+        "edges", [[(-1, 2**63)], [(2**64, 0)], [(0, 1), (1, 2**70)]],
+        ids=["-1,2**63", "2**64", "2**70"],
+    )
+    def test_python_ints_past_the_int64_range(self, edges):
+        # numpy reads these lists as float64 or object, not as integers.
+        want = self._same_as_reference(3, edges)
+        assert want[0] is ValueError and want[1].startswith(f"edge {edges[-1]} out of range")
+        # Any earlier fault is still the one named.
+        want = self._same_as_reference(3, [(2, 2)] + edges)
+        assert want == (ValueError, "self-loop at node 2")
 
 
 class TestLaplacianApply:
