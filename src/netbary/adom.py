@@ -9,8 +9,8 @@ of the primal with parameter r. The method runs two coupled dual sequences plus 
 communicates through the current epoch's Laplacian twice per iteration, and
 evaluates the stacked oracle exactly once per iteration.
 
-There is one update, :func:`adom_step` (whose body :func:`run` calls on bare
-arrays), one loop, :func:`run`, and one parameter type, :class:`AdomParams`.
+There is one update, :func:`adom_step`, one loop over it, :func:`run`, and
+one parameter type, :class:`AdomParams`.
 :func:`derive_params` computes the step parameters from (r, gamma).
 
 The dual iterates z, z_f, z_g live in the zero-mean subspace (node-sums
@@ -115,7 +115,11 @@ def derive_params(r: float, gamma: float, bounds: SpectralBounds) -> AdomParams:
     lam_min, lam_max = bounds.lambda_min_plus, bounds.lambda_max
     rg = r * gamma
     alpha = r / 2.0
-    eta = 2.0 * lam_min * math.sqrt(gamma) / (7.0 * lam_max * math.sqrt(r * (1.0 + rg)))
+    # r (1 + rg) can overflow where its root does not; splitting the root
+    # only then keeps every finite product's eta bit for bit.
+    scale = r * (1.0 + rg)
+    root = math.sqrt(scale) if math.isfinite(scale) else math.sqrt(r) * math.sqrt(1.0 + rg)
+    eta = 2.0 * lam_min * math.sqrt(gamma) / (7.0 * lam_max * root)
     theta = gamma / (lam_max * (1.0 + rg))
     sigma = 1.0 / lam_max
     tau = (lam_min / (7.0 * lam_max)) * math.sqrt(rg / (1.0 + rg))
@@ -198,45 +202,6 @@ def _check_finite(iteration: int, **iterates: np.ndarray) -> None:
             raise NumericalDivergenceError(name, iteration)
 
 
-def _update(
-    z: np.ndarray,
-    z_f: np.ndarray,
-    momentum: np.ndarray,
-    n: int,
-    lap: Laplacian,
-    params: AdomParams,
-    oracle: DualOracle,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Iteration n on bare arrays; returns (z, z_f, z_g, momentum, grad).
-
-    The body of :func:`adom_step`, which :func:`run` calls directly so that
-    the loop builds no state object per iteration.
-    """
-    alpha, eta, theta = params.alpha, params.eta, params.theta
-    sigma, tau = params.sigma, params.tau
-    z_g = tau * z + (1.0 - tau) * z_f
-    # The smoothed dual's gradient; AdomParams checked r.
-    g = oracle.grad_conj_stack(z_g) + params.r * z_g
-    # Overflow surfaces as non-finite entries, which the check below turns
-    # into NumericalDivergenceError; the transient warnings carry no
-    # information.
-    with np.errstate(over="ignore", invalid="ignore"):
-        momentum = momentum - eta * g
-        delta = sigma * lap.apply(momentum)
-        momentum -= delta
-        z = z + (eta * alpha) * (z_g - z) + delta
-        z_f = z_g - theta * lap.apply(g)
-        # A non-finite entry anywhere makes the sum non-finite. Finite
-        # iterates can overflow it too, so only _check_finite may raise.
-        total = g + momentum
-        total += z
-        total += z_f
-        finite = math.isfinite(total.sum())
-    if not finite:
-        _check_finite(n, grad=g, momentum=momentum, z=z, z_f=z_f)
-    return z, z_f, z_g, momentum, g
-
-
 def adom_step(
     state: SolverState, lap: Laplacian, params: AdomParams, oracle: DualOracle
 ) -> SolverState:
@@ -247,9 +212,28 @@ def adom_step(
     :class:`NumericalDivergenceError` naming the first non-finite one of
     grad, momentum, z and z_f.
     """
-    z, z_f, z_g, momentum, g = _update(
-        state.z, state.z_f, state.momentum, state.n, lap, params, oracle
-    )
+    alpha, eta, theta = params.alpha, params.eta, params.theta
+    sigma, tau = params.sigma, params.tau
+    z_g = tau * state.z + (1.0 - tau) * state.z_f
+    # The smoothed dual's gradient; AdomParams checked r.
+    g = oracle.grad_conj_stack(z_g) + params.r * z_g
+    # Overflow surfaces as non-finite entries, which the check below turns
+    # into NumericalDivergenceError; the transient warnings carry no
+    # information.
+    with np.errstate(over="ignore", invalid="ignore"):
+        momentum = state.momentum - eta * g
+        delta = sigma * lap.apply(momentum)
+        momentum -= delta
+        z = state.z + (eta * alpha) * (z_g - state.z) + delta
+        z_f = z_g - theta * lap.apply(g)
+        # A non-finite entry anywhere makes the sum non-finite. Finite
+        # iterates can overflow it too, so only _check_finite may raise.
+        total = g + momentum
+        total += z
+        total += z_f
+        finite = math.isfinite(total.sum())
+    if not finite:
+        _check_finite(state.n, grad=g, momentum=momentum, z=z, z_f=z_f)
     return SolverState(z=z, z_f=z_f, z_g=z_g, momentum=momentum, x=g, n=state.n + 1)
 
 
@@ -271,14 +255,12 @@ def run(
         raise ValueError(f"n_iters must be >= 1, got {n_iters}")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
-    start_state = initial_state(schedule.m, oracle.dim)
-    z, z_f, momentum = start_state.z, start_state.z_f, start_state.momentum
+    state = initial_state(schedule.m, oracle.dim)
     records: list[TrajectoryRecord] = []
     start = time.perf_counter()
     for n in range(n_iters):
-        lap = schedule_laplacian(schedule, n)
         try:
-            z, z_f, z_g, momentum, g = _update(z, z_f, momentum, n, lap, params, oracle)
+            state = adom_step(state, schedule_laplacian(schedule, n), params, oracle)
         except NumericalDivergenceError as err:
             err.records = records
             raise
@@ -286,13 +268,12 @@ def run(
             records.append(
                 TrajectoryRecord(
                     iteration=n,
-                    x=g.copy(),
-                    recovered=g - params.r * z_g,
-                    consensus=mean_pairwise_sq_dist(g),
+                    x=state.x.copy(),
+                    recovered=state.x - params.r * state.z_g,
+                    consensus=mean_pairwise_sq_dist(state.x),
                     wall_time=time.perf_counter() - start,
                 )
             )
-    state = SolverState(z=z, z_f=z_f, z_g=z_g, momentum=momentum, x=g, n=n_iters)
     return Trajectory(records=records, state=state)
 
 

@@ -26,6 +26,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import os
 import sys
 import threading
@@ -144,8 +145,8 @@ class GridCost:
       pixel coordinates bit for bit. It is built on first access, once;
       neither the oracle nor :func:`exact_ot` reads it.
 
-    All arrays are read-only. A raster of fewer than two pixels raises
-    ValueError.
+    All arrays are read-only. Sizes that are not integers, or a raster of
+    fewer than two pixels, raise ValueError.
 
     A ``GridCost`` also keeps, per arc set of its LPs, the optimal basis of
     the first LP on that set whose value :func:`exact_ot` kept, and starts
@@ -158,7 +159,10 @@ class GridCost:
     """
 
     def __init__(self, rows: int, cols: int):
-        rows, cols = int(rows), int(cols)
+        try:
+            rows, cols = operator.index(rows), operator.index(cols)
+        except TypeError:
+            raise ValueError(f"rows and cols must be integers, got {rows!r} x {cols!r}") from None
         if min(rows, cols) < 1 or rows * cols < 2:
             raise ValueError(f"a raster needs at least two pixels, got {rows} x {cols}")
         d = rows * cols

@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import struct
 import subprocess
 import typing
@@ -181,8 +182,11 @@ def load_mnist(
     normalized squared-Euclidean cost over the pixel grid.
 
     The files use the IDX encoding: big-endian, magic 0x00000803 for image
-    tensors and 0x00000801 for label vectors.
+    tensors and 0x00000801 for label vectors. A ``count`` that is not an
+    integer >= 1 raises ValueError.
     """
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     images = _read_idx(images_path, 3, "images")
     labels = _read_idx(labels_path, 1, "labels")
     if images.shape[0] != labels.shape[0]:

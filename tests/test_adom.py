@@ -166,6 +166,23 @@ class TestDeriveParams:
             (0.38 / (7 * 3.7)) * np.sqrt(rg / (1 + rg)), rel=1e-14
         )
 
+    def test_eta_survives_an_overflowing_r_times_one_plus_r_gamma(self):
+        # r (1 + rg) = 2e308 leaves the doubles, but eta, about 2.02e-309,
+        # is a positive subnormal.
+        got = adom.derive_params(1e308, 1e-308, SpectralBounds(1.0, 1.0))
+        want = 2.0 * math.sqrt(1e-308) / (7.0 * math.sqrt(1e308) * math.sqrt(2.0))
+        assert 0.0 < got.eta and math.isclose(got.eta, want, rel_tol=1e-12)
+        assert got.theta == 5e-309
+
+    @pytest.mark.parametrize(
+        "r, gamma",
+        [(0.001, 0.01), (0.05, 0.01), (0.02, 0.3), (1e-6, 1e3), (3.0, 7.0), (1e150, 1e-200)],
+    )
+    def test_eta_is_bit_equal_to_the_unsplit_root_for_finite_products(self, r, gamma):
+        bounds = SpectralBounds(lambda_min_plus=0.38, lambda_max=3.7)
+        want = 2.0 * 0.38 * math.sqrt(gamma) / (7.0 * 3.7 * math.sqrt(r * (1.0 + r * gamma)))
+        assert adom.derive_params(r, gamma, bounds).eta.hex() == want.hex()
+
     def test_rejects_nonpositive_inputs(self):
         # nan and inf fail the check too, naming the parameter.
         for bad in ("r", "gamma"):
@@ -394,7 +411,8 @@ class TestRun:
         assert np.exp(slope) <= 1.0 - params.tau
 
     def test_run_equals_a_loop_of_steps_across_epochs(self):
-        # run keeps its iterates in locals; adom_step wraps the same update.
+        # run is a loop over adom_step; its records and final state are the
+        # steps' own, byte for byte.
         rng = np.random.default_rng(12)
         oracle = _wb_setup(rng, m=6, d=5, gamma=0.05)
         sched = NetworkSchedule(family="erdos_renyi", m=6, epoch_len=3, seed=8, p=0.5)
@@ -648,7 +666,9 @@ class TestGuaranteeConstants:
         assert isinstance(got, int)
         assert got == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("r, gamma, got", [(1e-200, 1e-200, "0.0"), (1e300, 1e300, "inf")])
+    @pytest.mark.parametrize(
+        "r, gamma, got", [(1e-200, 1e-200, "0.0"), (1e300, 1e300, "inf"), (1e308, 2.0, "inf")]
+    )
     def test_derive_params_names_a_product_outside_the_doubles(self, r, gamma, got):
         message = f"^r \\* gamma must be positive and finite, got {got}$"
         with pytest.raises(ValueError, match=message):

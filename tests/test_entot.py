@@ -610,6 +610,16 @@ class TestGridCost:
         with pytest.raises(ValueError, match=message):
             entot.GridCost(rows, cols)
 
+    @pytest.mark.parametrize("rows, cols", [(2.7, 3), (3, 2.0), ("4", 4), (None, 2)])
+    def test_non_integer_sizes_raise(self, rows, cols):
+        message = f"^rows and cols must be integers, got {re.escape(repr(rows))} x {re.escape(repr(cols))}$"
+        with pytest.raises(ValueError, match=message):
+            entot.GridCost(rows, cols)
+
+    def test_numpy_integer_sizes_are_kept(self):
+        grid = entot.GridCost(np.int64(3), np.uint8(2))
+        assert grid.shape == (3, 2) and all(type(n) is int for n in grid.shape)
+
     def test_oracle_and_exact_ot_leave_dense_unbuilt(self):
         rng = np.random.default_rng(37)
         grid = entot.GridCost(5, 4)

@@ -217,6 +217,12 @@ class TestLoadMnist:
         with pytest.raises(ValueError, match="found only 1"):
             load_mnist(img_path, lab_path, digit=3, count=2)
 
+    @pytest.mark.parametrize("count", [0, -1, 2.5])
+    def test_count_must_be_a_positive_integer(self, tmp_path, count):
+        img_path, lab_path = self._fixture(tmp_path)
+        with pytest.raises(ValueError, match=f"^count must be an integer >= 1, got {count}$"):
+            load_mnist(img_path, lab_path, digit=7, count=count)
+
     def test_count_mismatch_between_files(self, tmp_path):
         img_path = tmp_path / "images.idx"
         lab_path = tmp_path / "labels.idx"
