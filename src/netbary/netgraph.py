@@ -57,6 +57,19 @@ _EIG_FLOOR = 1e-10
 # (see _certified_inside).
 _CERT_MARGIN = 1e-8
 
+_EPS = float(np.finfo(float).eps)
+
+# Below this many nodes every epoch is eigen-solved: the certificate costs
+# more than the solve it would spare. Microseconds per ER Laplacian (edge
+# probability 4/m + 0.15, 40 graphs), the certificate run through its
+# Cholesky call, which succeeded on all 40; one BLAS thread, 2-vCPU VM,
+# median of three timeit runs:
+#
+#   m             6     8    10    12    14    16    18    20    30    50
+#   certificate  12.7  12.9  13.3  13.7  13.8  14.2  14.5  15.5  18.2  34.2
+#   eigvalsh      6.5   8.1   9.9  11.9  13.7  16.0  18.9  21.8  39.3  96.9
+_CERT_MIN_NODES = 16
+
 
 class DisconnectedGraphError(ValueError):
     """The edge list does not describe a connected graph."""
@@ -218,32 +231,40 @@ def _upper_pairs(m: int) -> np.ndarray:
     return pairs
 
 
-def _component_count(m: int, edges: np.ndarray) -> int:
-    """Number of connected components of the graph on nodes 0..m-1.
+def _reach(link: np.ndarray, start: int) -> tuple[np.ndarray, int]:
+    """The nodes joined to ``start`` by a path, as a boolean mask, and
+    their count.
 
-    Min-label hooking with pointer jumping. Each round hooks, for every edge
-    whose ends disagree, the larger of the two root labels onto the smaller,
-    then every label jumps to its root. Labels only fall and always name a
-    node of the same component; once both ends of every edge carry one
-    label, each component is labelled by its smallest node.
+    ``link`` is the (m, m) boolean adjacency with its diagonal set on every
+    node that has an edge (or on every node), so a reached node stays
+    reached and each boolean product ``reach @ link`` only grows the set.
+    The sweep stops once every node is reached or a product adds none. The
+    mask includes ``start`` when its diagonal entry is set.
     """
-    labels = np.arange(m)
-    a, b = edges[:, 0], edges[:, 1]
-    while True:
-        la, lb = labels[a], labels[b]
-        if (la == lb).all():
-            return int(np.count_nonzero(labels == np.arange(m)))
-        np.minimum.at(labels, np.maximum(la, lb), np.minimum(la, lb))
-        while True:
-            jumped = labels[labels]
-            if (jumped == labels).all():
-                break
-            labels = jumped
+    reach = link[start]
+    count = np.count_nonzero(reach)
+    while count < link.shape[0]:
+        reach = reach @ link
+        grown = np.count_nonzero(reach)
+        if grown == count:
+            break
+        count = grown
+    return reach, count
+
+
+def _adjacency(m: int, pairs: np.ndarray) -> np.ndarray:
+    """Boolean adjacency of in-range (E, 2) edges, diagonal set: ``_reach``'s
+    ``link``."""
+    link = np.eye(m, dtype=bool)
+    link[pairs[:, 0], pairs[:, 1]] = True
+    link[pairs[:, 1], pairs[:, 0]] = True
+    return link
 
 
 def _er_draw(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
     pairs = _upper_pairs(m)
-    return pairs[rng.random(pairs.shape[0]) < p]
+    # compress takes the same rows as a boolean index, at a third of its cost.
+    return pairs.compress(rng.random(pairs.shape[0]) < p, axis=0)
 
 
 def _connected_er(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
@@ -255,7 +276,7 @@ def _connected_er(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
     """
     for _ in range(_ER_MAX_DRAWS):
         edges = _er_draw(rng, m, p)
-        if _component_count(m, edges) == 1:
+        if _reach(_adjacency(m, edges), 0)[1] == m:
             return edges
     merged = np.concatenate([edges, np.sort(_random_spanning_tree(rng, m), axis=1)])
     keys = np.unique(merged[:, 0] * m + merged[:, 1])
@@ -340,7 +361,8 @@ def _reject(m: int, pairs: np.ndarray) -> NoReturn:
     """Raise the error that names what is wrong with an edge array the fast
     checks refused: the first edge, in input order, that is out of range, a
     self-loop, or a repeat of an earlier edge in either orientation; else
-    the component count."""
+    the component count, one ``_reach`` sweep per component, each from the
+    smallest node not yet reached."""
     seen = set()
     for a, b in pairs.tolist():
         if not (0 <= a < m and 0 <= b < m):
@@ -351,7 +373,12 @@ def _reject(m: int, pairs: np.ndarray) -> NoReturn:
         if key in seen:
             raise ValueError(f"duplicate edge {key}")
         seen.add(key)
-    comps = _component_count(m, pairs)
+    link = _adjacency(m, pairs.astype(np.intp))
+    reached = np.zeros(m, dtype=bool)
+    comps = 0
+    while not reached.all():
+        reached |= _reach(link, int(np.argmin(reached)))[0]
+        comps += 1
     raise DisconnectedGraphError(
         f"graph has {comps} components; Laplacian kernel dimension would "
         f"be {comps}, expected 1"
@@ -388,17 +415,8 @@ def laplacian_from_edges(m: int, edges) -> Laplacian:
     entries = 0.0 - adj
     entries.ravel()[:: m + 1] = np.bincount(pairs.ravel(), minlength=m)
     # Nonzeros of entries: the edges plus the diagonal of every node with an
-    # edge, so a reached node stays reached and the sweep only grows.
-    link = entries != 0
-    reach = link[0]
-    count = np.count_nonzero(reach)
-    while count < m:
-        reach = reach @ link
-        grown = np.count_nonzero(reach)
-        if grown == count:
-            break
-        count = grown
-    if count < m and m > 1:  # a single node is connected with no edges
+    # edge, as _reach needs them.
+    if m > 1 and _reach(entries != 0, 0)[1] < m:  # one node needs no edge
         _reject(m, pairs)
     entries.flags.writeable = False
     return Laplacian(entries)
@@ -457,16 +475,17 @@ def _certified_inside(lap: Laplacian, lo: float, hi: float) -> bool:
     margin grows with it.
     """
     m = lap.m
-    margin = max(_CERT_MARGIN, 4 * m * m * np.finfo(float).eps) * hi
+    margin = max(_CERT_MARGIN, 4 * m * m * _EPS) * hi
     degrees = np.diagonal(lap.entries)
     if degrees.max() + 1.0 >= hi - margin or m / (m - 1) * degrees.min() <= lo + margin:
         return False
     s = lo + margin
     pair = np.empty((2, m, m))
     np.add(lap.entries, (s + 1.0) / m, out=pair[0])
-    pair[0].ravel()[:: m + 1] -= s
     np.negative(lap.entries, out=pair[1])
-    pair[1].ravel()[:: m + 1] += hi - margin
+    # Both diagonals through one strided view; adding -s rounds as
+    # subtracting s does.
+    pair.reshape(2, m * m)[:, :: m + 1] += np.array([[-s], [hi - margin]])
     try:
         np.linalg.cholesky(pair)
     except np.linalg.LinAlgError:
@@ -484,20 +503,23 @@ def spectral_bounds(schedule: NetworkSchedule, horizon: int) -> SpectralBounds:
     the schedule, so a solver run on the same schedule draws none of them
     again.
 
-    Every epoch's Laplacian is built and checked, but only the epochs that
-    ``_certified_inside`` cannot exclude are eigen-solved; epoch 0 always
-    is. A skipped epoch's extremes would lie strictly inside the running
-    ones, so the result is bit for bit that of solving every epoch. A
-    skipped graph is connected: its lambda_min+ exceeds a positive one.
+    Every epoch's Laplacian is built and checked, but from
+    ``_CERT_MIN_NODES`` nodes on only the epochs that ``_certified_inside``
+    cannot exclude are eigen-solved; epoch 0 always is. Smaller schedules
+    solve every epoch. A skipped epoch's extremes would lie strictly inside
+    the running ones, so the result is bit for bit that of solving every
+    epoch. A skipped graph is connected: its lambda_min+ exceeds a positive
+    one.
     """
     epochs = schedule.epoch_count(horizon)
     if schedule.family in _RELABEL_FAMILIES:
         epochs = 1
     lam_min_plus = math.inf
     lam_max = 0.0
+    certify = schedule.m >= _CERT_MIN_NODES
     for epoch in range(epochs):
         lap = laplacian_from_edges(schedule.m, _epoch_edges(schedule, epoch))
-        if _certified_inside(lap, lam_min_plus, lam_max):
+        if certify and _certified_inside(lap, lam_min_plus, lam_max):
             continue
         lo, hi = _positive_extremes(lap.eigenvalues())
         lam_min_plus = min(lam_min_plus, lo)

@@ -35,10 +35,11 @@ def kernel_calls(monkeypatch):
 @pytest.fixture
 def fresh_python():
     """Runs a script in a new interpreter that imports this tree's netbary
-    and returns its stdout; the script must exit 0 and write no stderr."""
+    and returns its stdout; the script must exit 0 and write no stderr.
+    Keyword arguments are set in the interpreter's environment."""
 
-    def run(script):
-        env = dict(os.environ)
+    def run(script, **environ):
+        env = dict(os.environ, **environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(Path(netbary.__file__).parents[1]), env.get("PYTHONPATH")])
         )

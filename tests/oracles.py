@@ -212,6 +212,14 @@ class _UnionFind:
         return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)
 
 
+def component_count_reference(m: int, edges) -> int:
+    """Connected components of the graph on nodes 0..m-1, by union-find."""
+    uf = _UnionFind(m)
+    for a, b in edges:
+        uf.union(int(a), int(b))
+    return uf.component_count()
+
+
 def laplacian_reference(m: int, edges) -> Laplacian:
     """Laplacian D - A built edge by edge with a Python union-find.
 

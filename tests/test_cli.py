@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -325,6 +326,28 @@ class TestRun:
         )
         codes = [line for line in fresh_python(script).splitlines() if line.startswith("0 ")]
         assert codes == ["0 False", "0 True"]
+
+    def test_artifacts_do_not_depend_on_the_interpreter(self, tmp_path, fresh_python):
+        # A net-many-shaped run (a new 50-node graph every iteration) in two
+        # fresh interpreters with different string hash seeds, into the same
+        # directory, since the manifest records it.
+        cfg_path = _write_config(tmp_path, (
+            "dataset = gaussians\nm = 50\nd = 20\nfamily = erdos_renyi\np = 0.2\n"
+            "epoch_len = 1\ngamma = 0.01\nr = 0.001\nn_iters = 20\nrecord_every = 10\n"
+        ))
+        out_dir = tmp_path / "out"
+        script = (
+            "from netbary.cli import main\n"
+            f"assert main(['run', '--config', {str(cfg_path)!r}, '--out', {str(out_dir)!r}]) == 0\n"
+        )
+        names = ("metrics.csv", "histograms.npy", "manifest.json")
+        runs = []
+        for hash_seed in ("0", "1"):
+            fresh_python(script, PYTHONHASHSEED=hash_seed)
+            runs.append([(out_dir / name).read_bytes() for name in names])
+            shutil.rmtree(out_dir)
+        assert runs[0] == runs[1]
+        assert b"erdos_renyi" in runs[0][2]
 
     def test_bad_config_key_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"

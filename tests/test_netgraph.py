@@ -458,6 +458,18 @@ FROZEN_REALIZATIONS = {
         "a821213de3593275", "acaac37d20ab4330", "63a86cf658c3408b", "b21dccd767479a11",
         "3a8b43bf119d8b18", "59be4a851a3bc73b",
     ],
+    # The gauss-er and grid2d benchmark schedules' (m, p), recorded before
+    # the sampler's connectivity test became a reach sweep.
+    ("erdos_renyi", 10, 0.9): [
+        "0e4b64df5c95db65", "0f3dc0c89dccc2c1", "00014c16732e638c", "3ad65cd108b32424",
+        "ebbb4f8962c25dfd", "8919a2bbdf46e691", "296c21e79af59e44", "6edd9d74896e8e2c",
+        "f11286bd8585bac6", "d40cc78e4a76f525",
+    ],
+    ("erdos_renyi", 8, 0.5): [
+        "5ab100b33233c415", "05adf143b6421d47", "04d7b1ef8b6ae49c", "bd0a7431c0c25ea4",
+        "ad5ae9a1f82d0a05", "fab1415b0ee4c864", "d92082a2c8e89422", "976dbc344825916a",
+        "de269011d738ccb0", "b407a17bc919a2a9",
+    ],
     ("erdos_renyi", 50, 0.2): [
         "6b06f380ccb82dd2", "ea7f3afde3540a4d", "9867730c36ce1e2c", "5b1033d9be8f843f",
         "2cbcbded5b254d44", "d125f39d966c1cbf", "dc7d5dcd5d8b5b18", "814559246b9e3ed2",
@@ -490,6 +502,37 @@ def test_frozen_realizations(family, m, p):
         for n in range(10)
     ]
     assert got == FROZEN_REALIZATIONS[(family, m, p)]
+
+
+class TestConnectedEr:
+    """The rejection sampler keeps the first draw that a union-find finds
+    connected, and after _ER_MAX_DRAWS refused draws takes the spanning-tree
+    fallback."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.2, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("m", [2, 3, 8, 10, 50])
+    def test_accepts_exactly_the_connected_draws(self, monkeypatch, m, p):
+        draws = []
+        draw = netgraph._er_draw
+
+        def spy(rng, m, p):
+            draws.append(draw(rng, m, p))
+            return draws[-1]
+
+        monkeypatch.setattr(netgraph, "_er_draw", spy)
+        rng = np.random.default_rng([m, round(100 * p)])
+        for _ in range(4):
+            draws.clear()
+            edges = netgraph._connected_er(rng, m, p)
+            connected = [oracles.component_count_reference(m, d) == 1 for d in draws]
+            assert not any(connected[:-1])
+            if connected[-1]:
+                np.testing.assert_array_equal(edges, draws[-1])
+            else:
+                assert len(draws) == netgraph._ER_MAX_DRAWS
+                assert oracles.component_count_reference(m, edges) == 1
+            if p == 0.0:
+                assert not connected[-1]
 
 
 class TestEpochStore:
@@ -653,6 +696,21 @@ class TestCertifiedSkips:
         kwargs, horizon = BENCH_SCHEDULES["net-many"]
         spectral_bounds(NetworkSchedule(seed=0, **kwargs), horizon)
         assert 1 <= len(solves) <= 25
+
+    @pytest.mark.parametrize("name", ["gauss-er", "grid2d"])
+    def test_small_schedules_solve_every_epoch_unfactorized(self, monkeypatch, solves, name):
+        # Below _CERT_MIN_NODES nodes the certificate costs more than the solve.
+        def refuse(stack):
+            raise AssertionError("factorized")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        kwargs, horizon = BENCH_SCHEDULES[name]
+        for seed in range(4):
+            sched = NetworkSchedule(seed=seed, **kwargs)
+            solves.clear()
+            spectral_bounds(sched, horizon)
+            assert len(solves) == sched.epoch_count(horizon)
+            _assert_reference_bits(sched, horizon)
 
     def test_a_repeat_of_the_extreme_graph_is_solved(self, monkeypatch, solves):
         # Every epoch repeats epoch 0's graph, which set both extremes: each
