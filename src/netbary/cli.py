@@ -79,8 +79,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # of CPU that a run would pay for nothing.
     from concurrent.futures import ThreadPoolExecutor
 
-    if args.jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    netgraph._integer("--jobs", args.jobs, 1)
     cfg = _config_from_args(args)
     if cfg.out is None:
         raise ValueError("sweep needs --out (or out in the config) as the parent directory")
@@ -145,6 +144,8 @@ def _cmd_spectra(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    netgraph._integer("--d", args.d, 2)
+    netgraph._integer("--seed", args.seed, 0)
     rng = np.random.default_rng(args.seed)
     d, gamma = args.d, args.gamma
     points = np.sort(rng.random(d))

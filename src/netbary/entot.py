@@ -26,7 +26,6 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
-import operator
 import os
 import sys
 import threading
@@ -36,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .adom import DualOracle, _positive_finite
+from .netgraph import _integer
 
 __all__ = [
     "validate_histogram",
@@ -159,11 +159,10 @@ class GridCost:
     """
 
     def __init__(self, rows: int, cols: int):
-        try:
-            rows, cols = operator.index(rows), operator.index(cols)
-        except TypeError:
-            raise ValueError(f"rows and cols must be integers, got {rows!r} x {cols!r}") from None
-        if min(rows, cols) < 1 or rows * cols < 2:
+        _integer("rows", rows, 1)
+        _integer("cols", cols, 1)
+        rows, cols = int(rows), int(cols)
+        if rows * cols < 2:
             raise ValueError(f"a raster needs at least two pixels, got {rows} x {cols}")
         d = rows * cols
         self.shape = (rows, cols)
@@ -899,8 +898,7 @@ def k_bound(d: int, gamma: float, delta: float) -> float:
     i = j. A K^2 outside the positive doubles raises ValueError naming the
     inputs.
     """
-    if d < 1:
-        raise ValueError(f"need d >= 1 support points, got {d}")
+    _integer("d", d, 1)
     if not 0 < delta <= 1.0 / d:
         raise ValueError(f"delta must lie in (0, 1/d] with d={d}, got {delta}")
     _positive_finite("gamma", gamma)
@@ -925,10 +923,8 @@ def params_for_eps(eps: float, m: int, d: int, delta: float) -> AccuracyParams:
     whose K^2 leaves the positive doubles raises :func:`k_bound`'s
     ValueError."""
     _positive_finite("eps", eps)
-    if d < 2:
-        raise ValueError(f"need d >= 2 support points, got {d}")
-    if m < 1:
-        raise ValueError(f"need m >= 1 measures, got {m}")
+    _integer("m", m, 1)
+    _integer("d", d, 2)
     gamma = eps / (8.0 * math.log(d))
     k_sq = k_bound(d, gamma, delta)
     # Dividing twice keeps 4 m K^2 from overflowing where r is a double.

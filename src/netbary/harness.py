@@ -22,7 +22,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import struct
 import subprocess
 import typing
@@ -92,8 +91,7 @@ class GaussianSpec:
 
 def gaussian_grid(d: int) -> np.ndarray:
     """Uniform support grid of d points on [0, 1]."""
-    if d < 2:
-        raise ValueError(f"need d >= 2 grid points, got {d}")
+    netgraph._integer("d", d, 2)
     return np.linspace(0.0, 1.0, d)
 
 
@@ -135,6 +133,7 @@ def draw_gaussian_specs(
 ) -> list[GaussianSpec]:
     """Seeded uniform draws of means and stds (dataset stream 1; the
     network schedule draws from stream 0 of the same root seed)."""
+    netgraph._integer("m", m, 1)
     rng = np.random.default_rng([seed, 1])
     means = rng.uniform(mean_range[0], mean_range[1], size=m)
     stds = rng.uniform(std_range[0], std_range[1], size=m)
@@ -185,8 +184,7 @@ def load_mnist(
     tensors and 0x00000801 for label vectors. A ``count`` that is not an
     integer >= 1 raises ValueError.
     """
-    if not isinstance(count, numbers.Integral) or count < 1:
-        raise ValueError(f"count must be an integer >= 1, got {count!r}")
+    netgraph._integer("count", count, 1)
     images = _read_idx(images_path, 3, "images")
     labels = _read_idx(labels_path, 1, "labels")
     if images.shape[0] != labels.shape[0]:
@@ -255,10 +253,12 @@ class ExperimentConfig:
             raise ValueError(f"dataset must be 'gaussians' or 'mnist', got {self.dataset!r}")
         if self.dataset == "mnist" and (self.mnist_images is None or self.mnist_labels is None):
             raise ValueError("mnist dataset needs mnist_images and mnist_labels paths")
-        if self.n_iters < 1:
-            raise ValueError(f"n_iters must be >= 1, got {self.n_iters}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        netgraph._integer("n_iters", self.n_iters, 1)
+        netgraph._integer("record_every", self.record_every, 1)
+        for low, high in (("mean_low", "mean_high"), ("std_low", "std_high")):
+            values = getattr(self, low), getattr(self, high)
+            if values[0] > values[1]:
+                raise ValueError(f"{low} = {values[0]} exceeds {high} = {values[1]}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

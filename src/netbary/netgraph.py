@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NoReturn
 
@@ -69,6 +70,20 @@ _EPS = float(np.finfo(float).eps)
 #   certificate  12.7  12.9  13.3  13.7  13.8  14.2  14.5  15.5  18.2  34.2
 #   eigvalsh      6.5   8.1   9.9  11.9  13.7  16.0  18.9  21.8  39.3  96.9
 _CERT_MIN_NODES = 16
+
+
+def _integer(name: str, value, least: int) -> None:
+    """Refuse ``value`` unless it is an integer >= ``least``, with a
+    ValueError naming ``name``. An integer is what ``operator.index``
+    takes: Python and numpy integers, not floats (3.0 included), strings or
+    None. The value is only checked, never converted. The one copy of the
+    rule for every count, size and index of the package."""
+    try:
+        if operator.index(value) >= least:
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class DisconnectedGraphError(ValueError):
@@ -171,12 +186,10 @@ class NetworkSchedule:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.m < 2:
-            raise ValueError(f"need m >= 2 nodes, got {self.m}")
-        if self.epoch_len is not None and self.epoch_len < 1:
-            raise ValueError(f"epoch_len must be >= 1 or None, got {self.epoch_len}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _integer("m", self.m, 2)
+        if self.epoch_len is not None:
+            _integer("epoch_len", self.epoch_len, 1)
+        _integer("seed", self.seed, 0)
         if self.family in _RANDOM_FAMILIES:
             if self.p is None:
                 raise ValueError(f"family {self.family!r} requires an edge probability p")
@@ -184,16 +197,14 @@ class NetworkSchedule:
                 raise ValueError(f"p must lie in [0, 1], got {self.p}")
 
     def epoch_of(self, n: int) -> int:
-        if n < 0:
-            raise ValueError(f"iteration index must be nonnegative, got {n}")
+        _integer("n", n, 0)
         if self.epoch_len is None:
             return 0
         return n // self.epoch_len
 
     def epoch_count(self, horizon: int) -> int:
         """Number of distinct epochs hit by iterations 0..horizon-1."""
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        _integer("horizon", horizon, 1)
         if self.epoch_len is None:
             return 1
         return -(-horizon // self.epoch_len)
@@ -399,8 +410,7 @@ def laplacian_from_edges(m: int, edges) -> Laplacian:
     sweep from node 0. Only a graph they refuse goes to ``_reject``, which
     finds the first offending edge or counts the components.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1 nodes, got {m}")
+    _integer("m", m, 1)
     pairs = _edge_array(m, edges)
     if pairs.size and (
         pairs.max() >= m or (pairs.dtype.kind == "i" and pairs.min() < 0)

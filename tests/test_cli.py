@@ -138,6 +138,16 @@ class TestOracleCheck:
         assert captured.err == f"error: gamma must be positive and finite, got {float(gamma)}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flag, value, least", [("--d", "-3", 2), ("--d", "1", 2), ("--seed", "-1", 0)]
+    )
+    def test_d_or_seed_below_its_least_is_an_error(self, capsys, flag, value, least):
+        code = main(["oracle-check", flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {flag} must be an integer >= {least}, got {value}\n"
+        assert captured.out == ""
+
 
 class TestRun:
     def test_config_file_run_writes_artifacts(self, tmp_path, capsys):
@@ -267,15 +277,15 @@ class TestRun:
         )
         captured = capsys.readouterr()
         assert code == 1
-        assert f"error: n_iters must be >= 1, got {n_iters}" in captured.err
+        assert f"error: n_iters must be an integer >= 1, got {n_iters}" in captured.err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--m", "0", "need m >= 2 nodes, got 0"),
-            ("--m", "-3", "need m >= 2 nodes, got -3"),
-            ("--seed", "-1", "seed must be nonnegative, got -1"),
+            ("--m", "0", "m must be an integer >= 2, got 0"),
+            ("--m", "-3", "m must be an integer >= 2, got -3"),
+            ("--seed", "-1", "seed must be an integer >= 0, got -1"),
         ],
     )
     def test_bad_m_or_seed_is_named_before_the_dataset(
@@ -287,6 +297,23 @@ class TestRun:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("key, low, high", [("mean", "0.9", "0.1"), ("std", "0.3", "0.2")])
+    def test_reversed_gaussian_range_is_named_before_any_output(
+        self, tmp_path, capsys, key, low, high
+    ):
+        cfg_path = _write_config(tmp_path)
+        out_dir = tmp_path / "out"
+        code = main(
+            [
+                "run", "--config", str(cfg_path), "--out", str(out_dir),
+                f"--{key}-low", low, f"--{key}-high", high,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {key}_low = {low} exceeds {key}_high = {high}\n"
+        assert not out_dir.exists()
 
     def test_gaussian_run_never_imports_scipy(self, tmp_path, fresh_python):
         # Only the transport LPs need scipy, and a Gaussian run's transport
@@ -511,7 +538,7 @@ class TestSweep:
         )
         captured = capsys.readouterr()
         assert code == 1
-        assert "error: jobs must be >= 1" in captured.err
+        assert captured.err == f"error: --jobs must be an integer >= 1, got {jobs}\n"
         assert captured.out == ""
         assert not out_dir.exists()
 

@@ -604,16 +604,30 @@ class TestGridCost:
         assert (np.abs(separable - grid.dense) <= np.spacing(grid.dense)).all()
         assert grid.shape == (rows, cols)
 
-    @pytest.mark.parametrize("rows, cols", [(1, 1), (0, 5), (5, 0), (-1, -2)])
-    def test_fewer_than_two_pixels_raise(self, rows, cols):
-        message = f"^a raster needs at least two pixels, got {rows} x {cols}$"
-        with pytest.raises(ValueError, match=message):
+    @pytest.mark.parametrize(
+        "rows, cols, message",
+        [
+            pytest.param(1, 1, "a raster needs at least two pixels, got 1 x 1", id="1-1"),
+            pytest.param(0, 5, "rows must be an integer >= 1, got 0", id="0-5"),
+            pytest.param(5, 0, "cols must be an integer >= 1, got 0", id="5-0"),
+            pytest.param(-1, -2, "rows must be an integer >= 1, got -1", id="-1--2"),
+        ],
+    )
+    def test_fewer_than_two_pixels_raise(self, rows, cols, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             entot.GridCost(rows, cols)
 
-    @pytest.mark.parametrize("rows, cols", [(2.7, 3), (3, 2.0), ("4", 4), (None, 2)])
-    def test_non_integer_sizes_raise(self, rows, cols):
-        message = f"^rows and cols must be integers, got {re.escape(repr(rows))} x {re.escape(repr(cols))}$"
-        with pytest.raises(ValueError, match=message):
+    @pytest.mark.parametrize(
+        "rows, cols, message",
+        [
+            pytest.param(2.7, 3, "rows must be an integer >= 1, got 2.7", id="2.7-3"),
+            pytest.param(3, 2.0, "cols must be an integer >= 1, got 2.0", id="3-2.0"),
+            pytest.param("4", 4, "rows must be an integer >= 1, got '4'", id="4-4"),
+            pytest.param(None, 2, "rows must be an integer >= 1, got None", id="None-2"),
+        ],
+    )
+    def test_non_integer_sizes_raise(self, rows, cols, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             entot.GridCost(rows, cols)
 
     def test_numpy_integer_sizes_are_kept(self):
@@ -1792,7 +1806,7 @@ class TestKBound:
             entot.k_bound(5, gamma, 0.01)
 
     def test_rejects_an_empty_support(self):
-        with pytest.raises(ValueError, match="^need d >= 1 support points, got 0$"):
+        with pytest.raises(ValueError, match="^d must be an integer >= 1, got 0$"):
             entot.k_bound(0, 0.1, 0.01)
 
     def test_matches_broadcast_formula(self):
@@ -1830,7 +1844,7 @@ class TestParamsForEps:
         assert lo.r == pytest.approx(2 * hi.r, rel=1e-13)
 
     def test_rejects_degenerate_inputs(self):
-        with pytest.raises(ValueError, match="d >= 2"):
+        with pytest.raises(ValueError, match="^d must be an integer >= 2, got 1$"):
             entot.params_for_eps(0.1, 3, 1, 0.5)
         for eps in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match=f"^eps must be positive and finite, got {eps}$"):

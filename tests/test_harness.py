@@ -34,7 +34,7 @@ class TestGaussianGrid:
         assert grid.shape == (101,)
 
     def test_too_few_points(self):
-        with pytest.raises(ValueError, match="d >= 2"):
+        with pytest.raises(ValueError, match="^d must be an integer >= 2, got 1$"):
             gaussian_grid(1)
 
 
