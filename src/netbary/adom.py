@@ -187,8 +187,8 @@ class NumericalDivergenceError(RuntimeError):
 
 def initial_state(m: int, dim: int) -> SolverState:
     """All-zero start: z = z_f = momentum = 0, nothing evaluated yet."""
-    _integer("m", m, 1)
-    _integer("dim", dim, 1)
+    m = _integer("m", m, 1)
+    dim = _integer("dim", dim, 1)
     zeros = np.zeros((m, dim))
     return SolverState(
         z=zeros, z_f=zeros.copy(), z_g=None, momentum=zeros.copy(), x=None, n=0
@@ -251,8 +251,8 @@ def run(
     exactly ``n_iters`` stacked evaluations in total). On divergence the
     exception carries the records gathered so far.
     """
-    _integer("n_iters", n_iters, 1)
-    _integer("record_every", record_every, 1)
+    n_iters = _integer("n_iters", n_iters, 1)
+    record_every = _integer("record_every", record_every, 1)
     state = initial_state(schedule.m, oracle.dim)
     records: list[TrajectoryRecord] = []
     start = time.perf_counter()
@@ -285,7 +285,7 @@ def c2_bound(params: AdomParams, m: int, k: float) -> float:
     terms go through (1 + rg) / gamma, so gamma^2 never underflows; a value
     past the double range raises ValueError naming the inputs.
     """
-    _integer("m", m, 1)
+    m = _integer("m", m, 1)
     _positive_finite("k", k)
     r, gamma = params.r, params.gamma
     rg = r * gamma

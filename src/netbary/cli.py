@@ -79,7 +79,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # of CPU that a run would pay for nothing.
     from concurrent.futures import ThreadPoolExecutor
 
-    netgraph._integer("--jobs", args.jobs, 1)
+    jobs = netgraph._integer("--jobs", args.jobs, 1)
     cfg = _config_from_args(args)
     if cfg.out is None:
         raise ValueError("sweep needs --out (or out in the config) as the parent directory")
@@ -114,7 +114,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     # Every variant runs to its end; one that fails is reported by its label
     # and leaves the others' artifacts and summary lines in place.
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = [(label, pool.submit(one, raw)) for label, raw in variants.items()]
     failed = 0
     for label, future in futures:
@@ -144,10 +144,10 @@ def _cmd_spectra(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    netgraph._integer("--d", args.d, 2)
-    netgraph._integer("--seed", args.seed, 0)
-    rng = np.random.default_rng(args.seed)
-    d, gamma = args.d, args.gamma
+    d = netgraph._integer("--d", args.d, 2)
+    seed = netgraph._integer("--seed", args.seed, 0)
+    rng = np.random.default_rng(seed)
+    gamma = args.gamma
     points = np.sort(rng.random(d))
     cost = entot.cost_matrix(points)
     q = entot.floor_histogram(_random_histogram(rng, d), 1e-4)
@@ -161,7 +161,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         entot.dual_value(q, cost, gamma, z) + 1.0
     )
 
-    print(f"d = {d}, gamma = {gamma}, seed = {args.seed}")
+    print(f"d = {d}, gamma = {gamma}, seed = {seed}")
     print(f"max relative FD deviation: {rel:.3e}")
     print(f"simplex deviation: {simplex_dev:.3e}")
     print(f"shift-covariance deviation: {abs(shift):.3e}")

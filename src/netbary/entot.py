@@ -148,20 +148,19 @@ class GridCost:
     All arrays are read-only. Sizes that are not integers, or a raster of
     fewer than two pixels, raise ValueError.
 
-    A ``GridCost`` also keeps, per arc set of its LPs, the optimal basis of
-    the first LP on that set whose value :func:`exact_ot` kept, and starts
-    every later LP on the set from it (:func:`_grid_transport_lp`). That
-    store is not part of the raster's value: a kept value is certified
-    whatever the start, but its last bits can depend on which LP of its arc
-    set came first. A run's LPs come in an order fixed by its config, so
-    seeded reruns stay byte-identical, and each variant of a sweep builds
-    its own ``GridCost``.
+    A ``GridCost`` also keeps optimal bases of the LPs whose values
+    :func:`exact_ot` kept: per arc set, the first one and, per source
+    histogram p, the latest one. Later LPs start from them
+    (:func:`_grid_transport_lp`), so the store holds at most one basis per
+    arc set and source, plus one. It is not part of the raster's value: a
+    kept value is certified whatever the start, but its last bits can
+    depend on the LPs solved before it. A run's LPs come in an order fixed
+    by its config, so seeded reruns stay byte-identical, and each variant
+    of a sweep builds its own ``GridCost``.
     """
 
     def __init__(self, rows: int, cols: int):
-        _integer("rows", rows, 1)
-        _integer("cols", cols, 1)
-        rows, cols = int(rows), int(cols)
+        rows, cols = _integer("rows", rows, 1), _integer("cols", cols, 1)
         if rows * cols < 2:
             raise ValueError(f"a raster needs at least two pixels, got {rows} x {cols}")
         d = rows * cols
@@ -180,6 +179,8 @@ class GridCost:
         self.arc_cost = np.concatenate([o1[a, c], o2[b2, e]])
         for array in (*self.offsets, *self.axes, self.whole, self.tails, self.heads, self.arc_cost):
             array.setflags(write=False)
+        # Arc set (its local radius, None for every arc) -> {None: the first
+        # kept basis, p.tobytes(): the latest kept basis with source p}.
         self._bases = {}
 
     @functools.cached_property
@@ -188,6 +189,29 @@ class GridCost:
         dense = self.whole / self.diagonal
         dense.setflags(write=False)
         return dense
+
+    def _start(self, radius, arcs, source: bytes):
+        """The basis an LP on the arcs ``arcs``, those that move at most
+        ``radius`` (None: every arc), with source masses ``source`` starts
+        from, or None for a cold solve: the latest kept basis of the set
+        with the same source, else the set's first kept basis, else a basis
+        of the largest smaller set, lifted (:func:`_lifted_basis`)."""
+        kept = self._bases.get(radius, {})
+        start = kept.get(source, kept.get(None))
+        if start is not None:
+            return start
+        smaller = [r for r in self._bases if r is not None and (radius is None or r < radius)]
+        if not smaller:
+            return None
+        inner = max(smaller)
+        kept = self._bases[inner]
+        return _lifted_basis(kept.get(source, kept[None]), self.arc_cost[arcs] <= inner**2)
+
+    def _keep(self, radius, source: bytes, basis) -> None:
+        """Keep the final basis of an LP whose value was kept."""
+        kept = self._bases.setdefault(radius, {})
+        kept.setdefault(None, basis)
+        kept[source] = basis
 
 
 def _check_marginal(q, cost, name="q"):
@@ -618,17 +642,21 @@ def _highs(c, a_eq, b_eq, basis=None) -> _LPResult:
     LPs 23.6 instead of 31.2 ms (one BLAS thread, 2-vCPU Xeon VM).
 
     ``basis`` is the final basis of an earlier solve, ``_LPResult.basis``,
-    of an LP with the same columns and rows; only ``b_eq`` may differ. It
-    stays dual feasible, so the dual simplex starts from it (Huangfu & Hall,
-    above), and prices with Devex instead of HiGHS's default dual steepest
-    edge (Forrest & Goldfarb, *Steepest-edge simplex algorithms for linear
-    programming*, Math. Prog. 1992). A cold solve keeps steepest edge. On
-    the 64 LPs of a 14x14 raster benchmark's instances 0-3, replayed in call
-    order with each warm solve started from the first basis of its arc set,
-    a run's 16 LPs took a median of 151 ms with Devex, 187 ms with steepest
-    edge, and 246 ms all cold; Devex on the cold solves as well took 253 ms
-    (one BLAS thread, 2-vCPU Xeon VM). An option or a basis HiGHS refuses
-    raises RuntimeError; any model status but optimal raises
+    of an LP with the same columns and rows, where only ``b_eq`` may
+    differ, or such a basis of fewer columns, lifted (:func:`_lifted_basis`).
+    The first stays dual feasible, so the dual simplex starts from it
+    (Huangfu & Hall, above), and prices with Devex instead of HiGHS's
+    default dual steepest edge (Forrest & Goldfarb, *Steepest-edge simplex
+    algorithms for linear programming*, Math. Prog. 1992). A cold solve
+    keeps steepest edge. On the 64 LPs of a 14x14 raster benchmark's
+    instances 0-3, replayed in call order with each warm solve started from
+    the first basis of its arc set, a run's 16 LPs took a median of 151 ms
+    with Devex, 187 ms with steepest edge, and 246 ms all cold; Devex on the
+    cold solves as well took 253 ms. With the starts of
+    :func:`_grid_transport_lp`, they took 4604 simplex iterations and
+    103-139 ms with Devex, 6573 iterations and 131-218 ms with steepest
+    edge (one BLAS thread, 2-vCPU Xeon VM). An option or a basis HiGHS
+    refuses raises RuntimeError; any model status but optimal raises
     :class:`_LPFailure` with HiGHS's own status text.
     """
     core = _highs_core()
@@ -718,7 +746,7 @@ _CERTIFIED_GAP = 1e-9
 
 
 def _certified_lp(
-    which: str, tails, heads, arc_cost, n_nodes: int, p, q, cost, bases=None, arc_set=None
+    which: str, tails, heads, arc_cost, n_nodes: int, p, q, cost, start=None, keep=None
 ) -> float:
     """The optimal value of the transport LP over the arcs tail -> head
     (numbered as in :func:`_incidence`: d sources carrying p, n_nodes - 2 d
@@ -739,19 +767,17 @@ def _certified_lp(
     status or the value with both bounds, and the smallest positive masses;
     so no unchecked value becomes a metric.
 
-    ``bases`` maps an arc set's key to the starting basis of its LPs
-    (:func:`_grid_transport_lp`). The solve starts from ``bases[arc_set]``
-    when there is one, and the basis of the first solve whose value is kept
-    becomes that entry. A start can move the value's last bits, never its
-    verdict: the same two bounds decide.
+    The solve starts from the basis ``start`` when one is given
+    (:func:`_grid_transport_lp`), and ``keep``, when given, is called with
+    its final basis once its value is kept. A start can move the value's
+    last bits, never its verdict: the same two bounds decide.
     """
     d = p.shape[0]
     mass = np.zeros(n_nodes)
     mass[:d], mass[n_nodes - d:] = p, q
     try:
         res = _highs(
-            arc_cost, _incidence(tails, heads, d, n_nodes), mass[:-1] * _MASS_SCALE,
-            None if bases is None else bases.get(arc_set),
+            arc_cost, _incidence(tails, heads, d, n_nodes), mass[:-1] * _MASS_SCALE, start
         )
     except _LPFailure as err:
         raise _LPFailure(
@@ -778,8 +804,8 @@ def _certified_lp(
             f"lower bound {lower!r}, upper bound {upper!r}, relative spread "
             f"{relative:.3e} above {_CERTIFIED_GAP:g} ({_smallest_masses(p, q)})"
         )
-    if bases is not None:
-        bases.setdefault(arc_set, res.basis)
+    if keep is not None:
+        keep(res.basis)
     return value
 
 
@@ -857,11 +883,17 @@ def _grid_transport_lp(p: np.ndarray, q: np.ndarray, grid: GridCost) -> float:
     same way.
 
     Every LP on one arc set, a local radius or the full set, has the same
-    matrix and costs; only the masses differ. So each solve on an arc set
-    starts from the basis of the first LP of that set whose value the grid
-    kept (:func:`_highs`). In each run of the 14x14 raster benchmark's
-    instances 0-3, 14 of the 16 solves start warm; they take 267 simplex
-    iterations on average, against 1236 for a cold solve.
+    matrix and costs; only the masses differ, so a kept optimal basis stays
+    dual feasible for every later LP on its set (:func:`_highs`). A run
+    compares each node's fixed histogram p with its estimates, so a solve
+    starts from the latest basis the grid kept on its arc set with the same
+    p, else from the set's first kept basis. The first LP on a set starts
+    from a smaller set's basis, lifted (:func:`_lifted_basis`), when there
+    is one: the sets nest, so their columns do too. Only a set with no
+    smaller kept basis starts cold. Replayed in call order, the 64 LPs of
+    the 14x14 raster benchmark's instances 0-3 take a mean of 4604 simplex
+    iterations per run of 16, against 6166 when every solve on a set starts
+    from its first basis and 19769 all cold.
     """
     p_image, q_image = p.reshape(grid.shape), q.reshape(grid.shape)
     reach = max(
@@ -869,10 +901,13 @@ def _grid_transport_lp(p: np.ndarray, q: np.ndarray, grid: GridCost) -> float:
         _monotone_reach(p_image.sum(axis=0), q_image.sum(axis=0)),  # column sums
     )
 
-    def solve(which, arcs, arc_set):
+    source = p.tobytes()
+
+    def solve(which, arcs, radius):
         value = _certified_lp(
             which, grid.tails[arcs], grid.heads[arcs], grid.arc_cost[arcs], 3 * p.shape[0],
-            p, q, grid.whole, grid._bases, arc_set,
+            p, q, grid.whole, grid._start(radius, arcs, source),
+            functools.partial(grid._keep, radius, source),
         )
         return value / grid.diagonal
 
@@ -884,6 +919,29 @@ def _grid_transport_lp(p: np.ndarray, q: np.ndarray, grid: GridCost) -> float:
         except _LPFailure:
             pass
     return solve("grid", slice(None), None)
+
+
+def _lifted_basis(basis, inner: np.ndarray):
+    """A basis of a smaller arc set's LP as a basis of a larger set's LP.
+
+    ``inner`` marks, among the larger set's arcs, those of the smaller set;
+    they are a sub-sequence of the larger set's, in the same order. The rows
+    are the same, so the smaller set's basis matrix is the lifted one's:
+    every row and column keeps its status, and every added arc is nonbasic
+    at its lower bound 0. An added arc with a negative reduced cost leaves
+    the basis dual infeasible; HiGHS's dual simplex (:func:`_highs`) takes
+    it all the same. On the 14x14 raster benchmark's instances 1 and 2,
+    whose first LPs are on the smaller set, a run's 16 LPs took 4749 and
+    4224 simplex iterations with lifting, 5659 and 5233 with a cold start.
+    """
+    core = _highs_core()
+    status = np.full(inner.shape[0], core.HighsBasisStatus.kLower, dtype=object)
+    status[inner] = basis.col_status
+    lifted = core.HighsBasis()
+    lifted.col_status = status.tolist()
+    lifted.row_status = basis.row_status
+    lifted.valid = True
+    return lifted
 
 
 def k_bound(d: int, gamma: float, delta: float) -> float:
@@ -898,7 +956,7 @@ def k_bound(d: int, gamma: float, delta: float) -> float:
     i = j. A K^2 outside the positive doubles raises ValueError naming the
     inputs.
     """
-    _integer("d", d, 1)
+    d = _integer("d", d, 1)
     if not 0 < delta <= 1.0 / d:
         raise ValueError(f"delta must lie in (0, 1/d] with d={d}, got {delta}")
     _positive_finite("gamma", gamma)
@@ -923,8 +981,8 @@ def params_for_eps(eps: float, m: int, d: int, delta: float) -> AccuracyParams:
     whose K^2 leaves the positive doubles raises :func:`k_bound`'s
     ValueError."""
     _positive_finite("eps", eps)
-    _integer("m", m, 1)
-    _integer("d", d, 2)
+    m = _integer("m", m, 1)
+    d = _integer("d", d, 2)
     gamma = eps / (8.0 * math.log(d))
     k_sq = k_bound(d, gamma, delta)
     # Dividing twice keeps 4 m K^2 from overflowing where r is a double.

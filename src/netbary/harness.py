@@ -91,7 +91,7 @@ class GaussianSpec:
 
 def gaussian_grid(d: int) -> np.ndarray:
     """Uniform support grid of d points on [0, 1]."""
-    netgraph._integer("d", d, 2)
+    d = netgraph._integer("d", d, 2)
     return np.linspace(0.0, 1.0, d)
 
 
@@ -133,7 +133,7 @@ def draw_gaussian_specs(
 ) -> list[GaussianSpec]:
     """Seeded uniform draws of means and stds (dataset stream 1; the
     network schedule draws from stream 0 of the same root seed)."""
-    netgraph._integer("m", m, 1)
+    m = netgraph._integer("m", m, 1)
     rng = np.random.default_rng([seed, 1])
     means = rng.uniform(mean_range[0], mean_range[1], size=m)
     stds = rng.uniform(std_range[0], std_range[1], size=m)
@@ -184,7 +184,7 @@ def load_mnist(
     tensors and 0x00000801 for label vectors. A ``count`` that is not an
     integer >= 1 raises ValueError.
     """
-    netgraph._integer("count", count, 1)
+    count = netgraph._integer("count", count, 1)
     images = _read_idx(images_path, 3, "images")
     labels = _read_idx(labels_path, 1, "labels")
     if images.shape[0] != labels.shape[0]:
@@ -253,8 +253,8 @@ class ExperimentConfig:
             raise ValueError(f"dataset must be 'gaussians' or 'mnist', got {self.dataset!r}")
         if self.dataset == "mnist" and (self.mnist_images is None or self.mnist_labels is None):
             raise ValueError("mnist dataset needs mnist_images and mnist_labels paths")
-        netgraph._integer("n_iters", self.n_iters, 1)
-        netgraph._integer("record_every", self.record_every, 1)
+        for name in ("n_iters", "record_every"):
+            object.__setattr__(self, name, netgraph._integer(name, getattr(self, name), 1))
         for low, high in (("mean_low", "mean_high"), ("std_low", "std_high")):
             values = getattr(self, low), getattr(self, high)
             if values[0] > values[1]:

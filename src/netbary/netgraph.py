@@ -72,17 +72,21 @@ _EPS = float(np.finfo(float).eps)
 _CERT_MIN_NODES = 16
 
 
-def _integer(name: str, value, least: int) -> None:
-    """Refuse ``value`` unless it is an integer >= ``least``, with a
-    ValueError naming ``name``. An integer is what ``operator.index``
-    takes: Python and numpy integers, not floats (3.0 included), strings or
-    None. The value is only checked, never converted. The one copy of the
-    rule for every count, size and index of the package."""
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as a Python int, or a ValueError naming ``name`` unless it
+    is an integer >= ``least``. An integer is what ``operator.index`` takes:
+    Python and numpy integers, not floats (3.0 included), strings or None.
+    The value is returned converted, so a numpy fixed-width integer cannot
+    overflow in the caller's arithmetic (a uint8 m of 20 made m * m wrap),
+    and each caller keeps the returned value. The one copy of the rule for
+    every count, size and index of the package."""
     try:
-        if operator.index(value) >= least:
-            return
+        index = operator.index(value)
     except TypeError:
         pass
+    else:
+        if index >= least:
+            return index
     raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -186,10 +190,10 @@ class NetworkSchedule:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        _integer("m", self.m, 2)
+        object.__setattr__(self, "m", _integer("m", self.m, 2))
         if self.epoch_len is not None:
-            _integer("epoch_len", self.epoch_len, 1)
-        _integer("seed", self.seed, 0)
+            object.__setattr__(self, "epoch_len", _integer("epoch_len", self.epoch_len, 1))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
         if self.family in _RANDOM_FAMILIES:
             if self.p is None:
                 raise ValueError(f"family {self.family!r} requires an edge probability p")
@@ -197,14 +201,14 @@ class NetworkSchedule:
                 raise ValueError(f"p must lie in [0, 1], got {self.p}")
 
     def epoch_of(self, n: int) -> int:
-        _integer("n", n, 0)
+        n = _integer("n", n, 0)
         if self.epoch_len is None:
             return 0
         return n // self.epoch_len
 
     def epoch_count(self, horizon: int) -> int:
         """Number of distinct epochs hit by iterations 0..horizon-1."""
-        _integer("horizon", horizon, 1)
+        horizon = _integer("horizon", horizon, 1)
         if self.epoch_len is None:
             return 1
         return -(-horizon // self.epoch_len)
@@ -410,7 +414,7 @@ def laplacian_from_edges(m: int, edges) -> Laplacian:
     sweep from node 0. Only a graph they refuse goes to ``_reject``, which
     finds the first offending edge or counts the components.
     """
-    _integer("m", m, 1)
+    m = _integer("m", m, 1)
     pairs = _edge_array(m, edges)
     if pairs.size and (
         pairs.max() >= m or (pairs.dtype.kind == "i" and pairs.min() < 0)

@@ -1250,8 +1250,10 @@ class TestLocalGridLP:
 
     def test_warm_local_solve_with_perturbed_duals_is_refused(self, monkeypatch):
         # Only a kept value leaves a basis: the local solve after a refused
-        # one is cold. A warm local solve with perturbed sink duals is
-        # refused all the same, and the full LP, warm too, decides.
+        # one is cold, since no smaller arc set has a basis to lift. A local
+        # solve started from the same source's basis, with perturbed sink
+        # duals, is refused all the same, and the full LP, warm too,
+        # decides.
         rng = np.random.default_rng(37)
         grid = entot.GridCost(14, 14)
         p, q = _sparse_14x14_pair()
@@ -1274,6 +1276,64 @@ class TestLocalGridLP:
         local, full = np.count_nonzero(grid.arc_cost <= 9), grid.arc_cost.shape[0]
         assert solves == [(local, False), (full, False), (local, False), (local, True), (full, True)]
         assert all(abs(value - values[1]) <= 1e-12 * values[1] for value in values)
+
+    def test_a_solve_starts_from_the_latest_basis_of_its_source(self, monkeypatch):
+        # Every arc local: all five LPs are on the full set. The first is
+        # cold, the second, of another source, starts from the set's first
+        # basis, and each later one from the latest of its own source.
+        rng = np.random.default_rng(40)
+        grid = entot.GridCost(5, 3)
+        sources = [_sparse_masses(rng, 15) for _ in range(2)]
+        pairs = [(sources[source], _sparse_masses(rng, 15)) for source in (0, 1, 0, 1, 0)]
+        cold = [_full_grid_value(grid, p, q) / grid.diagonal for p, q in pairs]
+        highs = entot._highs
+        solves = []
+
+        def spy(c, a_eq, b_eq, basis=None):
+            solves.append((basis, highs(c, a_eq, b_eq, basis)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(entot, "_highs", spy)
+        monkeypatch.setattr(entot, "_monotone_reach", lambda p, q: 4)
+        for (p, q), want in zip(pairs, cold):
+            assert abs(entot.exact_ot(p, q, grid) - want) <= 1e-12 * want
+        starts = [basis for basis, _ in solves]
+        kept = [res.basis for _, res in solves]
+        assert starts[0] is None
+        assert starts[1:] == [kept[0], kept[0], kept[1], kept[2]]
+        assert len(grid._bases[None]) == 3
+
+    def test_a_smaller_sets_basis_is_lifted_onto_the_full_lp(self, monkeypatch):
+        # The local LP at radius 3 is kept; the full LP after it, on the
+        # same masses, starts from its basis, lifted: every local arc keeps
+        # its status, every other arc is nonbasic at 0. HiGHS takes it and
+        # the value is the cold full LP's.
+        grid = entot.GridCost(14, 14)
+        p, q = _sparse_14x14_pair()
+        local_value = entot.exact_ot(p, q, grid)
+        (radius,) = grid._bases
+        local = grid.arc_cost <= radius**2
+        highs = entot._highs
+        starts = []
+
+        def spy(c, a_eq, b_eq, basis=None):
+            starts.append(basis)
+            return highs(c, a_eq, b_eq, basis)
+
+        monkeypatch.setattr(entot, "_highs", spy)
+        monkeypatch.setattr(entot, "_monotone_reach", lambda p, q: 13)
+        value = entot.exact_ot(p, q, grid)
+        (lifted,) = starts
+        small = grid._bases[radius][None]
+        core = entot._highs_core()
+        col_status = list(lifted.col_status)
+        assert len(col_status) == grid.arc_cost.shape[0]
+        assert [col_status[k] for k in np.flatnonzero(local)] == list(small.col_status)
+        assert all(col_status[k] == core.HighsBasisStatus.kLower for k in np.flatnonzero(~local))
+        assert list(lifted.row_status) == list(small.row_status)
+        full = _full_grid_value(grid, p, q) / grid.diagonal
+        assert abs(value - full) <= 1e-12 * full
+        assert abs(local_value - full) <= 1e-12 * full
 
     @pytest.mark.parametrize("every_arc_local", [False, True])
     def test_perturbed_full_lp_duals_raise(self, monkeypatch, every_arc_local):

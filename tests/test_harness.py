@@ -717,8 +717,10 @@ class TestBenchmarkWorkloads:
         # Every metrics LP of the raster workload is certified on its local
         # arcs, so none pays for a second, full solve, and every flow passes
         # the flow check, so none pays for a rounding onto its marginals.
-        # The run's LPs fall on two arc sets: the first LP on each is cold,
-        # and every other starts from its arc set's first basis.
+        # The run's LPs fall on two arc sets, the larger one first: no
+        # smaller set's basis can be lifted onto it, and the larger set's
+        # cannot start the smaller, so the first LP on each is cold. Every
+        # other starts from a basis its arc set kept.
         highs = entot._highs
         arcs = []
         warm = []
@@ -780,8 +782,9 @@ def _raster():
 
 class TestWarmStartedGridLPs:
     """The raster workload's LPs, replayed in call order on one GridCost,
-    each starting from the first basis of its arc set, against cold solves
-    on fresh GridCosts, the slow reference."""
+    each starting from a basis the grid kept (the latest on its arc set with
+    the same source, else the set's first, else a smaller set's, lifted),
+    against cold solves on fresh GridCosts, the slow reference."""
 
     def test_warm_values_match_cold_solves(self, grid2d_pairs):
         for pairs in grid2d_pairs:
@@ -797,9 +800,13 @@ class TestWarmStartedGridLPs:
             first, second = ([entot.exact_ot(p, q, grid) for p, q in pairs] for grid in grids)
             assert first == second
 
-    def test_first_lp_on_each_arc_set_is_cold_and_unchanged(self, grid2d_pairs, monkeypatch):
-        # A cold solve takes the options and path of a fresh GridCost's
-        # first solve, so its value is that one bit for bit.
+    def test_a_solve_is_cold_only_without_a_basis_to_start_from(
+        self, grid2d_pairs, monkeypatch
+    ):
+        # The arc sets nest, so a set with fewer arcs is a smaller one. A
+        # solve is cold only when neither its own set nor a smaller one has
+        # kept a basis, and a cold solve takes the options and path of a
+        # fresh GridCost's first solve, so its value is that one bit for bit.
         highs = entot._highs
         solves = []
 
@@ -816,11 +823,58 @@ class TestWarmStartedGridLPs:
                     patch.setattr(entot, "_highs", spy)
                     value = entot.exact_ot(p, q, grid)
                 ((arcs, warm),) = solves
-                assert warm == (arcs in seen)
+                assert warm == any(kept <= arcs for kept in seen)
                 if not warm:
                     assert value == entot.exact_ot(p, q, _raster())
                 seen.add(arcs)
             assert len(seen) == 2
+
+    @pytest.mark.parametrize("instance", [1, 2])
+    def test_first_lp_on_the_larger_set_starts_lifted(
+        self, grid2d_pairs, monkeypatch, instance
+    ):
+        # These runs solve on the smaller arc set first. The first LP on the
+        # larger set starts from the smaller set's basis, lifted, which
+        # HiGHS takes, and its value is certified and a cold solve's.
+        highs, lifted_basis = entot._highs, entot._lifted_basis
+        solves, lifted = [], []
+
+        def spy(c, a_eq, b_eq, basis=None):
+            solves.append((c.shape[0], basis))
+            return highs(c, a_eq, b_eq, basis)
+
+        def lifting(basis, inner):
+            lifted.append(lifted_basis(basis, inner))
+            return lifted[-1]
+
+        monkeypatch.setattr(entot, "_highs", spy)
+        monkeypatch.setattr(entot, "_lifted_basis", lifting)
+        grid = _raster()
+        for call, (p, q) in enumerate(grid2d_pairs[instance]):
+            value = entot.exact_ot(p, q, grid)
+            arcs, basis = solves[-1]
+            if arcs > solves[0][0]:
+                break
+        else:
+            pytest.fail("no LP on a larger arc set")
+        assert call > 0 and len(solves) == call + 1
+        assert len(lifted) == 1 and basis is lifted[0]
+        cold = entot.exact_ot(p, q, _raster())
+        assert abs(value - cold) <= 1e-12 * cold
+
+    def test_replaying_the_same_pairs_keeps_no_new_bases(self, grid2d_pairs):
+        # One basis per arc set and source, plus each set's first: the
+        # store cannot grow with the number of LPs.
+        for pairs in grid2d_pairs:
+            grid = _raster()
+            counts = []
+            for _ in range(2):
+                for p, q in pairs:
+                    entot.exact_ot(p, q, grid)
+                counts.append({radius: len(kept) for radius, kept in grid._bases.items()})
+            assert counts[0] == counts[1]
+            sources = len({p.tobytes() for p, _ in pairs})
+            assert all(count <= sources + 1 for count in counts[0].values())
 
 
 class TestGitDescribe:

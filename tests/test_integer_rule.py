@@ -1,6 +1,7 @@
 """The one integer rule, ``netgraph._integer``, at every parameter that
 takes a count, a size or an index."""
 
+import operator
 import re
 import struct
 
@@ -152,7 +153,27 @@ def test_a_numpy_integer_at_the_least_value_is_accepted(row, tmp_path):
 )
 def test_the_rule_reads_integers_as_operator_index_does(value, least, ok):
     if ok:
-        assert netgraph._integer("x", value, least) is None
+        got = netgraph._integer("x", value, least)
+        assert type(got) is int and got == operator.index(value)
     else:
         with pytest.raises(ValueError, match=r"^x must be an integer >= -?\d+, got "):
             netgraph._integer("x", value, least)
+
+
+def test_a_narrow_numpy_m_builds_the_python_int_laplacian():
+    # A uint8 m of 20 made m * m wrap to 144 before the rule converted it.
+    path = [(i, i + 1) for i in range(19)]
+    got = netgraph.laplacian_from_edges(np.uint8(20), path)
+    want = netgraph.laplacian_from_edges(20, path)
+    np.testing.assert_array_equal(got.entries, want.entries)
+
+
+def test_a_narrow_numpy_schedule_counts_its_epochs_in_python_ints():
+    # -horizon // epoch_len overflowed a uint8 epoch_len.
+    schedule = netgraph.NetworkSchedule(
+        "cycle", np.uint8(20), epoch_len=np.uint8(3), seed=np.uint8(7)
+    )
+    assert schedule.epoch_count(1000) == 334
+    assert schedule.epoch_of(np.uint8(200)) == 66
+    assert all(type(value) is int for value in (schedule.m, schedule.epoch_len, schedule.seed))
+    assert schedule == netgraph.NetworkSchedule("cycle", 20, epoch_len=3, seed=7)
