@@ -3,9 +3,9 @@
 Subcommands:
 
 * ``run`` — one experiment from a config file and/or flag overrides.
-* ``sweep`` — the same base config across a grid of topology families or
-  epoch lengths, runs executed concurrently; a failing variant is reported
-  by its label and does not stop the others.
+* ``sweep`` — the same base config once per value of each ``--vary
+  KEY=V1,V2,...`` (any config key but ``out``), runs executed concurrently;
+  a failing variant is reported by its label and does not stop the others.
 * ``spectra`` — print the spectral bounds of a schedule.
 * ``oracle-check`` — finite-difference and simplex self-test of the
   transport dual oracle on a random instance.
@@ -74,27 +74,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    # Only a sweep needs the pool; the import loads logging too, about 7 ms
-    # of CPU that a run would pay for nothing.
-    from concurrent.futures import ThreadPoolExecutor
-
-    jobs = netgraph._integer("--jobs", args.jobs, 1)
-    cfg = _config_from_args(args)
+def _variants(cfg: harness.ExperimentConfig, vary) -> dict[str, dict]:
+    """The raw config of each sweep variant, by label. Each ``KEY=V1,V2,...``
+    in ``vary`` makes one variant per value: ``cfg`` with that one key set to
+    the value, labelled ``<key>-<value>`` and written to ``out/<label>``.
+    Every check on the grid is made here, before any variant runs; a value
+    that does not parse fails later, in its own run, under its label."""
     if cfg.out is None:
         raise ValueError("sweep needs --out (or out in the config) as the parent directory")
-    # Each variant writes into out/<label>, so a label listed twice would
-    # run two variants into one directory at once, and two labels of one
-    # parsed value (epoch-static, epoch-inf) one variant twice. A value that
-    # does not parse fails in its own run, under its label.
+    # A label listed twice would run two variants into one directory at
+    # once, and two labels of one parsed value (epoch_len-static,
+    # epoch_len-inf) one variant twice. A label that is not one directory
+    # name would nest its variant, or with '..' parts put it outside out.
     variants: dict[str, dict] = {}
     labels: dict = {}
-    for key, prefix, listed in (
-        ("family", "family", args.families), ("epoch_len", "epoch", args.epoch_lens)
-    ):
-        for value in listed.split(",") if listed else ():
+    for axis in vary:
+        key, sep, listed = axis.partition("=")
+        if not sep or key not in harness.CONFIG_TYPES or key == "out":
+            raise ValueError(f"--vary takes KEY=V1,V2,... with a config key other than out, got {axis!r}")
+        for value in listed.split(","):
             value = value.strip()
-            label = f"{prefix}-{value}"
+            label = f"{key}-{value}"
+            if Path(label).name != label:
+                raise ValueError(f"sweep value {key}={value!r} is not one directory name")
             if label in variants:
                 raise ValueError(f"sweep variant {label} is listed twice")
             try:
@@ -105,12 +107,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 raise ValueError(f"sweep variants {labels[parsed]} and {label} are the same {key}")
             labels[parsed] = label
             variants[label] = dict(cfg.to_dict(), **{key: value}, out=str(Path(cfg.out) / label))
-    if not variants:
-        raise ValueError("sweep needs --families and/or --epoch-lens")
+    return variants
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    # Only a sweep needs the pool; the import loads logging too, about 7 ms
+    # of CPU that a run would pay for nothing.
+    from concurrent.futures import ThreadPoolExecutor
+
+    jobs = netgraph._integer("--jobs", args.jobs, 1)
+    variants = _variants(_config_from_args(args), args.vary)
 
     def one(raw):
-        result = harness.run_experiment(harness.ExperimentConfig.from_dict(raw))
-        return result.rows[-1]
+        return harness.run_experiment(harness.ExperimentConfig.from_dict(raw)).rows[-1]
 
     # Every variant runs to its end; one that fails is reported by its label
     # and leaves the others' artifacts and summary lines in place.
@@ -200,12 +209,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run a grid of experiments")
+    p_sweep = sub.add_parser("sweep", help="run the config once per value of a varied key")
     _add_config_flags(p_sweep)
-    p_sweep.add_argument("--families", type=str, default=None,
-                         help="comma-separated topology families")
-    p_sweep.add_argument("--epoch-lens", type=str, default=None,
-                         help="comma-separated epoch lengths ('static' allowed)")
+    p_sweep.add_argument("--vary", action="append", required=True, metavar="KEY=V1,V2,...",
+                         help="one run per value of config key KEY (not out); repeatable")
     p_sweep.add_argument("--jobs", type=int, default=4)
     p_sweep.set_defaults(func=_cmd_sweep)
 

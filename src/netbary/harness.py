@@ -253,6 +253,9 @@ class ExperimentConfig:
             raise ValueError(f"dataset must be 'gaussians' or 'mnist', got {self.dataset!r}")
         if self.dataset == "mnist" and (self.mnist_images is None or self.mnist_labels is None):
             raise ValueError("mnist dataset needs mnist_images and mnist_labels paths")
+        # Path("") is the working directory, not a directory the run names.
+        if self.out == "":
+            raise ValueError("out must name a directory, got ''")
         for name in ("n_iters", "record_every"):
             object.__setattr__(self, name, netgraph._integer(name, getattr(self, name), 1))
         for low, high in (("mean_low", "mean_high"), ("std_low", "std_high")):

@@ -14,7 +14,8 @@ import pytest
 
 import netbary
 from netbary import entot, harness, netgraph
-from netbary.cli import _build_parser, _config_from_args, main
+from netbary.cli import _build_parser, _config_from_args, _variants, main
+from test_harness import _write_idx_images, _write_idx_labels
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -63,6 +64,18 @@ def _write_config(tmp_path, text=SMALL_CONFIG):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     return path
+
+
+def _raster_config(tmp_path):
+    """Config text of a small raster run on four 4x4 IDX images of one digit."""
+    images = np.random.default_rng(3).integers(0, 256, size=(5, 4, 4))
+    _write_idx_images(tmp_path / "images.idx", images)
+    _write_idx_labels(tmp_path / "labels.idx", [7, 7, 1, 7, 7])
+    return (
+        f"dataset = mnist\nmnist_images = {tmp_path / 'images.idx'}\n"
+        f"mnist_labels = {tmp_path / 'labels.idx'}\ndigit = 7\nm = 4\n"
+        "gamma = 0.1\nr = 0.05\nn_iters = 20\nrecord_every = 5\n"
+    )
 
 
 def _printed_bounds(out):
@@ -215,6 +228,23 @@ class TestRun:
         lines = (out_dir / "metrics.csv").read_text().splitlines()
         assert lines[-1].startswith("19,")
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("in_file", [False, True])
+    def test_empty_out_is_refused_before_anything_is_written(
+        self, tmp_path, monkeypatch, capsys, command, in_file
+    ):
+        # Path("") is the working directory, where an empty out used to put
+        # a run's artifacts and a sweep's variant directories.
+        cfg_path = _write_config(tmp_path, SMALL_CONFIG + ("out =\n" if in_file else ""))
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--config", str(cfg_path), *([] if in_file else ["--out", ""])]
+        code = main(argv + (["--vary", "family=cycle"] if command == "sweep" else []))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: out must name a directory, got ''\n"
+        assert captured.out == ""
+        assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
+
     def test_run_without_out_is_not_persisted(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path)
         code = main(["run", "--config", str(cfg_path)])
@@ -347,7 +377,7 @@ class TestRun:
             "from netbary.cli import main\n"
             f"code = main(['run', '--config', {str(cfg_path)!r}])\n"
             "print(code, 'concurrent.futures' in sys.modules)\n"
-            f"code = main(['sweep', '--config', {str(cfg_path)!r}, '--families', 'cycle',"
+            f"code = main(['sweep', '--config', {str(cfg_path)!r}, '--vary', 'family=cycle',"
             f" '--out', {str(tmp_path / 'sweep')!r}])\n"
             "print(code, 'concurrent.futures' in sys.modules)\n"
         )
@@ -421,8 +451,8 @@ class TestConfigFlags:
             flags.append("--" + key.replace("_", "-"))
             if key != "measure_walltime":  # a switch, it takes no value
                 flags.append(text)
-        for command in ("run", "sweep"):
-            args = _build_parser().parse_args([command, *flags])
+        for command in ("run", "sweep --vary family=cycle"):
+            args = _build_parser().parse_args([*command.split(), *flags])
             assert _config_from_args(args) == from_file
 
     def test_static_epoch_len_flag_matches_config_file(self, tmp_path):
@@ -462,7 +492,7 @@ class TestSweep:
             [
                 "sweep",
                 "--config", str(cfg_path),
-                "--families", "cycle,complete",
+                "--vary", "family=cycle,complete",
                 "--out", str(out_dir),
                 "--jobs", "2",
             ]
@@ -485,15 +515,50 @@ class TestSweep:
                 "--config", str(cfg_path),
                 "--family", "erdos_renyi",
                 "--p", "0.8",
-                "--epoch-lens", "static,5",
+                "--vary", "epoch_len=static,5",
                 "--out", str(out_dir),
             ]
         )
         assert code == 0
-        static = json.loads((out_dir / "epoch-static" / "manifest.json").read_text())
-        five = json.loads((out_dir / "epoch-5" / "manifest.json").read_text())
+        static = json.loads((out_dir / "epoch_len-static" / "manifest.json").read_text())
+        five = json.loads((out_dir / "epoch_len-5" / "manifest.json").read_text())
         assert static["config"]["epoch_len"] is None
         assert five["config"]["epoch_len"] == 5
+
+    @pytest.mark.parametrize("raster", [False, True], ids=["gaussians", "raster"])
+    def test_variants_on_the_pool_match_plain_runs(self, tmp_path, raster):
+        # Two variants at once on the thread pool. In the raster case each
+        # builds its own GridCost, with its own store of LP bases.
+        cfg_path = _write_config(tmp_path, _raster_config(tmp_path) if raster else SMALL_CONFIG)
+        out_dir = tmp_path / "sweep"
+        base = ["--config", str(cfg_path)]
+        grid = ["--vary", "family=star,complete", "--out", str(out_dir), "--jobs", "2"]
+        assert main(["sweep", *base, *grid]) == 0
+        for family in ("star", "complete"):
+            alone = tmp_path / family
+            assert main(["run", *base, "--family", family, "--out", str(alone)]) == 0
+            for name in ("metrics.csv", "histograms.npy"):
+                variant = out_dir / f"family-{family}" / name
+                assert variant.read_bytes() == (alone / name).read_bytes()
+
+    @pytest.mark.parametrize("key", sorted(harness.CONFIG_TYPES))
+    def test_every_key_but_out_can_be_varied(self, tmp_path, key):
+        cfg = harness.ExperimentConfig(out=str(tmp_path / "sweep"))
+        text = NON_DEFAULTS[key]
+        if key == "out":
+            with pytest.raises(ValueError, match="^--vary takes KEY=V1,V2,... with a config key"):
+                _variants(cfg, [f"out={text}"])
+            return
+        label = f"{key}-{text}"
+        variants = _variants(cfg, [f"{key}={text}"])
+        assert list(variants) == [label]
+        raw = variants.pop(label)
+        assert harness.config_value(key, raw.pop(key)) == harness.config_value(key, text)
+        assert raw.pop("out") == str(tmp_path / "sweep" / label)
+        unchanged = cfg.to_dict()
+        del unchanged[key], unchanged["out"]
+        assert raw == unchanged
+        assert not (tmp_path / "sweep").exists()
 
     def test_failing_variant_keeps_the_others(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path)
@@ -502,7 +567,7 @@ class TestSweep:
             [
                 "sweep",
                 "--config", str(cfg_path),
-                "--families", "cycle,hypercube,complete",
+                "--vary", "family=cycle,hypercube,complete",
                 "--out", str(out_dir),
             ]
         )
@@ -517,7 +582,7 @@ class TestSweep:
 
     def test_sweep_requires_out(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path)
-        code = main(["sweep", "--config", str(cfg_path), "--families", "cycle"])
+        code = main(["sweep", "--config", str(cfg_path), "--vary", "family=cycle"])
         captured = capsys.readouterr()
         assert code == 1
         assert "error:" in captured.err
@@ -531,7 +596,7 @@ class TestSweep:
             [
                 "sweep",
                 "--config", str(cfg_path),
-                "--families", "cycle",
+                "--vary", "family=cycle",
                 "--out", str(out_dir),
                 "--jobs", jobs,
             ]
@@ -543,53 +608,79 @@ class TestSweep:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
-        "grid, label",
+        "grid, message",
         [
-            (["--families", "cycle,cycle"], "family-cycle"),
-            (["--families", "cycle, star ,star"], "family-star"),
-            (["--epoch-lens", "5,static,5"], "epoch-5"),
-            (["--families", "cycle", "--epoch-lens", "static,static"], "epoch-static"),
+            (["family=cycle,cycle"], "sweep variant family-cycle is listed twice"),
+            (["family=cycle, star ,star"], "sweep variant family-star is listed twice"),
+            (["epoch_len=5,static,5"], "sweep variant epoch_len-5 is listed twice"),
+            (
+                ["family=cycle", "epoch_len=static,static"],
+                "sweep variant epoch_len-static is listed twice",
+            ),
+            (["family=star", "family=cycle,star"], "sweep variant family-star is listed twice"),
+            # A value with '/' would nest its variant, and '..' parts put it
+            # outside out.
+            (
+                ["mnist_images=x/../../y"],
+                "sweep value mnist_images='x/../../y' is not one directory name",
+            ),
+            (["family=cycle,a/b"], "sweep value family='a/b' is not one directory name"),
+            (["famly=cycle"], "--vary takes KEY=V1,V2,... with a config key other than out, "
+                              "got 'famly=cycle'"),
+            (["out=a,b"], "--vary takes KEY=V1,V2,... with a config key other than out, "
+                          "got 'out=a,b'"),
+            (["family"], "--vary takes KEY=V1,V2,... with a config key other than out, "
+                         "got 'family'"),
         ],
     )
-    def test_duplicate_label_rejected_before_any_variant(self, tmp_path, capsys, grid, label):
+    def test_bad_grid_rejected_before_any_variant(self, tmp_path, capsys, grid, message):
         cfg_path = _write_config(tmp_path)
-        out_dir = tmp_path / "sweep"
-        code = main(["sweep", "--config", str(cfg_path), *grid, "--out", str(out_dir)])
+        vary = [arg for axis in grid for arg in ("--vary", axis)]
+        code = main(["sweep", "--config", str(cfg_path), *vary, "--out", str(tmp_path / "sweep")])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err == f"error: sweep variant {label} is listed twice\n"
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
-        assert not out_dir.exists()
+        assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
 
     @pytest.mark.parametrize(
-        "grid, first, second",
+        "axis, first, second",
         [
-            (["--epoch-lens", "static,inf,none"], "epoch-static", "epoch-inf"),
-            (["--epoch-lens", "5,05"], "epoch-5", "epoch-05"),
-            (["--epoch-lens", "NONE,5,Static"], "epoch-NONE", "epoch-Static"),
+            ("epoch_len=static,inf,none", "epoch_len-static", "epoch_len-inf"),
+            ("epoch_len=5,05", "epoch_len-5", "epoch_len-05"),
+            ("epoch_len=NONE,5,Static", "epoch_len-NONE", "epoch_len-Static"),
+            ("gamma=0.01,1e-2", "gamma-0.01", "gamma-1e-2"),
+            ("measure_walltime=true,1", "measure_walltime-true", "measure_walltime-1"),
         ],
     )
     def test_variants_of_one_value_rejected_before_any_variant(
-        self, tmp_path, capsys, grid, first, second
+        self, tmp_path, capsys, axis, first, second
     ):
         cfg_path = _write_config(tmp_path)
         out_dir = tmp_path / "sweep"
-        code = main(["sweep", "--config", str(cfg_path), *grid, "--out", str(out_dir)])
+        code = main(["sweep", "--config", str(cfg_path), "--vary", axis, "--out", str(out_dir)])
         captured = capsys.readouterr()
         assert code == 1
-        message = f"sweep variants {first} and {second} are the same epoch_len"
-        assert captured.err == f"error: {message}\n"
+        key = axis.partition("=")[0]
+        assert captured.err == f"error: sweep variants {first} and {second} are the same {key}\n"
         assert captured.out == ""
         assert not out_dir.exists()
 
     def test_sweep_requires_a_grid(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path)
-        code = main(
-            ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "s")]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "--families" in captured.err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "s")])
+        assert exit_info.value.code == 2
+        assert "the following arguments are required: --vary" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_help_lists_vary_and_jobs_as_the_sweep_options(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "--vary KEY=V1,V2,..." in out and "--jobs" in out
+        assert "--families" not in out and "--epoch-lens" not in out
 
 
 class TestEntryPoint:

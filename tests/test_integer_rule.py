@@ -48,7 +48,7 @@ def _args(argv, **values):
 def _sweep(jobs, tmp_path):
     config = tmp_path / "sweep.cfg"
     config.write_text(SWEEP_CONFIG)
-    argv = ["sweep", "--config", str(config), "--families", "cycle", "--out", str(tmp_path / "out")]
+    argv = ["sweep", "--config", str(config), "--vary", "family=cycle", "--out", str(tmp_path / "out")]
     return cli._cmd_sweep(_args(argv, jobs=jobs))
 
 
