@@ -83,9 +83,10 @@ def _variants(cfg: harness.ExperimentConfig, vary) -> dict[str, dict]:
     if cfg.out is None:
         raise ValueError("sweep needs --out (or out in the config) as the parent directory")
     # A label listed twice would run two variants into one directory at
-    # once, and two labels of one parsed value (epoch_len-static,
-    # epoch_len-inf) one variant twice. A label that is not one directory
-    # name would nest its variant, or with '..' parts put it outside out.
+    # once, and two labels of one config but for out (epoch_len-static and
+    # epoch_len-inf, or family-cycle and epoch_len-static on a cycle, static
+    # base) one run twice. A label that is not one directory name would nest
+    # its variant, or with '..' parts put it outside out.
     variants: dict[str, dict] = {}
     labels: dict = {}
     for axis in vary:
@@ -99,14 +100,15 @@ def _variants(cfg: harness.ExperimentConfig, vary) -> dict[str, dict]:
                 raise ValueError(f"sweep value {key}={value!r} is not one directory name")
             if label in variants:
                 raise ValueError(f"sweep variant {label} is listed twice")
+            raw = dict(cfg.to_dict(), **{key: value})
             try:
-                parsed = (key, harness.config_value(key, value))
+                parsed = harness.ExperimentConfig.from_dict(dict(raw, out=None))
             except ValueError:
                 parsed = label
             if parsed in labels:
-                raise ValueError(f"sweep variants {labels[parsed]} and {label} are the same {key}")
+                raise ValueError(f"sweep variants {labels[parsed]} and {label} are the same config")
             labels[parsed] = label
-            variants[label] = dict(cfg.to_dict(), **{key: value}, out=str(Path(cfg.out) / label))
+            variants[label] = dict(raw, out=str(Path(cfg.out) / label))
     return variants
 
 

@@ -614,7 +614,7 @@ class TestSweep:
             (["family=cycle, star ,star"], "sweep variant family-star is listed twice"),
             (["epoch_len=5,static,5"], "sweep variant epoch_len-5 is listed twice"),
             (
-                ["family=cycle", "epoch_len=static,static"],
+                ["family=star", "epoch_len=static,static"],
                 "sweep variant epoch_len-static is listed twice",
             ),
             (["family=star", "family=cycle,star"], "sweep variant family-star is listed twice"),
@@ -644,27 +644,36 @@ class TestSweep:
         assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
 
     @pytest.mark.parametrize(
-        "axis, first, second",
+        "grid, first, second",
         [
-            ("epoch_len=static,inf,none", "epoch_len-static", "epoch_len-inf"),
-            ("epoch_len=5,05", "epoch_len-5", "epoch_len-05"),
-            ("epoch_len=NONE,5,Static", "epoch_len-NONE", "epoch_len-Static"),
-            ("gamma=0.01,1e-2", "gamma-0.01", "gamma-1e-2"),
-            ("measure_walltime=true,1", "measure_walltime-true", "measure_walltime-1"),
+            (["epoch_len=static,inf,none"], "epoch_len-static", "epoch_len-inf"),
+            (["epoch_len=5,05"], "epoch_len-5", "epoch_len-05"),
+            (["epoch_len=NONE,5,Static"], "epoch_len-NONE", "epoch_len-Static"),
+            (["gamma=0.01,1e-2"], "gamma-0.01", "gamma-1e-2"),
+            (["measure_walltime=true,1"], "measure_walltime-true", "measure_walltime-1"),
+            # Two keys, each at the base's own value: the config is a static
+            # cycle, so both variants are the base config.
+            (["family=cycle,complete", "epoch_len=static,5"], "family-cycle", "epoch_len-static"),
         ],
     )
-    def test_variants_of_one_value_rejected_before_any_variant(
-        self, tmp_path, capsys, axis, first, second
+    def test_variants_of_one_config_rejected_before_any_variant(
+        self, tmp_path, capsys, grid, first, second
     ):
         cfg_path = _write_config(tmp_path)
         out_dir = tmp_path / "sweep"
-        code = main(["sweep", "--config", str(cfg_path), "--vary", axis, "--out", str(out_dir)])
+        vary = [arg for axis in grid for arg in ("--vary", axis)]
+        code = main(["sweep", "--config", str(cfg_path), *vary, "--out", str(out_dir)])
         captured = capsys.readouterr()
         assert code == 1
-        key = axis.partition("=")[0]
-        assert captured.err == f"error: sweep variants {first} and {second} are the same {key}\n"
+        assert captured.err == f"error: sweep variants {first} and {second} are the same config\n"
         assert captured.out == ""
         assert not out_dir.exists()
+
+    def test_one_variant_at_the_base_config_is_kept(self, tmp_path):
+        # family-cycle is the default base config, and no other variant is.
+        cfg = harness.ExperimentConfig(out=str(tmp_path / "sweep"))
+        variants = _variants(cfg, ["family=cycle,complete", "epoch_len=5"])
+        assert list(variants) == ["family-cycle", "family-complete", "epoch_len-5"]
 
     def test_sweep_requires_a_grid(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path)

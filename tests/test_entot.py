@@ -1760,6 +1760,28 @@ class TestHighs:
         with pytest.raises(RuntimeError, match=r"^HiGHS refused the starting basis$"):
             entot._highs(grid.arc_cost[local], a_eq, b_eq, full.basis)
 
+    def test_refused_model_raises_before_run(self, monkeypatch):
+        # A row index at the row count. HiGHS itself only returns an error
+        # status and keeps the model: run on it crashed the interpreter
+        # (segmentation fault, HiGHS 1.12.0).
+        core = entot._highs_core()
+        runs = []
+
+        class Spy(core._Highs):
+            def run(self):
+                runs.append(self)
+                return super().run()
+
+        monkeypatch.setattr(core, "_Highs", Spy)
+        c, (start, index, value), b_eq = next(_dense_lps())
+        entot._highs(c, (start, index, value), b_eq)
+        assert len(runs) == 1
+        index = index.copy()
+        index[0] = b_eq.shape[0]
+        with pytest.raises(RuntimeError, match=r"^HiGHS refused the model: kError$"):
+            entot._highs(c, (start, index, value), b_eq)
+        assert len(runs) == 1
+
     def test_infeasible_lp_raises_highs_status_text(self):
         # Row sums of 1 and column sums of 2 on a 3 x 3 plan, which linprog
         # reports as status 2, infeasible.

@@ -1,7 +1,10 @@
 """Tests for dataset generation, config parsing, and experiment runs."""
 
+import csv
 import importlib.util
+import io
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -463,6 +466,26 @@ class TestRunExperiment:
             assert float(gap) == row.objective_gap
             assert float(cons) == row.consensus
             assert float(wall) == row.wall_time
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        # A negative gap, an infinite consensus (mean_pairwise_sq_dist can
+        # return one) and a negative zero need no quoting either.
+        rows = [
+            harness.MetricsRow(0, 0.25, 1.5e-300, 0.0),
+            harness.MetricsRow(10, -3.0000000000000004e-05, math.inf, -0.0),
+            harness.MetricsRow(20, -0.0, 7.0, 12.5),
+        ]
+        path = tmp_path / "metrics.csv"
+        harness._write_csv(rows, path)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(harness.CSV_COLUMNS)
+        for row in rows:
+            writer.writerow(
+                [row.iteration, repr(row.objective_gap), repr(row.consensus), repr(row.wall_time)]
+            )
+        assert path.read_bytes() == buffer.getvalue().encode()
+        assert path.read_text().splitlines()[2] == "10,-3.0000000000000004e-05,inf,-0.0"
 
     def test_reruns_are_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"
