@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -85,8 +86,10 @@ def _variants(cfg: harness.ExperimentConfig, vary) -> dict[str, dict]:
     # A label listed twice would run two variants into one directory at
     # once, and two labels of one config but for out (epoch_len-static and
     # epoch_len-inf, or family-cycle and epoch_len-static on a cycle, static
-    # base) one run twice. A label that is not one directory name would nest
-    # its variant, or with '..' parts put it outside out.
+    # base) one run twice; so would two that differ only in keys their run
+    # does not read (p-0.2 and p-0.7 on a cycle). A label that is not one
+    # directory name would nest its variant, or with '..' parts put it
+    # outside out.
     variants: dict[str, dict] = {}
     labels: dict = {}
     for axis in vary:
@@ -101,14 +104,20 @@ def _variants(cfg: harness.ExperimentConfig, vary) -> dict[str, dict]:
             if label in variants:
                 raise ValueError(f"sweep variant {label} is listed twice")
             raw = dict(cfg.to_dict(), **{key: value})
+            variants[label] = dict(raw, out=str(Path(cfg.out) / label))
             try:
                 parsed = harness.ExperimentConfig.from_dict(dict(raw, out=None))
             except ValueError:
-                parsed = label
-            if parsed in labels:
-                raise ValueError(f"sweep variants {labels[parsed]} and {label} are the same config")
-            labels[parsed] = label
-            variants[label] = dict(raw, out=str(Path(cfg.out) / label))
+                continue
+            read = parsed.as_read()
+            if read in labels:
+                first, other = labels[read]
+                unread = ", ".join(k for k, v in parsed.to_dict().items() if v != getattr(other, k))
+                why = "are the same config"
+                if unread:
+                    why = f"read the same inputs: their runs do not read {unread}"
+                raise ValueError(f"sweep variants {first} and {label} {why}")
+            labels[read] = label, parsed
     return variants
 
 
@@ -161,7 +170,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     gamma = args.gamma
     points = np.sort(rng.random(d))
     cost = entot.cost_matrix(points)
-    q = entot.floor_histogram(_random_histogram(rng, d), 1e-4)
+    raw = rng.random(d) + 0.1
+    q = entot.floor_histogram(raw / raw.sum(), 1e-4)
     z = 0.5 * rng.standard_normal(d)
 
     grad = entot.dual_grad(q, cost, gamma, z)
@@ -181,22 +191,11 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _random_histogram(rng: np.random.Generator, d: int) -> np.ndarray:
-    raw = rng.random(d) + 0.1
-    return raw / raw.sum()
-
-
 def _fd_gradient(q, cost, gamma, z, step: float = 1e-6) -> np.ndarray:
-    out = np.zeros_like(z)
-    for k in range(z.shape[0]):
-        up = z.copy()
-        down = z.copy()
-        up[k] += step
-        down[k] -= step
-        out[k] = (
-            entot.dual_value(q, cost, gamma, up) - entot.dual_value(q, cost, gamma, down)
-        ) / (2.0 * step)
-    return out
+    """Central differences of :func:`entot.dual_value` in z, one entry at a time."""
+    value = functools.partial(entot.dual_value, q, cost, gamma)
+    bumps = step * np.eye(z.shape[0])
+    return np.array([value(z + bump) - value(z - bump) for bump in bumps]) / (2.0 * step)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -23,7 +23,7 @@ import math
 import struct
 import subprocess
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +272,28 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def as_read(self) -> "ExperimentConfig":
+        """This config with every key its run does not read (see
+        :data:`_UNREAD_KEYS`) reset to its default: configs whose runs read
+        the same inputs are equal here."""
+        unread = {key for keys, applies in _UNREAD_KEYS if applies(self) for key in keys}
+        return replace(self, **{key: self.__dataclass_fields__[key].default for key in unread})
+
+
+# The keys a run does not read, or reads to no effect, each with the test on
+# its config that makes it so. Cycle, star and complete graphs draw no edge,
+# so no p. An epoch as long as the run is the static graph. The complete
+# graph is each of its relabelings, so its epochs change nothing, and neither
+# does its seed in an IDX run, where the seed draws nothing else. An IDX run
+# reads no Gaussian grid or draw range, and a Gaussian run no IDX file.
+_UNREAD_KEYS = (
+    (("p",), lambda cfg: cfg.family not in netgraph._RANDOM_FAMILIES),
+    (("epoch_len",), lambda cfg: cfg.family == "complete" or (cfg.epoch_len or 0) >= cfg.n_iters),
+    (("seed",), lambda cfg: cfg.family == "complete" and cfg.dataset == "mnist"),
+    (("d", "mean_low", "mean_high", "std_low", "std_high"), lambda cfg: cfg.dataset == "mnist"),
+    (("mnist_images", "mnist_labels", "digit"), lambda cfg: cfg.dataset == "gaussians"),
+)
 
 
 def _value_type(hint) -> tuple[type, bool]:

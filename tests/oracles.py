@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from the defining formulas rather
 than by calling into the package, so tests compare two separate routes to
-the same quantity. Slow and simple on purpose. The two copies of package
+the same quantity. Slow and simple on purpose. The three copies of package
 code are ``scaling_conj_grad_stack_reference``, the former matrix scaling
+kernel, ``grid_conj_grad_stack_reference``, the former raster log-domain
 kernel, and ``spectral_bounds_reference``, the former loop that eigen-solves
 every epoch; each is kept verbatim so the package can be held to it bit for
 bit.
@@ -18,6 +19,7 @@ exception: they still call the package's ``validate_histogram`` and
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 
@@ -136,6 +138,36 @@ def conj_grad_reference(q, cost, gamma, z):
     return grad
 
 
+def conj_grad_reference_decimal(q, cost, gamma, z, digits=40):
+    """:func:`conj_grad_reference` in ``digits``-digit decimal arithmetic.
+
+    For |z| / gamma far from 1 the float64 reference rounds each logit
+    (z_l - cost[l, j]) / gamma to a relative eps, an absolute eps |z| /
+    gamma, so its softmax carries that much relative error: 1.2e-12 at
+    |z| / gamma near 1e4. Here every double converts to a Decimal exactly,
+    each logit, exponential and sum carries ``digits`` digits, and Decimal's
+    exponent range (up to 10^999999) holds exp of any such logit unshifted;
+    the one float64 rounding left is that of the result. Slow (one d = 50
+    row takes about 0.06 s), so kept for the large-|z| cases.
+    """
+    q = np.asarray(q, dtype=float)
+    cost = np.asarray(cost, dtype=float)
+    z = np.asarray(z, dtype=float)
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        gamma = decimal.Decimal(float(gamma))
+        zs = [decimal.Decimal(v) for v in z.tolist()]
+        grad = [decimal.Decimal(0)] * z.size
+        for j, q_j in enumerate(q.tolist()):
+            weights = [
+                ((z_l - decimal.Decimal(c)) / gamma).exp()
+                for z_l, c in zip(zs, cost[:, j].tolist())
+            ]
+            scale = decimal.Decimal(q_j) / sum(weights)
+            grad = [g + w * scale for g, w in zip(grad, weights)]
+        return np.array([float(g) for g in grad])
+
+
 def scaling_conj_grad_stack_reference(marginals, kernel, u):
     """The matrix scaling kernel the oracle ran before one Kronecker-product
     kernel served matrices and rasters alike, kept verbatim: the stacked
@@ -149,6 +181,51 @@ def scaling_conj_grad_stack_reference(marginals, kernel, u):
     mixed = np.matmul(mixed, kernel.T)  # [i, ., l]: sum_j q_j K_lj / n_j
     mixed *= rows
     return mixed[:, 0, :]
+
+
+def _lse_first_axis_reference(work):
+    """The package's former ``_lse_first_axis``, kept verbatim with the
+    kernel below: log-sum-exp over axis 0, overwriting ``work``."""
+    top = work.max(axis=0)
+    work -= top
+    np.exp(work, out=work)
+    out = work.sum(axis=0)
+    np.log(out, out=out)
+    out += top
+    return out
+
+
+def grid_conj_grad_stack_reference(marginals, grid, gamma, z_stack):
+    """The log-domain kernel the oracle ran on a :class:`GridCost` before
+    one kernel served matrices and rasters alike, kept verbatim. It relies
+    on the grid's symmetric axes, where the kernel that replaced it reads
+    each axis transposed, so on a raster the two must agree bit for bit."""
+    m = z_stack.shape[0]
+    rows, cols = grid.shape
+    k1 = (grid.axes[0] / gamma)[:, None, :, None]  # [c, ., a, .], symmetric
+    k2 = (grid.axes[1] / gamma)[:, None, None, :]  # [e, ., ., b], symmetric
+    z = z_stack - z_stack.max(axis=1, keepdims=True)
+    z /= gamma
+    z = z.reshape(m, rows, cols)
+    # The work arrays are [summed index, i, ., .]. A difference of
+    # transposed views would take their memory order, hence order="C".
+    # log_norm[i, a, b] = log sum_{c,e} exp(z[i,c,e] - k1[c,a] - k2[e,b])
+    over_e = _lse_first_axis_reference(
+        np.subtract(z.transpose(2, 0, 1)[:, :, :, None], k2, order="C")
+    )  # [i, c, b]
+    log_norm = _lse_first_axis_reference(
+        np.subtract(over_e.transpose(1, 0, 2)[:, :, None, :], k1, order="C")
+    )  # [i, a, b]
+    weight = np.log(marginals).reshape(m, rows, cols) - log_norm
+    # grad[i, c, e] = sum_{a,b} exp(weight[i,a,b] + z[i,c,e] - k1[c,a] - k2[e,b])
+    over_a = _lse_first_axis_reference(
+        np.subtract(weight.transpose(1, 0, 2)[:, :, None, :], k1, order="C")
+    )  # [i, c, b]
+    over_b = _lse_first_axis_reference(
+        np.subtract(over_a.transpose(2, 0, 1)[:, :, :, None], k2, order="C")
+    )  # [i, c, e]
+    over_b += z
+    return np.exp(over_b, out=over_b).reshape(m, rows * cols)
 
 
 def fd_gradient(func, z, step=1e-6):

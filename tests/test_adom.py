@@ -490,7 +490,7 @@ class TestDivergence:
         with np.errstate(invalid="ignore"), pytest.raises(adom.NumericalDivergenceError) as exc:
             adom.adom_step(state, lap, params, oracle)
         assert (exc.value.iterate, exc.value.iteration) == ("grad", 7)
-        assert kernel_calls == ["_conj_grad_stack"]
+        assert kernel_calls == ["_log_conj_grad_stack"]
 
 
 # 1.5e308: finite, but the sum of two of them overflows.

@@ -669,6 +669,91 @@ class TestSweep:
         assert captured.out == ""
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "raster, flags, first, second, unread",
+        [
+            (False, ["--vary", "p=0.2,0.7"], "p-0.2", "p-0.7", "p"),
+            # The base runs 40 iterations.
+            (
+                False,
+                ["--vary", "epoch_len=static,40,99"],
+                "epoch_len-static", "epoch_len-40", "epoch_len",
+            ),
+            (
+                False,
+                ["--family", "complete", "--vary", "epoch_len=static,3"],
+                "epoch_len-static", "epoch_len-3", "epoch_len",
+            ),
+            (False, ["--vary", "digit=3,5"], "digit-3", "digit-5", "digit"),
+            (True, ["--vary", "d=20,30"], "d-20", "d-30", "d"),
+            (
+                True,
+                ["--family", "complete", "--vary", "seed=1", "--vary", "p=0.5"],
+                "seed-1", "p-0.5", "p, seed",
+            ),
+        ],
+    )
+    def test_variants_that_read_the_same_inputs_rejected_before_any_variant(
+        self, tmp_path, capsys, raster, flags, first, second, unread
+    ):
+        # A cycle draws no edge, so no p; the complete graph is each of its
+        # relabelings, so no epochs, nor in an IDX run a seed; a Gaussian
+        # run reads no digit and an IDX run no d.
+        cfg_path = _write_config(tmp_path, _raster_config(tmp_path) if raster else SMALL_CONFIG)
+        out_dir = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(cfg_path), *flags, "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            f"error: sweep variants {first} and {second} read the same inputs: "
+            f"their runs do not read {unread}\n"
+        )
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    def test_a_key_the_run_reads_still_varies(self, tmp_path):
+        cfg = harness.ExperimentConfig(family="erdos_renyi", out=str(tmp_path / "sweep"))
+        assert list(_variants(cfg, ["p=0.2,0.7"])) == ["p-0.2", "p-0.7"]
+        variants = _variants(cfg, ["epoch_len=static,999"])
+        assert list(variants) == ["epoch_len-static", "epoch_len-999"]
+
+    @staticmethod
+    def _assert_same_artifacts(tmp_path, base, changes):
+        """Runs ``base`` and each change of it (a dict of key: value), which
+        must compare equal to it once unread keys are reset, and checks that
+        every run writes the same metrics.csv and histograms.npy."""
+        outputs = []
+        for i, changed in enumerate([{}, *changes]):
+            cfg = dataclasses.replace(base, out=str(tmp_path / f"run{i}"), **changed)
+            assert dataclasses.replace(cfg, out=None).as_read() == base.as_read()
+            harness.run_experiment(cfg)
+            names = ("metrics.csv", "histograms.npy")
+            outputs.append([(Path(cfg.out) / name).read_bytes() for name in names])
+        assert outputs == outputs[:1] * len(outputs)
+
+    def test_an_epoch_as_long_as_the_run_is_the_static_graph(self, tmp_path):
+        base = harness.ExperimentConfig.from_dict(harness.load_config(_write_config(tmp_path)))
+        changes = [{"epoch_len": base.n_iters}, {"epoch_len": base.n_iters + 1}]
+        self._assert_same_artifacts(tmp_path, base, changes)
+
+    @pytest.mark.parametrize("entry", range(len(harness._UNREAD_KEYS)))
+    def test_unread_keys_change_no_output(self, tmp_path, entry):
+        # Each declared key, set away from its default on a config its
+        # entry applies to, leaves metrics.csv and histograms.npy as they
+        # are; the first such base of four is used.
+        keys, applies = harness._UNREAD_KEYS[entry]
+        gaussians = harness.load_config(_write_config(tmp_path))
+        raster = harness.load_config(_write_config(tmp_path, _raster_config(tmp_path)))
+        bases = [
+            harness.ExperimentConfig.from_dict(dict(raw, family=family))
+            for raw in (gaussians, raster)
+            for family in ("cycle", "complete")
+        ]
+        base = next(cfg for cfg in bases if applies(cfg))
+        changes = [{key: harness.config_value(key, NON_DEFAULTS[key])} for key in keys]
+        assert all(applies(dataclasses.replace(base, **changed)) for changed in changes)
+        self._assert_same_artifacts(tmp_path, base, changes)
+
     def test_one_variant_at_the_base_config_is_kept(self, tmp_path):
         # family-cycle is the default base config, and no other variant is.
         cfg = harness.ExperimentConfig(out=str(tmp_path / "sweep"))

@@ -276,8 +276,15 @@ class TestWassersteinDualOracle:
         with np.errstate(over="ignore"):
             naive = np.exp((z_stack[:, :, None] - cost) / gamma)
         assert np.isinf(naive).any() == (z_scale == 100.0)
+        # At |z| / gamma near 1e4 the float64 reference's own logits carry
+        # eps |z| / gamma of rounding, which put row 3, entry 1 1.22e-12
+        # relative off; the 40-digit reference carries none.
+        if z_scale == 100.0:
+            reference = oracles.conj_grad_reference_decimal
+        else:
+            reference = oracles.conj_grad_reference
         for i in range(m):
-            want = oracles.conj_grad_reference(marginals[i], cost, gamma, z_stack[i])
+            want = reference(marginals[i], cost, gamma, z_stack[i])
             # Summation order differs; every term is nonnegative, so the
             # error is relative, a few d * eps at most.
             np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-300)
@@ -660,7 +667,7 @@ class TestGridDualOracle:
         )
         z_stack = rng.standard_normal((m, d))
         oracle = entot.wb_dual_oracle(marginals, grid, 0.01)
-        assert oracle.grid is grid and oracle.cost is grid
+        assert oracle.cost is grid
         got = oracle.grad_conj_stack(z_stack)
         dense = entot.wb_dual_oracle(marginals, grid.dense, 0.01).grad_conj_stack(z_stack)
         np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-300)
@@ -713,6 +720,65 @@ class TestGridDualOracle:
                     assert grad.min() >= 0.0
 
 
+class TestLogDomainAccuracy:
+    """The log-domain kernel against the 40-digit reference
+    (oracles.conj_grad_reference_decimal), at |z| / gamma where the float64
+    reference is itself off by more than 1e-12."""
+
+    def test_rows_match_extended_precision(self, kernel_calls):
+        # |z| / gamma near 1e4 on sorted random points on a line. The
+        # matrix kernel this one replaced, which rounded (z - C) / gamma as
+        # the float64 reference does, put 3 of these 48 rows 1.2e-12 to
+        # 5.0e-12 relative off.
+        m, d, gamma = 4, 50, 0.01
+        for seed in range(12):
+            rng = np.random.default_rng([21, m, d, seed])
+            cost = entot.cost_matrix(np.sort(rng.random(d)))
+            marginals = _stack(rng, m, d)
+            z_stack = 100.0 * rng.standard_normal((m, d))
+            got = entot.wb_dual_oracle(marginals, cost, gamma).grad_conj_stack(z_stack)
+            for i in range(m):
+                want = oracles.conj_grad_reference_decimal(marginals[i], cost, gamma, z_stack[i])
+                np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-300)
+        assert kernel_calls == ["_log_conj_grad_stack"] * 12
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 5), (14, 14), (28, 28)])
+    @pytest.mark.parametrize("gamma, z_scale", [(1e-3, 0.1), (1e-3, 10.0), (1e-2, 100.0)])
+    def test_raster_rows_are_the_former_raster_kernel(
+        self, kernel_calls, rows, cols, gamma, z_scale
+    ):
+        # On a GridCost's symmetric axes, reading them transposed changes no
+        # bit: every case takes the log domain, up to |z| / gamma near 1e4.
+        rng = np.random.default_rng([43, rows, cols])
+        grid = entot.GridCost(rows, cols)
+        marginals = _stack(rng, 3, rows * cols)
+        z_stack = z_scale * rng.standard_normal((3, rows * cols))
+        got = entot.wb_dual_oracle(marginals, grid, gamma).grad_conj_stack(z_stack)
+        assert kernel_calls == ["_log_conj_grad_stack"]
+        want = oracles.grid_conj_grad_stack_reference(marginals, grid, gamma, z_stack)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows, cols", [(1, 12), (3, 4)])
+    def test_reads_each_axis_transposed(self, rows, cols):
+        # validate_cost_matrix lets a matrix be asymmetric within 1e-12, so
+        # the kernel may not rely on symmetric axes. It is called directly,
+        # as the oracle calls it, on deliberately asymmetric axes: a matrix
+        # C as (zeros((1, 1)), C), and a raster's two axes. Pixel (c, e)
+        # to pixel (a, b) costs axes[0][c, a] + axes[1][e, b].
+        rng = np.random.default_rng([42, rows, cols])
+        first = np.zeros((1, 1)) if rows == 1 else rng.random((rows, rows))
+        axes = (first, rng.random((cols, cols)))
+        assert np.abs(axes[1] - axes[1].T).max() > 0.5
+        d = rows * cols
+        cost = (axes[0][:, None, :, None] + axes[1][None, :, None, :]).reshape(d, d)
+        marginals = _stack(rng, 2, d)
+        z_stack = 0.3 * rng.standard_normal((2, d))
+        got = entot._log_conj_grad_stack(marginals, axes, 0.1, z_stack)
+        for i in range(2):
+            want = oracles.conj_grad_reference_decimal(marginals[i], cost, 0.1, z_stack[i])
+            np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-300)
+
+
 def _stack(rng, m, d, delta=1e-6):
     return np.stack(
         [entot.floor_histogram(rng.dirichlet(np.ones(d)), delta) for _ in range(m)]
@@ -732,10 +798,10 @@ def _dense(cost):
 
 
 def _log_domain(marginals, cost, gamma, z_stack):
-    """The log-domain kernel the scaling form falls back to."""
-    if isinstance(cost, entot.GridCost):
-        return entot._grid_conj_grad_stack(marginals, cost, gamma, z_stack)
-    return entot._conj_grad_stack(marginals, cost, gamma, z_stack)
+    """The log-domain kernel the scaling form falls back to, on the per-axis
+    costs the oracle describes a cost by."""
+    axes = cost.axes if isinstance(cost, entot.GridCost) else (np.zeros((1, 1)), cost)
+    return entot._log_conj_grad_stack(marginals, axes, gamma, z_stack)
 
 
 def _with_span(rng, m, d, width):
@@ -746,19 +812,20 @@ def _with_span(rng, m, d, width):
 
 
 class TestGibbsKernel:
-    """The scaling form u * ((q / uK) K^T) against the log-domain kernels
+    """The scaling form u * ((q / uK) K^T) against the log-domain kernel
     it replaces and the per-column reference, and the span guard that
     chooses between them."""
 
     SCALING = "_scaling_conj_grad_stack"
-    FALLBACK = {"line": "_conj_grad_stack", "raster": "_grid_conj_grad_stack"}
+    LOG = "_log_conj_grad_stack"
 
-    def _check(self, marginals, cost, gamma, z_stack, got, atol=1e-300):
+    def _check(self, marginals, cost, gamma, z_stack, got, atol=1e-300,
+               reference=oracles.conj_grad_reference):
         np.testing.assert_allclose(
             got, _log_domain(marginals, cost, gamma, z_stack), rtol=1e-12, atol=atol
         )
         for i in range(marginals.shape[0]):
-            want = oracles.conj_grad_reference(marginals[i], _dense(cost), gamma, z_stack[i])
+            want = reference(marginals[i], _dense(cost), gamma, z_stack[i])
             np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=atol)
         np.testing.assert_allclose(got.sum(axis=1), 1.0, atol=1e-12)
 
@@ -817,7 +884,7 @@ class TestGibbsKernel:
         z_stack[:-1] *= 0.5
         marginals = _stack(rng, m, d)
         got = entot.wb_dual_oracle(marginals, cost, gamma).grad_conj_stack(z_stack)
-        path = self.SCALING if side == "under" else self.FALLBACK[kind]
+        path = self.SCALING if side == "under" else self.LOG
         assert kernel_calls == [path]
         # Every entry is a normal double here, down to about 1e-230, and
         # each is relatively accurate: no absolute slack.
@@ -840,15 +907,17 @@ class TestGibbsKernel:
         marginals = _stack(rng, 2, d)
         z_stack = np.zeros((2, d))
         got = entot.wb_dual_oracle(marginals, cost, 1e-3).grad_conj_stack(z_stack)
-        assert kernel_calls == [self.FALLBACK[kind]]
+        assert kernel_calls == [self.LOG]
         self._check(marginals, cost, 1e-3, z_stack, got)
 
     @pytest.mark.parametrize("kind, d", [("line", 50), ("raster", 49)])
     def test_large_z_over_gamma(self, kernel_calls, kind, d):
-        # |z| / gamma near 1e4. A wide spread falls back; a narrow one at a
-        # large offset keeps the scaling form, since each node's z is
-        # shifted by its maximum first. The offset is an exact shift of a
-        # dyadic small point, so the references are evaluated there (see
+        # |z| / gamma near 1e4. A wide spread falls back, and is held to the
+        # 40-digit reference, since the float64 one rounds its logits to
+        # eps |z| / gamma there. A narrow one at a large offset keeps the
+        # scaling form, since each node's z is shifted by its maximum first.
+        # The offset is an exact shift of a dyadic small point, so the
+        # references are evaluated there (see
         # TestGridDualOracle.test_large_z_over_gamma).
         rng = np.random.default_rng([34, d])
         cost, gamma = _support(kind, d, rng), 0.01
@@ -856,8 +925,10 @@ class TestGibbsKernel:
         wide = 100.0 * rng.standard_normal((2, d))
         oracle = entot.wb_dual_oracle(marginals, cost, gamma)
         got = oracle.grad_conj_stack(wide)
-        assert kernel_calls == [self.FALLBACK[kind]]
-        self._check(marginals, cost, gamma, wide, got)
+        assert kernel_calls == [self.LOG]
+        self._check(
+            marginals, cost, gamma, wide, got, reference=oracles.conj_grad_reference_decimal
+        )
         small = np.round(0.3 * rng.standard_normal((2, d)) * 2.0**40) / 2.0**40
         large = small + 128.0
         assert np.array_equal(large - 128.0, small)
@@ -878,7 +949,7 @@ class TestGibbsKernel:
         oracle = entot.wb_dual_oracle(_stack(rng, 2, d), cost, 0.05)
         with np.errstate(invalid="ignore"):
             got = oracle.grad_conj_stack(z_stack)
-        assert kernel_calls == [self.FALLBACK[kind]]
+        assert kernel_calls == [self.LOG]
         assert np.isfinite(got[0]).all()
         if bad != -np.inf:
             assert not np.isfinite(got[1]).all()
@@ -898,7 +969,7 @@ class TestGibbsKernel:
         q = entot.floor_histogram(rng.dirichlet(np.ones(8)), 1e-6)
         entot.dual_grad(q, cost, 0.05, 0.1 * rng.standard_normal(8))
         entot.dual_grad(q, cost, 0.05, 100.0 * rng.standard_normal(8))
-        assert kernel_calls == [self.SCALING, self.FALLBACK["line"]]
+        assert kernel_calls == [self.SCALING, self.LOG]
 
     @pytest.mark.parametrize("kind, d", [("line", 20), ("raster", 25)])
     def test_kernels_are_kept_read_only(self, kind, d):

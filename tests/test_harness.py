@@ -566,7 +566,7 @@ class TestRunExperiment:
         exact_ot = entot.exact_ot
 
         def traced_grad(oracle, z_stack):
-            oracle_calls.append(oracle.grid)
+            oracle_calls.append(oracle.cost)
             return grad_conj_stack(oracle, z_stack)
 
         def traced_ot(p, q, cost):
