@@ -153,10 +153,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_spectra(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    schedule = netgraph.NetworkSchedule(
-        family=cfg.family, m=cfg.m, seed=cfg.seed, p=cfg.p, epoch_len=cfg.epoch_len,
-    )
-    bounds = netgraph.spectral_bounds(schedule, args.horizon)
+    bounds = netgraph.spectral_bounds(cfg.schedule(), args.horizon)
     print(f"family = {cfg.family}, m = {cfg.m}, horizon = {args.horizon}")
     print(f"lambda_min_plus = {bounds.lambda_min_plus!r}")
     print(f"lambda_max = {bounds.lambda_max!r}")
@@ -218,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_spec = sub.add_parser("spectra", help="print spectral bounds of a schedule")
-    _add_config_flags(p_spec, ("family", "m", "p", "epoch_len", "seed"))
+    _add_config_flags(p_spec, harness.SCHEDULE_KEYS)
     p_spec.add_argument("--horizon", type=int, default=1000)
     p_spec.set_defaults(func=_cmd_spectra)
 

@@ -693,7 +693,7 @@ def _transport_lp(p: np.ndarray, q: np.ndarray, cost: np.ndarray) -> float:
     carries source i to sink j, at cost[i, j]."""
     d = p.shape[0]
     tails, heads = np.divmod(np.arange(d * d), d)
-    return _certified_lp("dense", tails, d + heads, cost.ravel(), 2 * d, p, q, cost)
+    return _certified_lp("dense", tails, d + heads, cost.ravel(), 2 * d, p, q, cost)[0]
 
 
 def _incidence(tails, heads, n_sources: int, n_nodes: int) -> tuple:
@@ -733,11 +733,12 @@ _CERTIFIED_GAP = 1e-9
 
 
 def _certified_lp(
-    which: str, tails, heads, arc_cost, n_nodes: int, p, q, cost, start=None, keep=None
-) -> float:
+    which: str, tails, heads, arc_cost, n_nodes: int, p, q, cost, start=None
+) -> tuple[float, object]:
     """The optimal value of the transport LP over the arcs tail -> head
     (numbered as in :func:`_incidence`: d sources carrying p, n_nodes - 2 d
-    middles, d sinks taking q), kept only when it is bracketed.
+    middles, d sinks taking q), kept only when it is bracketed, and the
+    solve's final basis.
 
     The lower bound is :func:`_sink_lower_bound` of the solve's own sink
     potentials over ``cost``, the d x d cost in the LP's own units: the
@@ -755,9 +756,8 @@ def _certified_lp(
     so no unchecked value becomes a metric.
 
     The solve starts from the basis ``start`` when one is given
-    (:func:`_grid_transport_lp`), and ``keep``, when given, is called with
-    its final basis once its value is kept. A start can move the value's
-    last bits, never its verdict: the same two bounds decide.
+    (:func:`_grid_transport_lp`). A start can move the value's last bits,
+    never its verdict: the same two bounds decide.
     """
     d = p.shape[0]
     mass = np.zeros(n_nodes)
@@ -791,9 +791,7 @@ def _certified_lp(
             f"lower bound {lower!r}, upper bound {upper!r}, relative spread "
             f"{relative:.3e} above {_CERTIFIED_GAP:g} ({_smallest_masses(p, q)})"
         )
-    if keep is not None:
-        keep(res.basis)
-    return value
+    return value, res.basis
 
 
 def _sink_lower_bound(sink: np.ndarray, p, q, cost) -> float:
@@ -891,11 +889,11 @@ def _grid_transport_lp(p: np.ndarray, q: np.ndarray, grid: GridCost) -> float:
     source = p.tobytes()
 
     def solve(which, arcs, radius):
-        value = _certified_lp(
+        value, basis = _certified_lp(
             which, grid.tails[arcs], grid.heads[arcs], grid.arc_cost[arcs], 3 * p.shape[0],
             p, q, grid.whole, grid._start(radius, arcs, source),
-            functools.partial(grid._keep, radius, source),
         )
+        grid._keep(radius, source, basis)
         return value / grid.diagonal
 
     # Exact: every arc cost is a whole square, the square of its move.

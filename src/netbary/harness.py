@@ -23,7 +23,7 @@ import math
 import struct
 import subprocess
 import typing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ __all__ = [
     "DELTA_DEFAULT",
     "DATASETS",
     "CONFIG_TYPES",
+    "SCHEDULE_KEYS",
     "GaussianSpec",
     "ExperimentConfig",
     "MetricsRow",
@@ -219,12 +220,13 @@ class ExperimentConfig:
     Each field is one config key: a ``key = value`` line of a config file
     and a ``--key`` flag of ``netbary run`` and ``sweep`` (underscores
     become dashes). The field's annotation sets how a text value is read;
-    its metadata holds the flag's help and choices.
+    its metadata holds the flag's help and choices and, for a key that the
+    runs of one dataset alone read, that dataset.
     """
 
     dataset: str = field(default="gaussians", metadata={"choices": DATASETS})
     m: int = field(default=10, metadata={"help": "node count"})
-    d: int = field(default=100, metadata={"help": "support size"})
+    d: int = field(default=100, metadata={"help": "support size", "dataset": "gaussians"})
     family: str = field(default="cycle", metadata={"choices": netgraph.FAMILIES})
     p: float = field(default=0.9, metadata={"help": "edge probability"})
     epoch_len: int | None = field(
@@ -236,13 +238,13 @@ class ExperimentConfig:
     n_iters: int = 1000
     record_every: int = 100
     delta: float = DELTA_DEFAULT
-    mean_low: float = MEAN_RANGE_DEFAULT[0]
-    mean_high: float = MEAN_RANGE_DEFAULT[1]
-    std_low: float = STD_RANGE_DEFAULT[0]
-    std_high: float = STD_RANGE_DEFAULT[1]
-    mnist_images: str | None = None
-    mnist_labels: str | None = None
-    digit: int = 4
+    mean_low: float = field(default=MEAN_RANGE_DEFAULT[0], metadata={"dataset": "gaussians"})
+    mean_high: float = field(default=MEAN_RANGE_DEFAULT[1], metadata={"dataset": "gaussians"})
+    std_low: float = field(default=STD_RANGE_DEFAULT[0], metadata={"dataset": "gaussians"})
+    std_high: float = field(default=STD_RANGE_DEFAULT[1], metadata={"dataset": "gaussians"})
+    mnist_images: str | None = field(default=None, metadata={"dataset": "mnist"})
+    mnist_labels: str | None = field(default=None, metadata={"dataset": "mnist"})
+    digit: int = field(default=4, metadata={"dataset": "mnist"})
     measure_walltime: bool = False
     out: str | None = field(default=None, metadata={"help": "output directory"})
 
@@ -273,27 +275,31 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def schedule(self) -> netgraph.NetworkSchedule:
+        """The run's network schedule, from the keys :data:`SCHEDULE_KEYS`."""
+        return netgraph.NetworkSchedule(**{key: getattr(self, key) for key in SCHEDULE_KEYS})
+
     def as_read(self) -> "ExperimentConfig":
-        """This config with every key its run does not read (see
-        :data:`_UNREAD_KEYS`) reset to its default: configs whose runs read
-        the same inputs are equal here."""
-        unread = {key for keys, applies in _UNREAD_KEYS if applies(self) for key in keys}
-        return replace(self, **{key: self.__dataclass_fields__[key].default for key in unread})
+        """This config with every key its run does not read reset to its
+        default: configs whose runs read the same inputs are equal here.
 
-
-# The keys a run does not read, or reads to no effect, each with the test on
-# its config that makes it so. Cycle, star and complete graphs draw no edge,
-# so no p. An epoch as long as the run is the static graph. The complete
-# graph is each of its relabelings, so its epochs change nothing, and neither
-# does its seed in an IDX run, where the seed draws nothing else. An IDX run
-# reads no Gaussian grid or draw range, and a Gaussian run no IDX file.
-_UNREAD_KEYS = (
-    (("p",), lambda cfg: cfg.family not in netgraph._RANDOM_FAMILIES),
-    (("epoch_len",), lambda cfg: cfg.family == "complete" or (cfg.epoch_len or 0) >= cfg.n_iters),
-    (("seed",), lambda cfg: cfg.family == "complete" and cfg.dataset == "mnist"),
-    (("d", "mean_low", "mean_high", "std_low", "std_high"), lambda cfg: cfg.dataset == "mnist"),
-    (("mnist_images", "mnist_labels", "digit"), lambda cfg: cfg.dataset == "gaussians"),
-)
+        Those are the schedule's (:func:`netgraph.unread_keys` over
+        ``n_iters``), but for the seed in a Gaussian run, whose data it
+        draws, and the keys of the other dataset (an IDX run reads no
+        Gaussian grid or draw range, and a Gaussian run no IDX file).
+        ``record_every`` is capped at ``n_iters - 1`` (at least 1), past
+        which every value records the same iterations.
+        """
+        unread = netgraph.unread_keys(self, self.n_iters) | {
+            f.name for f in fields(self) if f.metadata.get("dataset", self.dataset) != self.dataset
+        }
+        if self.dataset == "gaussians":
+            unread.discard("seed")
+        values = {key: self.__dataclass_fields__[key].default for key in unread}
+        # Every record_every from n_iters - 1 on records iterations 0 and
+        # n_iters - 1 alone.
+        values["record_every"] = min(self.record_every, max(self.n_iters - 1, 1))
+        return replace(self, **values)
 
 
 def _value_type(hint) -> tuple[type, bool]:
@@ -308,6 +314,9 @@ CONFIG_TYPES = {
     name: _value_type(hint)
     for name, hint in typing.get_type_hints(ExperimentConfig).items()
 }
+
+# The config keys of a run's network schedule: NetworkSchedule's init fields.
+SCHEDULE_KEYS = tuple(f.name for f in fields(netgraph.NetworkSchedule) if f.init)
 
 
 def config_value(key: str, value):
@@ -489,10 +498,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     # The schedule validates m and seed and draws nothing, so it comes first:
     # a bad value is named before the dataset build trips over it.
-    schedule = netgraph.NetworkSchedule(
-        family=cfg.family, m=cfg.m, epoch_len=cfg.epoch_len, seed=cfg.seed,
-        p=cfg.p,
-    )
+    schedule = cfg.schedule()
     marginals, cost, reference = _build_dataset(cfg)
     bounds = netgraph.spectral_bounds(schedule, cfg.n_iters)
     params = adom.derive_params(cfg.r, cfg.gamma, bounds)

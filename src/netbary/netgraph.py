@@ -35,16 +35,13 @@ __all__ = [
     "laplacian_from_edges",
     "schedule_laplacian",
     "spectral_bounds",
+    "unread_keys",
 ]
 
 FAMILIES = ("cycle", "star", "complete", "erdos_renyi", "mst_of_er")
 
-# Families whose epochs differ only by a relabeling of the nodes. A
-# relabeling is a permutation similarity, so the spectrum of every epoch
-# equals the spectrum of epoch 0.
-_RELABEL_FAMILIES = frozenset({"cycle", "star", "complete"})
-
-# Families that need an edge probability.
+# Families that need an edge probability and re-draw their graph each epoch.
+# The others (cycle, star, complete) relabel one graph's nodes.
 _RANDOM_FAMILIES = frozenset({"erdos_renyi", "mst_of_er"})
 
 # Draws attempted before falling back to unioning a random spanning tree.
@@ -212,6 +209,23 @@ class NetworkSchedule:
         if self.epoch_len is None:
             return 1
         return -(-horizon // self.epoch_len)
+
+
+def unread_keys(values, horizon: int) -> set[str]:
+    """The init fields of :class:`NetworkSchedule` that a schedule of
+    ``values`` (any object with those fields as attributes, raw: nothing is
+    validated) does not read over iterations 0..horizon-1, or reads to no
+    effect: any other value of a returned key for which it is still returned
+    gives every iteration the same graph.
+
+    A cycle, star or complete graph draws no edge, so no ``p``. An epoch at
+    least as long as the horizon is the static graph. The complete graph is
+    each of its relabelings, so its epochs and its seed change nothing.
+    """
+    complete = values.family == "complete"
+    static = complete or values.epoch_len is None or values.epoch_len >= horizon
+    reads = {"p": values.family in _RANDOM_FAMILIES, "epoch_len": not static, "seed": not complete}
+    return {key for key, read in reads.items() if not read}
 
 
 def _epoch_rng(schedule: NetworkSchedule, epoch: int) -> np.random.Generator:
@@ -526,7 +540,9 @@ def spectral_bounds(schedule: NetworkSchedule, horizon: int) -> SpectralBounds:
     one.
     """
     epochs = schedule.epoch_count(horizon)
-    if schedule.family in _RELABEL_FAMILIES:
+    # A relabeling is a permutation similarity, so the spectrum of every
+    # epoch of a relabeled family equals the spectrum of epoch 0.
+    if schedule.family not in _RANDOM_FAMILIES:
         epochs = 1
     lam_min_plus = math.inf
     lam_max = 0.0

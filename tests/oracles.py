@@ -28,7 +28,7 @@ import numpy as np
 from netbary.adom import AdomParams, DualOracle
 from netbary.entot import validate_cost_matrix, validate_histogram
 from netbary.netgraph import (
-    _RELABEL_FAMILIES,
+    _RANDOM_FAMILIES,
     DisconnectedGraphError,
     Laplacian,
     NetworkSchedule,
@@ -340,7 +340,7 @@ def spectral_bounds_reference(schedule: NetworkSchedule, horizon: int) -> Spectr
     """The package's ``spectral_bounds`` loop before it skipped certified
     epochs, kept verbatim: one ``eigvalsh`` per epoch."""
     epochs = schedule.epoch_count(horizon)
-    if schedule.family in _RELABEL_FAMILIES:
+    if schedule.family not in _RANDOM_FAMILIES:
         epochs = 1
     lam_min_plus = math.inf
     lam_max = 0.0

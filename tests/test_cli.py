@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -96,16 +97,29 @@ class TestSpectra:
         values = _printed_bounds(out)
         np.testing.assert_allclose(values, [6.0, 6.0], atol=1e-9)
 
-    def test_matches_library_bounds(self, capsys):
-        code = main(
-            ["spectra", "--family", "cycle", "--m", "10", "--horizon", "50"]
-        )
+    @pytest.mark.parametrize(
+        "flags, schedule",
+        [
+            (["--family", "cycle", "--m", "10"], {"family": "cycle", "m": 10}),
+            # Every schedule flag reaches the schedule.
+            (
+                ["--family", "erdos_renyi", "--m", "8", "--p", "0.5", "--epoch-len", "5",
+                 "--seed", "3"],
+                {"family": "erdos_renyi", "m": 8, "p": 0.5, "epoch_len": 5, "seed": 3},
+            ),
+        ],
+        ids=["cycle", "every-flag"],
+    )
+    def test_matches_library_bounds(self, capsys, flags, schedule):
+        code = main(["spectra", *flags, "--horizon", "50"])
         out = capsys.readouterr().out
         assert code == 0
-        schedule = netgraph.NetworkSchedule(family="cycle", m=10, epoch_len=None, seed=0)
-        bounds = netgraph.spectral_bounds(schedule, 50)
-        assert f"lambda_min_plus = {bounds.lambda_min_plus!r}" in out
-        assert f"lambda_max = {bounds.lambda_max!r}" in out
+        bounds = netgraph.spectral_bounds(netgraph.NetworkSchedule(**schedule), 50)
+        assert out == (
+            f"family = {schedule['family']}, m = {schedule['m']}, horizon = 50\n"
+            f"lambda_min_plus = {bounds.lambda_min_plus!r}\n"
+            f"lambda_max = {bounds.lambda_max!r}\n"
+        )
 
     def test_unknown_family_rejected(self):
         with pytest.raises(SystemExit):
@@ -118,6 +132,16 @@ class TestSpectra:
         keys = ("family", "m", "p", "seed", "epoch_len")
         assert [getattr(cfg, k) for k in keys] == [getattr(default, k) for k in keys]
         assert (cfg.family, cfg.m) == ("cycle", 10)
+
+    def test_help_offers_the_schedule_keys_and_horizon(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["spectra", "--help"])
+        assert exit_info.value.code == 0
+        offered = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        keys = [f.name for f in dataclasses.fields(netgraph.NetworkSchedule) if f.init]
+        flags = {"--" + key.replace("_", "-") for key in keys}
+        assert offered == {"--help", "--horizon", *flags}
+        assert {"--family", "--m", "--p", "--epoch-len", "--seed"} <= flags
 
     def test_m_is_read_as_the_config_reads_it(self, capsys):
         code = main(["spectra", "--m", "5.5"])
@@ -691,6 +715,13 @@ class TestSweep:
                 ["--family", "complete", "--vary", "seed=1", "--vary", "p=0.5"],
                 "seed-1", "p-0.5", "p, seed",
             ),
+            # On 20 iterations every record_every from 19 on records
+            # iterations 0 and 19 alone.
+            (
+                False,
+                ["--n-iters", "20", "--vary", "record_every=19,20,50"],
+                "record_every-19", "record_every-20", "record_every",
+            ),
         ],
     )
     def test_variants_that_read_the_same_inputs_rejected_before_any_variant(
@@ -736,12 +767,21 @@ class TestSweep:
         changes = [{"epoch_len": base.n_iters}, {"epoch_len": base.n_iters + 1}]
         self._assert_same_artifacts(tmp_path, base, changes)
 
-    @pytest.mark.parametrize("entry", range(len(harness._UNREAD_KEYS)))
-    def test_unread_keys_change_no_output(self, tmp_path, entry):
-        # Each declared key, set away from its default on a config its
-        # entry applies to, leaves metrics.csv and histograms.npy as they
-        # are; the first such base of four is used.
-        keys, applies = harness._UNREAD_KEYS[entry]
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            ("p",),
+            ("epoch_len",),
+            ("seed",),
+            ("d", "mean_low", "mean_high", "std_low", "std_high"),
+            ("mnist_images", "mnist_labels", "digit"),
+        ],
+        ids=lambda keys: keys[0],
+    )
+    def test_unread_keys_change_no_output(self, tmp_path, keys):
+        # Each key a run can leave unread, set away from its default on a
+        # config whose as_read() drops the change, leaves metrics.csv and
+        # histograms.npy as they are; the first such base of four is used.
         gaussians = harness.load_config(_write_config(tmp_path))
         raster = harness.load_config(_write_config(tmp_path, _raster_config(tmp_path)))
         bases = [
@@ -749,10 +789,60 @@ class TestSweep:
             for raw in (gaussians, raster)
             for family in ("cycle", "complete")
         ]
-        base = next(cfg for cfg in bases if applies(cfg))
         changes = [{key: harness.config_value(key, NON_DEFAULTS[key])} for key in keys]
-        assert all(applies(dataclasses.replace(base, **changed)) for changed in changes)
+        base = next(
+            cfg for cfg in bases
+            if all(dataclasses.replace(cfg, **changed).as_read() == cfg.as_read()
+                   for changed in changes)
+        )
         self._assert_same_artifacts(tmp_path, base, changes)
+
+    def test_record_every_past_the_last_iteration_changes_no_output(self, tmp_path):
+        # On 20 iterations every record_every from 19 on records iterations
+        # 0 and 19 alone.
+        raw = harness.load_config(_write_config(tmp_path))
+        base = harness.ExperimentConfig.from_dict(dict(raw, n_iters="20", record_every="19"))
+        self._assert_same_artifacts(tmp_path, base, [{"record_every": 20}, {"record_every": 50}])
+        rows = (tmp_path / "run0" / "metrics.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["0", "19"]
+
+    def test_record_every_below_the_last_iteration_still_varies(self, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path)
+        out_dir = tmp_path / "sweep"
+        code = main(
+            [
+                "sweep", "--config", str(cfg_path), "--n-iters", "20",
+                "--vary", "record_every=5,50", "--out", str(out_dir),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        labels = [line.split(":")[0] for line in captured.out.splitlines()]
+        assert labels == ["record_every-5", "record_every-50"]
+        rows = (out_dir / "record_every-5" / "metrics.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["0", "5", "10", "15", "19"]
+        assert (out_dir / "record_every-50" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "vary, refused, message",
+        [
+            ("m=1,3", "m-1", "m must be an integer >= 2, got 1"),
+            ("epoch_len=0,5", "epoch_len-0", "epoch_len must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_a_value_the_schedule_refuses_fails_in_its_own_variant(
+        self, tmp_path, capsys, vary, refused, message
+    ):
+        # Which keys a schedule reads is decided from raw values, so a value
+        # the schedule refuses reaches its own run.
+        cfg_path = _write_config(tmp_path)
+        out_dir = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(cfg_path), "--vary", vary, "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"{refused}: error: {message}\n"
+        (other,) = [line.split(":")[0] for line in captured.out.splitlines()]
+        assert (out_dir / other / "metrics.csv").exists()
 
     def test_one_variant_at_the_base_config_is_kept(self, tmp_path):
         # family-cycle is the default base config, and no other variant is.

@@ -1193,7 +1193,7 @@ def _full_grid_value(grid, p, q):
     in whole squared pixel offsets."""
     return entot._certified_lp(
         "grid", grid.tails, grid.heads, grid.arc_cost, 3 * p.shape[0], p, q, grid.whole
-    )
+    )[0]
 
 
 def _local_grid_value(grid, radius, p, q):
@@ -1204,7 +1204,7 @@ def _local_grid_value(grid, radius, p, q):
         return entot._certified_lp(
             "local grid", grid.tails[local], grid.heads[local], grid.arc_cost[local],
             3 * p.shape[0], p, q, grid.whole,
-        )
+        )[0]
     except entot._LPFailure:
         return None
 

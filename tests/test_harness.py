@@ -1,6 +1,7 @@
 """Tests for dataset generation, config parsing, and experiment runs."""
 
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -343,6 +344,16 @@ class TestExperimentConfig:
     def test_mnist_requires_paths(self):
         with pytest.raises(ValueError, match="mnist_images"):
             ExperimentConfig.from_dict({"dataset": "mnist"})
+
+    def test_every_schedule_key_is_a_config_key(self):
+        # A field added to NetworkSchedule alone could be set by no run.
+        keys = [f.name for f in dataclasses.fields(netgraph.NetworkSchedule) if f.init]
+        assert set(keys) <= set(harness.CONFIG_TYPES)
+        assert harness.SCHEDULE_KEYS == tuple(keys)
+
+    def test_schedule_takes_each_schedule_key_from_the_config(self):
+        cfg = ExperimentConfig(family="mst_of_er", m=7, epoch_len=3, seed=9, p=0.25)
+        assert cfg.schedule() == netgraph.NetworkSchedule("mst_of_er", 7, 3, 9, 0.25)
 
     def test_to_dict_round_trip(self):
         cfg = ExperimentConfig.from_dict({"m": 4, "gamma": 0.2})

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import types
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from netbary.netgraph import (
     laplacian_from_edges,
     schedule_laplacian,
     spectral_bounds,
+    unread_keys,
 )
 
 
@@ -354,6 +357,57 @@ class TestNetworkSchedule:
     def test_rejects_bad_epoch_len(self):
         with pytest.raises(ValueError, match="epoch_len"):
             NetworkSchedule(family="cycle", m=5, epoch_len=0, seed=0)
+
+
+class TestUnreadKeys:
+    """``unread_keys`` is held to the graphs a schedule realizes."""
+
+    # Other valid values of each key that a schedule can leave unread.
+    OTHERS = {
+        "p": (None, 0.0, 0.3, 1.0),
+        "epoch_len": (None, 1, 2, 4, 5, 12),
+        "seed": (1, 7, 2**40),
+    }
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_returned_key_changes_no_laplacian(self, family, m):
+        # Epochs of 4 over horizons below and above them, and the static
+        # graph: each returned key, set to another value for which it is
+        # still returned, leaves the Laplacian of every iteration as it is.
+        checked = set()
+        for epoch_len, horizon in ((4, 3), (4, 10), (None, 10)):
+            base = NetworkSchedule(family, m, epoch_len, seed=0, p=0.6)
+            want = [schedule_laplacian(base, n).entries for n in range(horizon)]
+            for key in unread_keys(base, horizon):
+                for value in self.OTHERS[key]:
+                    other = dataclasses.replace(base, **{key: value})
+                    if value == getattr(base, key) or key not in unread_keys(other, horizon):
+                        continue
+                    got = [schedule_laplacian(other, n).entries for n in range(horizon)]
+                    assert all(map(np.array_equal, got, want)), (key, value, epoch_len, horizon)
+                    checked.add(key)
+        # Not vacuous: each key some base leaves unread was tried.
+        expected = {"epoch_len"} | ({"p"} if family in ("cycle", "star", "complete") else set())
+        assert checked == expected | ({"seed"} if family == "complete" else set())
+
+    @pytest.mark.parametrize(
+        "family, epoch_len, horizon, unread",
+        [
+            ("cycle", 4, 10, {"p"}),
+            ("cycle", 10, 10, {"p", "epoch_len"}),
+            ("star", None, 10, {"p", "epoch_len"}),
+            ("complete", 4, 10, {"p", "epoch_len", "seed"}),
+            ("erdos_renyi", 4, 10, set()),
+            ("mst_of_er", 12, 10, {"epoch_len"}),
+        ],
+    )
+    def test_keys_by_family_and_horizon(self, family, epoch_len, horizon, unread):
+        assert unread_keys(NetworkSchedule(family, 5, epoch_len, p=0.5), horizon) == unread
+
+    def test_raw_values_are_not_validated(self):
+        values = types.SimpleNamespace(family="cycle", m=1, epoch_len=0, seed=-1, p=7.0)
+        assert unread_keys(values, 5) == {"p"}
 
 
 class TestScheduleLaplacian:
