@@ -506,15 +506,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     manifest = {
         "config": cfg.to_dict(),
+        # Every step field of the parameters (the config holds r and gamma)
+        # and the bounds they were derived from.
         "derived": {
-            "alpha": params.alpha,
-            "eta": params.eta,
-            "theta": params.theta,
-            "sigma": params.sigma,
-            "tau": params.tau,
-            "lambda_min_plus": bounds.lambda_min_plus,
-            "lambda_max": bounds.lambda_max,
-        },
+            f.name: getattr(params, f.name)
+            for f in fields(params) if f.name not in ("r", "gamma", "bounds")
+        } | asdict(bounds),
         "objective_mode": "gap" if reference is not None else "value",
         "csv_columns": CSV_COLUMNS,
         "version": __version__,

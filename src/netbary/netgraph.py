@@ -211,6 +211,18 @@ class NetworkSchedule:
         return -(-horizon // self.epoch_len)
 
 
+def _one_graph(values) -> bool:
+    """True when every epoch of a schedule of ``values`` (raw, as
+    :func:`unread_keys` takes them) is the complete graph: the complete
+    family, any family on two nodes (one edge), a cycle on three nodes (K3),
+    and Erdos-Renyi at p = 1, which keeps every pair. Such a schedule draws
+    nothing, stores one edge array and solves one spectrum."""
+    family = values.family
+    return family == "complete" or values.m == 2 or (family == "cycle" and values.m == 3) or (
+        family == "erdos_renyi" and values.p == 1
+    )
+
+
 def unread_keys(values, horizon: int) -> set[str]:
     """The init fields of :class:`NetworkSchedule` that a schedule of
     ``values`` (any object with those fields as attributes, raw: nothing is
@@ -218,13 +230,16 @@ def unread_keys(values, horizon: int) -> set[str]:
     effect: any other value of a returned key for which it is still returned
     gives every iteration the same graph.
 
-    A cycle, star or complete graph draws no edge, so no ``p``. An epoch at
-    least as long as the horizon is the static graph. The complete graph is
-    each of its relabelings, so its epochs and its seed change nothing.
+    A cycle, star or complete graph draws no edge, so no ``p``, and neither
+    does any family on two nodes, whose one graph is the single edge. An
+    epoch at least as long as the horizon is the static graph. A schedule
+    whose every epoch is the complete graph (see ``_one_graph``) reads
+    neither its epochs nor its seed.
     """
-    complete = values.family == "complete"
-    static = complete or values.epoch_len is None or values.epoch_len >= horizon
-    reads = {"p": values.family in _RANDOM_FAMILIES, "epoch_len": not static, "seed": not complete}
+    one = _one_graph(values)
+    static = one or values.epoch_len is None or values.epoch_len >= horizon
+    drawn = values.family in _RANDOM_FAMILIES and values.m != 2
+    reads = {"p": drawn, "epoch_len": not static, "seed": not one}
     return {key for key, read in reads.items() if not read}
 
 
@@ -330,9 +345,10 @@ def _epoch_edges(schedule: NetworkSchedule, epoch: int) -> np.ndarray:
     The draw is stored on the schedule as a read-only array of the smallest
     unsigned dtype that holds m - 1 (uint8 up to m = 256). Each epoch has its
     own random stream, so the order of requests does not change any graph.
-    The complete family consumes no randomness and stores one array.
+    A schedule whose every epoch is the complete graph (``_one_graph``)
+    consumes no randomness and stores one array.
     """
-    key = 0 if schedule.family == "complete" else epoch
+    key = 0 if _one_graph(schedule) else epoch
     edges = schedule._edges.get(key)
     if edges is None:
         edges = _draw_edges(schedule, epoch).astype(np.min_scalar_type(schedule.m - 1))
@@ -342,15 +358,16 @@ def _epoch_edges(schedule: NetworkSchedule, epoch: int) -> np.ndarray:
 
 
 def _draw_edges(schedule: NetworkSchedule, epoch: int) -> np.ndarray:
+    """Edges of ``epoch``'s graph from its own random stream. A schedule
+    whose every epoch is the complete graph gets every pair and consumes no
+    randomness: the Laplacian build ignores edge order, so its graph is the
+    one a draw would give."""
     m = schedule.m
-    if schedule.family == "complete":
-        # Invariant under relabeling; no randomness consumed.
+    if _one_graph(schedule):
         return _upper_pairs(m)
     rng = _epoch_rng(schedule, epoch)
     if schedule.family == "cycle":
         perm = rng.permutation(m)
-        if m == 2:
-            return perm[None, :]
         return np.column_stack([perm, np.roll(perm, -1)])
     if schedule.family == "star":
         perm = rng.permutation(m)
@@ -527,9 +544,10 @@ def spectral_bounds(schedule: NetworkSchedule, horizon: int) -> SpectralBounds:
     The stacked block mixing matrix kron(W, I_d) shares W's eigenvalues (each
     with multiplicity d), so bounds computed on the m x m matrices apply to
     the stacked operator. For relabeled families one epoch suffices: the
-    spectrum is permutation-invariant. The epochs read here stay stored on
-    the schedule, so a solver run on the same schedule draws none of them
-    again.
+    spectrum is permutation-invariant. So it does for a schedule whose every
+    epoch is the complete graph (``_one_graph``), which is built and solved
+    once. The epochs read here stay stored on the schedule, so a solver run
+    on the same schedule draws none of them again.
 
     Every epoch's Laplacian is built and checked, but from
     ``_CERT_MIN_NODES`` nodes on only the epochs that ``_certified_inside``
@@ -541,8 +559,9 @@ def spectral_bounds(schedule: NetworkSchedule, horizon: int) -> SpectralBounds:
     """
     epochs = schedule.epoch_count(horizon)
     # A relabeling is a permutation similarity, so the spectrum of every
-    # epoch of a relabeled family equals the spectrum of epoch 0.
-    if schedule.family not in _RANDOM_FAMILIES:
+    # epoch of a relabeled family equals the spectrum of epoch 0; a one-graph
+    # schedule's epochs are one graph.
+    if schedule.family not in _RANDOM_FAMILIES or _one_graph(schedule):
         epochs = 1
     lam_min_plus = math.inf
     lam_max = 0.0

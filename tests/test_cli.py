@@ -658,9 +658,12 @@ class TestSweep:
         ],
     )
     def test_bad_grid_rejected_before_any_variant(self, tmp_path, capsys, grid, message):
+        # On 4 nodes a cycle's epochs differ, so epoch_len-5 and
+        # epoch_len-static are two inputs and each check is reached.
         cfg_path = _write_config(tmp_path)
         vary = [arg for axis in grid for arg in ("--vary", axis)]
-        code = main(["sweep", "--config", str(cfg_path), *vary, "--out", str(tmp_path / "sweep")])
+        out = str(tmp_path / "sweep")
+        code = main(["sweep", "--config", str(cfg_path), "--m", "4", *vary, "--out", out])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == f"error: {message}\n"
@@ -683,10 +686,11 @@ class TestSweep:
     def test_variants_of_one_config_rejected_before_any_variant(
         self, tmp_path, capsys, grid, first, second
     ):
+        # A 4-cycle's epochs differ, so epoch_len-5 is a config of its own.
         cfg_path = _write_config(tmp_path)
         out_dir = tmp_path / "sweep"
         vary = [arg for axis in grid for arg in ("--vary", axis)]
-        code = main(["sweep", "--config", str(cfg_path), *vary, "--out", str(out_dir)])
+        code = main(["sweep", "--config", str(cfg_path), "--m", "4", *vary, "--out", str(out_dir)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == f"error: sweep variants {first} and {second} are the same config\n"
@@ -708,6 +712,21 @@ class TestSweep:
                 ["--family", "complete", "--vary", "epoch_len=static,3"],
                 "epoch_len-static", "epoch_len-3", "epoch_len",
             ),
+            # The base is a 3-node cycle: the complete graph in every epoch.
+            (False, ["--vary", "epoch_len=3,5"], "epoch_len-3", "epoch_len-5", "epoch_len"),
+            (True, ["--m", "3", "--vary", "seed=1,2"], "seed-1", "seed-2", "seed"),
+            # Any family on two nodes is the single edge, and Erdos-Renyi at
+            # p = 1 keeps every pair.
+            (
+                False,
+                ["--family", "erdos_renyi", "--m", "2", "--vary", "p=0.3,0.7"],
+                "p-0.3", "p-0.7", "p",
+            ),
+            (
+                False,
+                ["--family", "erdos_renyi", "--p", "1", "--m", "5", "--vary", "epoch_len=3,5"],
+                "epoch_len-3", "epoch_len-5", "epoch_len",
+            ),
             (False, ["--vary", "digit=3,5"], "digit-3", "digit-5", "digit"),
             (True, ["--vary", "d=20,30"], "d-20", "d-30", "d"),
             (
@@ -728,8 +747,10 @@ class TestSweep:
         self, tmp_path, capsys, raster, flags, first, second, unread
     ):
         # A cycle draws no edge, so no p; the complete graph is each of its
-        # relabelings, so no epochs, nor in an IDX run a seed; a Gaussian
-        # run reads no digit and an IDX run no d.
+        # relabelings, so no epochs, nor in an IDX run a seed, and so is
+        # every epoch of a 3-node cycle, of any family on two nodes and of
+        # Erdos-Renyi at p = 1; a Gaussian run reads no digit and an IDX run
+        # no d.
         cfg_path = _write_config(tmp_path, _raster_config(tmp_path) if raster else SMALL_CONFIG)
         out_dir = tmp_path / "sweep"
         code = main(["sweep", "--config", str(cfg_path), *flags, "--out", str(out_dir)])
@@ -747,6 +768,9 @@ class TestSweep:
         assert list(_variants(cfg, ["p=0.2,0.7"])) == ["p-0.2", "p-0.7"]
         variants = _variants(cfg, ["epoch_len=static,999"])
         assert list(variants) == ["epoch_len-static", "epoch_len-999"]
+        # A 4-cycle's epochs differ, where a 3-cycle's are all K3.
+        cycle = harness.ExperimentConfig(m=4, n_iters=20, out=str(tmp_path / "sweep"))
+        assert list(_variants(cycle, ["epoch_len=3,5"])) == ["epoch_len-3", "epoch_len-5"]
 
     @staticmethod
     def _assert_same_artifacts(tmp_path, base, changes):
@@ -797,6 +821,24 @@ class TestSweep:
         )
         self._assert_same_artifacts(tmp_path, base, changes)
 
+    @pytest.mark.parametrize(
+        "family, m, p, changes",
+        [
+            ("cycle", 3, 0.9, [{"epoch_len": 1}, {"seed": 9}]),
+            ("star", 2, 0.9, [{"epoch_len": None}, {"seed": 9}]),
+            ("mst_of_er", 2, 0.9, [{"epoch_len": 1}, {"seed": 9, "p": 0.0}]),
+            ("erdos_renyi", 4, 1.0, [{"epoch_len": 1}, {"seed": 9, "epoch_len": None}]),
+        ],
+    )
+    def test_a_one_graph_schedule_reads_no_epochs_nor_seed(self, tmp_path, family, m, p, changes):
+        # Every epoch of these schedules is the complete graph; an IDX run
+        # draws no data from the seed.
+        raw = harness.load_config(_write_config(tmp_path, _raster_config(tmp_path)))
+        base = harness.ExperimentConfig.from_dict(
+            dict(raw, family=family, m=m, p=p, epoch_len=5, seed=0)
+        )
+        self._assert_same_artifacts(tmp_path, base, changes)
+
     def test_record_every_past_the_last_iteration_changes_no_output(self, tmp_path):
         # On 20 iterations every record_every from 19 on records iterations
         # 0 and 19 alone.
@@ -834,10 +876,12 @@ class TestSweep:
         self, tmp_path, capsys, vary, refused, message
     ):
         # Which keys a schedule reads is decided from raw values, so a value
-        # the schedule refuses reaches its own run.
+        # the schedule refuses reaches its own run. On 4 nodes a cycle reads
+        # its epochs, so epoch_len-0 is not the static epoch_len-5.
         cfg_path = _write_config(tmp_path)
         out_dir = tmp_path / "sweep"
-        code = main(["sweep", "--config", str(cfg_path), "--vary", vary, "--out", str(out_dir)])
+        flags = ["--m", "4", "--vary", vary]
+        code = main(["sweep", "--config", str(cfg_path), *flags, "--out", str(out_dir)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == f"{refused}: error: {message}\n"

@@ -444,6 +444,9 @@ class TestRunExperiment:
         ]
         assert manifest["config"]["m"] == 3
         derived = manifest["derived"]
+        assert sorted(derived) == [
+            "alpha", "eta", "lambda_max", "lambda_min_plus", "sigma", "tau", "theta"
+        ]
         bounds = adom.SpectralBounds(
             derived["lambda_min_plus"], derived["lambda_max"]
         )

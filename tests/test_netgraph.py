@@ -359,8 +359,17 @@ class TestNetworkSchedule:
             NetworkSchedule(family="cycle", m=5, epoch_len=0, seed=0)
 
 
+# The schedules whose every epoch is the complete graph: the complete family,
+# any family on two nodes, a cycle on three and Erdos-Renyi at p = 1.
+def _one_graph(family, m, p):
+    return family == "complete" or m == 2 or (family, m) == ("cycle", 3) or (
+        (family, p) == ("erdos_renyi", 1.0)
+    )
+
+
 class TestUnreadKeys:
-    """``unread_keys`` is held to the graphs a schedule realizes."""
+    """``unread_keys`` is held to the graphs a schedule realizes: a key it
+    returns changes no Laplacian, and a key it does not return changes some."""
 
     # Other valid values of each key that a schedule can leave unread.
     OTHERS = {
@@ -369,45 +378,133 @@ class TestUnreadKeys:
         "seed": (1, 7, 2**40),
     }
 
-    @pytest.mark.parametrize("m", [2, 3, 8])
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_a_returned_key_changes_no_laplacian(self, family, m):
-        # Epochs of 4 over horizons below and above them, and the static
-        # graph: each returned key, set to another value for which it is
-        # still returned, leaves the Laplacian of every iteration as it is.
+    # Epochs of 4 over horizons below and above them, and the static graph.
+    BASES = ((4, 3), (4, 10), (None, 10))
+
+    # Every family at m 2, 3 and 8 with p 0.6, and Erdos-Renyi at p 1.
+    SCHEDULES = [
+        *[pytest.param(family, m, 0.6, id=f"{family}-{m}")
+          for family in FAMILIES for m in (2, 3, 8)],
+        pytest.param("erdos_renyi", 8, 1.0, id="erdos_renyi-8-p1"),
+    ]
+
+    def _variants(self, base, key):
+        """``base`` with ``key`` set to each other value the schedule takes."""
+        for value in self.OTHERS[key]:
+            if value == getattr(base, key):
+                continue
+            try:
+                yield dataclasses.replace(base, **{key: value})
+            except ValueError:  # p = None on a random family
+                continue
+
+    @staticmethod
+    def _laplacians(schedule, horizon):
+        return [schedule_laplacian(schedule, n).entries for n in range(horizon)]
+
+    @pytest.mark.parametrize("family, m, p", SCHEDULES)
+    def test_a_returned_key_changes_no_laplacian(self, family, m, p):
+        # Each returned key, set to another value for which it is still
+        # returned, leaves the Laplacian of every iteration as it is.
         checked = set()
-        for epoch_len, horizon in ((4, 3), (4, 10), (None, 10)):
-            base = NetworkSchedule(family, m, epoch_len, seed=0, p=0.6)
-            want = [schedule_laplacian(base, n).entries for n in range(horizon)]
+        for epoch_len, horizon in self.BASES:
+            base = NetworkSchedule(family, m, epoch_len, seed=0, p=p)
+            want = self._laplacians(base, horizon)
             for key in unread_keys(base, horizon):
-                for value in self.OTHERS[key]:
-                    other = dataclasses.replace(base, **{key: value})
-                    if value == getattr(base, key) or key not in unread_keys(other, horizon):
+                for other in self._variants(base, key):
+                    if key not in unread_keys(other, horizon):
                         continue
-                    got = [schedule_laplacian(other, n).entries for n in range(horizon)]
-                    assert all(map(np.array_equal, got, want)), (key, value, epoch_len, horizon)
+                    got = self._laplacians(other, horizon)
+                    assert all(map(np.array_equal, got, want)), (key, other, horizon)
                     checked.add(key)
-        # Not vacuous: each key some base leaves unread was tried.
-        expected = {"epoch_len"} | ({"p"} if family in ("cycle", "star", "complete") else set())
-        assert checked == expected | ({"seed"} if family == "complete" else set())
+        # Not vacuous: each key some base leaves unread was tried. No edge
+        # is drawn off the random families or on two nodes, and a schedule
+        # whose every epoch is the complete graph reads no seed.
+        expected = {"epoch_len"}
+        if family not in ("erdos_renyi", "mst_of_er") or m == 2:
+            expected.add("p")
+        if _one_graph(family, m, p):
+            expected.add("seed")
+        assert checked == expected
+
+    @pytest.mark.parametrize("family, m, p", SCHEDULES)
+    def test_a_key_not_returned_changes_some_laplacian(self, family, m, p):
+        # The other direction: the table is exact as well as sound.
+        checked = set()
+        for epoch_len, horizon in self.BASES:
+            base = NetworkSchedule(family, m, epoch_len, seed=0, p=p)
+            want = self._laplacians(base, horizon)
+            for key in set(self.OTHERS) - unread_keys(base, horizon):
+                assert any(
+                    not all(map(np.array_equal, self._laplacians(other, horizon), want))
+                    for other in self._variants(base, key)
+                ), (key, epoch_len, horizon)
+                checked.add(key)
+        expected = set() if _one_graph(family, m, p) else {"epoch_len", "seed"}
+        if family in ("erdos_renyi", "mst_of_er") and m != 2:
+            expected.add("p")
+        assert checked == expected
 
     @pytest.mark.parametrize(
-        "family, epoch_len, horizon, unread",
+        "family, m, p, epoch_len, horizon, unread",
         [
-            ("cycle", 4, 10, {"p"}),
-            ("cycle", 10, 10, {"p", "epoch_len"}),
-            ("star", None, 10, {"p", "epoch_len"}),
-            ("complete", 4, 10, {"p", "epoch_len", "seed"}),
-            ("erdos_renyi", 4, 10, set()),
-            ("mst_of_er", 12, 10, {"epoch_len"}),
+            ("cycle", 5, 0.5, 4, 10, {"p"}),
+            ("cycle", 5, 0.5, 10, 10, {"p", "epoch_len"}),
+            ("star", 5, 0.5, None, 10, {"p", "epoch_len"}),
+            ("complete", 5, 0.5, 4, 10, {"p", "epoch_len", "seed"}),
+            ("erdos_renyi", 5, 0.5, 4, 10, set()),
+            ("mst_of_er", 5, 0.5, 12, 10, {"epoch_len"}),
+            # Two nodes: one edge, whatever the family.
+            ("star", 2, 0.5, 4, 10, {"p", "epoch_len", "seed"}),
+            ("erdos_renyi", 2, 0.5, 4, 10, {"p", "epoch_len", "seed"}),
+            ("mst_of_er", 2, 0.0, 4, 10, {"p", "epoch_len", "seed"}),
+            # Three nodes: a cycle is K3, a star a path.
+            ("cycle", 3, 0.5, 4, 10, {"p", "epoch_len", "seed"}),
+            ("star", 3, 0.5, 4, 10, {"p"}),
+            ("erdos_renyi", 3, 0.5, 4, 10, set()),
+            # p = 1: Erdos-Renyi keeps every pair, its spanning trees vary.
+            ("erdos_renyi", 5, 1.0, 4, 10, {"epoch_len", "seed"}),
+            ("mst_of_er", 5, 1.0, 4, 10, set()),
         ],
     )
-    def test_keys_by_family_and_horizon(self, family, epoch_len, horizon, unread):
-        assert unread_keys(NetworkSchedule(family, 5, epoch_len, p=0.5), horizon) == unread
+    def test_keys_by_family_and_horizon(self, family, m, p, epoch_len, horizon, unread):
+        assert unread_keys(NetworkSchedule(family, m, epoch_len, p=p), horizon) == unread
 
     def test_raw_values_are_not_validated(self):
         values = types.SimpleNamespace(family="cycle", m=1, epoch_len=0, seed=-1, p=7.0)
         assert unread_keys(values, 5) == {"p"}
+
+
+class TestOneGraphSchedules:
+    """A schedule whose every epoch is the complete graph draws nothing,
+    stores one edge array, and has its spectrum solved once."""
+
+    @pytest.mark.parametrize(
+        "family, m, p",
+        [("erdos_renyi", 6, 1.0), ("complete", 6, None), ("star", 2, None),
+         ("mst_of_er", 2, 0.3), ("cycle", 3, None)],
+    )
+    def test_draws_nothing_stores_one_array_solves_once(self, monkeypatch, family, m, p):
+        def no_draw(schedule, epoch):
+            raise AssertionError(f"epoch {epoch} drew a graph")
+
+        built = []
+        build = netgraph.laplacian_from_edges
+
+        def spy(size, edges):
+            built.append(size)
+            return build(size, edges)
+
+        monkeypatch.setattr(netgraph, "_epoch_rng", no_draw)
+        monkeypatch.setattr(netgraph, "laplacian_from_edges", spy)
+        sched = NetworkSchedule(family, m, epoch_len=1, seed=3, p=p)
+        spectral_bounds(sched, horizon=20)
+        assert built == [m]
+        _assert_reference_bits(sched, horizon=20)
+        complete = m * np.eye(m) - np.ones((m, m))
+        for n in range(20):
+            np.testing.assert_array_equal(schedule_laplacian(sched, n).entries, complete)
+        assert len(sched._edges) == 1
 
 
 class TestScheduleLaplacian:
