@@ -237,6 +237,12 @@ def adom_step(
     return SolverState(z=z, z_f=z_f, z_g=z_g, momentum=momentum, x=g, n=state.n + 1)
 
 
+def _recorded_iterations(n_iters: int, record_every: int) -> list[int]:
+    """The iterations a run of ``n_iters`` records, ascending: every
+    ``record_every``-th and the last."""
+    return [*range(0, n_iters - 1, record_every), n_iters - 1]
+
+
 def run(
     schedule: NetworkSchedule,
     oracle: DualOracle,
@@ -253,6 +259,7 @@ def run(
     """
     n_iters = _integer("n_iters", n_iters, 1)
     record_every = _integer("record_every", record_every, 1)
+    recorded = set(_recorded_iterations(n_iters, record_every))
     state = initial_state(schedule.m, oracle.dim)
     records: list[TrajectoryRecord] = []
     start = time.perf_counter()
@@ -262,7 +269,7 @@ def run(
         except NumericalDivergenceError as err:
             err.records = records
             raise
-        if n % record_every == 0 or n == n_iters - 1:
+        if n in recorded:
             records.append(
                 TrajectoryRecord(
                     iteration=n,

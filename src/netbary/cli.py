@@ -75,22 +75,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _variants(cfg: harness.ExperimentConfig, vary) -> dict[str, dict]:
-    """The raw config of each sweep variant, by label. Each ``KEY=V1,V2,...``
-    in ``vary`` makes one variant per value: ``cfg`` with that one key set to
-    the value, labelled ``<key>-<value>`` and written to ``out/<label>``.
-    Every check on the grid is made here, before any variant runs; a value
-    that does not parse fails later, in its own run, under its label."""
+def _variants(cfg: harness.ExperimentConfig, vary) -> dict[str, harness.ExperimentConfig | ValueError]:
+    """The config of each sweep variant by label, or the error its value
+    raised, which its run reports. Each ``KEY=V1,V2,...`` in ``vary`` makes
+    one variant per value: ``cfg`` with that one key set to the value,
+    labelled ``<key>-<value>`` and written to ``out/<label>``. Every check
+    on the grid is made here, before any variant runs."""
     if cfg.out is None:
         raise ValueError("sweep needs --out (or out in the config) as the parent directory")
     # A label listed twice would run two variants into one directory at
-    # once, and two labels of one config but for out (epoch_len-static and
-    # epoch_len-inf, or family-cycle and epoch_len-static on a cycle, static
-    # base) one run twice; so would two that differ only in keys their run
-    # does not read (p-0.2 and p-0.7 on a cycle). A label that is not one
-    # directory name would nest its variant, or with '..' parts put it
-    # outside out.
-    variants: dict[str, dict] = {}
+    # once, and two labels whose runs read the same inputs (harness.run_inputs)
+    # one run twice: epoch_len-static and epoch_len-inf, family-cycle and
+    # epoch_len-static on a cycle, static base, or p-0.2 and p-0.7 on a
+    # cycle. A label that is not one directory name would nest its variant,
+    # or with '..' parts put it outside out.
+    variants: dict = {}
     labels: dict = {}
     for axis in vary:
         key, sep, listed = axis.partition("=")
@@ -103,21 +102,24 @@ def _variants(cfg: harness.ExperimentConfig, vary) -> dict[str, dict]:
                 raise ValueError(f"sweep value {key}={value!r} is not one directory name")
             if label in variants:
                 raise ValueError(f"sweep variant {label} is listed twice")
-            raw = dict(cfg.to_dict(), **{key: value})
-            variants[label] = dict(raw, out=str(Path(cfg.out) / label))
+            raw = dict(cfg.to_dict(), **{key: value, "out": str(Path(cfg.out) / label)})
             try:
-                parsed = harness.ExperimentConfig.from_dict(dict(raw, out=None))
-            except ValueError:
+                variants[label] = parsed = harness.ExperimentConfig.from_dict(raw)
+            except ValueError as err:
+                variants[label] = err
                 continue
-            read = parsed.as_read()
-            if read in labels:
-                first, other = labels[read]
-                unread = ", ".join(k for k, v in parsed.to_dict().items() if v != getattr(other, k))
+            try:
+                inputs = harness.run_inputs(parsed)
+            except (ValueError, OSError):
+                continue  # its run reports the error
+            if inputs in labels:
+                first, other = labels[inputs]
+                unread = [k for k, v in parsed.to_dict().items() if v != getattr(other, k) and k != "out"]
                 why = "are the same config"
                 if unread:
-                    why = f"read the same inputs: their runs do not read {unread}"
+                    why = f"read the same inputs: their runs do not read {', '.join(unread)}"
                 raise ValueError(f"sweep variants {first} and {label} {why}")
-            labels[read] = label, parsed
+            labels[inputs] = label, parsed
     return variants
 
 
@@ -129,13 +131,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     jobs = netgraph._integer("--jobs", args.jobs, 1)
     variants = _variants(_config_from_args(args), args.vary)
 
-    def one(raw):
-        return harness.run_experiment(harness.ExperimentConfig.from_dict(raw)).rows[-1]
+    def one(variant):
+        if isinstance(variant, ValueError):
+            raise variant
+        return harness.run_experiment(variant).rows[-1]
 
     # Every variant runs to its end; one that fails is reported by its label
     # and leaves the others' artifacts and summary lines in place.
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [(label, pool.submit(one, raw)) for label, raw in variants.items()]
+        futures = [(label, pool.submit(one, variant)) for label, variant in variants.items()]
     failed = 0
     for label, future in futures:
         try:

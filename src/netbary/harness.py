@@ -18,12 +18,13 @@ cost of replayability of that column).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
 import subprocess
 import typing
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,7 @@ __all__ = [
     "load_mnist",
     "config_value",
     "load_config",
+    "run_inputs",
     "run_experiment",
 ]
 
@@ -57,9 +59,9 @@ DATASETS = ("gaussians", "mnist")
 
 CSV_COLUMNS = ["iteration", "objective_gap", "consensus", "wall_time"]
 
-# Default draw ranges for the synthetic Gaussian dataset, on the unit grid.
-# These are this harness's own defaults; wider bells keep the entropic blur
-# small relative to the bell width at the default gamma.
+# Draw ranges of the synthetic Gaussian dataset, on the unit grid. These are
+# this harness's own choice; wider bells keep the entropic blur small
+# relative to the bell width at the default gamma.
 MEAN_RANGE_DEFAULT = (0.35, 0.65)
 STD_RANGE_DEFAULT = (0.15, 0.25)
 
@@ -220,13 +222,12 @@ class ExperimentConfig:
     Each field is one config key: a ``key = value`` line of a config file
     and a ``--key`` flag of ``netbary run`` and ``sweep`` (underscores
     become dashes). The field's annotation sets how a text value is read;
-    its metadata holds the flag's help and choices and, for a key that the
-    runs of one dataset alone read, that dataset.
+    its metadata holds the flag's help and choices.
     """
 
     dataset: str = field(default="gaussians", metadata={"choices": DATASETS})
     m: int = field(default=10, metadata={"help": "node count"})
-    d: int = field(default=100, metadata={"help": "support size", "dataset": "gaussians"})
+    d: int = field(default=100, metadata={"help": "support size"})
     family: str = field(default="cycle", metadata={"choices": netgraph.FAMILIES})
     p: float = field(default=0.9, metadata={"help": "edge probability"})
     epoch_len: int | None = field(
@@ -238,13 +239,9 @@ class ExperimentConfig:
     n_iters: int = 1000
     record_every: int = 100
     delta: float = DELTA_DEFAULT
-    mean_low: float = field(default=MEAN_RANGE_DEFAULT[0], metadata={"dataset": "gaussians"})
-    mean_high: float = field(default=MEAN_RANGE_DEFAULT[1], metadata={"dataset": "gaussians"})
-    std_low: float = field(default=STD_RANGE_DEFAULT[0], metadata={"dataset": "gaussians"})
-    std_high: float = field(default=STD_RANGE_DEFAULT[1], metadata={"dataset": "gaussians"})
-    mnist_images: str | None = field(default=None, metadata={"dataset": "mnist"})
-    mnist_labels: str | None = field(default=None, metadata={"dataset": "mnist"})
-    digit: int = field(default=4, metadata={"dataset": "mnist"})
+    mnist_images: str | None = None
+    mnist_labels: str | None = None
+    digit: int = 4
     measure_walltime: bool = False
     out: str | None = field(default=None, metadata={"help": "output directory"})
 
@@ -258,10 +255,6 @@ class ExperimentConfig:
             raise ValueError("out must name a directory, got ''")
         for name in ("n_iters", "record_every"):
             object.__setattr__(self, name, netgraph._integer(name, getattr(self, name), 1))
-        for low, high in (("mean_low", "mean_high"), ("std_low", "std_high")):
-            values = getattr(self, low), getattr(self, high)
-            if values[0] > values[1]:
-                raise ValueError(f"{low} = {values[0]} exceeds {high} = {values[1]}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -276,30 +269,15 @@ class ExperimentConfig:
         return asdict(self)
 
     def schedule(self) -> netgraph.NetworkSchedule:
-        """The run's network schedule, from the keys :data:`SCHEDULE_KEYS`."""
-        return netgraph.NetworkSchedule(**{key: getattr(self, key) for key in SCHEDULE_KEYS})
+        """The run's network schedule, from the keys :data:`SCHEDULE_KEYS`.
 
-    def as_read(self) -> "ExperimentConfig":
-        """This config with every key its run does not read reset to its
-        default: configs whose runs read the same inputs are equal here.
-
-        Those are the schedule's (:func:`netgraph.unread_keys` over
-        ``n_iters``), but for the seed in a Gaussian run, whose data it
-        draws, and the keys of the other dataset (an IDX run reads no
-        Gaussian grid or draw range, and a Gaussian run no IDX file).
-        ``record_every`` is capped at ``n_iters - 1`` (at least 1), past
-        which every value records the same iterations.
-        """
-        unread = netgraph.unread_keys(self, self.n_iters) | {
-            f.name for f in fields(self) if f.metadata.get("dataset", self.dataset) != self.dataset
-        }
-        if self.dataset == "gaussians":
-            unread.discard("seed")
-        values = {key: self.__dataclass_fields__[key].default for key in unread}
-        # Every record_every from n_iters - 1 on records iterations 0 and
-        # n_iters - 1 alone.
-        values["record_every"] = min(self.record_every, max(self.n_iters - 1, 1))
-        return replace(self, **values)
+        It is built once per config object and keeps the epochs it draws,
+        so a run of this config draws none of those that
+        :func:`run_inputs` drew on it."""
+        if "_schedule" not in self.__dict__:
+            values = {key: getattr(self, key) for key in SCHEDULE_KEYS}
+            object.__setattr__(self, "_schedule", netgraph.NetworkSchedule(**values))
+        return self.__dict__["_schedule"]
 
 
 def _value_type(hint) -> tuple[type, bool]:
@@ -414,11 +392,7 @@ def _build_dataset(cfg: ExperimentConfig):
     :class:`entot.GridCost` of the images' pixel raster."""
     if cfg.dataset == "gaussians":
         grid = gaussian_grid(cfg.d)
-        specs = draw_gaussian_specs(
-            cfg.m, grid, cfg.seed,
-            mean_range=(cfg.mean_low, cfg.mean_high),
-            std_range=(cfg.std_low, cfg.std_high),
-        )
+        specs = draw_gaussian_specs(cfg.m, grid, cfg.seed)
         marginals = np.stack([gen_truncated_gaussian(sp, cfg.delta) for sp in specs])
         cost = entot.cost_matrix(grid)
         reference = analytic_barycenter(specs, cfg.delta)
@@ -482,6 +456,35 @@ def _write_csv(rows, path: Path) -> None:
         f"{row.iteration},{row.objective_gap!r},{row.consensus!r},{row.wall_time!r}" for row in rows
     ]
     path.write_text("".join(line + "\n" for line in lines))
+
+
+def run_inputs(cfg: ExperimentConfig) -> str:
+    """sha256 hex digest of everything a run of ``cfg`` reads: two configs
+    with equal digests write byte-identical ``metrics.csv`` and
+    ``histograms.npy``.
+
+    That is the marginals; the cost, a matrix's bytes or a raster's shape;
+    the Gaussian reference; the stored edge array in force at each iteration
+    (``spectral_bounds`` reads the same arrays); the family, unless every
+    epoch is the complete graph (``netgraph._one_graph``), since otherwise
+    ``spectral_bounds`` takes the family's path; gamma and r; the recorded
+    iterations; and ``measure_walltime``. The epochs are drawn on
+    ``cfg.schedule()``, so a run of ``cfg`` draws none of them again.
+    """
+    schedule = cfg.schedule()
+    marginals, cost, reference = _build_dataset(cfg)
+    family = None if netgraph._one_graph(schedule) else schedule.family
+    recorded = adom._recorded_iterations(cfg.n_iters, cfg.record_every)
+    digest = hashlib.sha256(
+        repr((family, cfg.gamma, cfg.r, cfg.measure_walltime, reference is None, recorded)).encode()
+    )
+    arrays = [marginals, cost if isinstance(cost, np.ndarray) else np.array(cost.shape)]
+    arrays += [] if reference is None else [reference]
+    arrays += [netgraph._epoch_edges(schedule, schedule.epoch_of(n)) for n in range(cfg.n_iters)]
+    # An array's dtype and shape say how many of the bytes after them are its own.
+    for array in arrays:
+        digest.update(f"{array.dtype.str}{array.shape}".encode() + array.tobytes())
+    return digest.hexdigest()
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

@@ -35,7 +35,6 @@ __all__ = [
     "laplacian_from_edges",
     "schedule_laplacian",
     "spectral_bounds",
-    "unread_keys",
 ]
 
 FAMILIES = ("cycle", "star", "complete", "erdos_renyi", "mst_of_er")
@@ -211,36 +210,16 @@ class NetworkSchedule:
         return -(-horizon // self.epoch_len)
 
 
-def _one_graph(values) -> bool:
-    """True when every epoch of a schedule of ``values`` (raw, as
-    :func:`unread_keys` takes them) is the complete graph: the complete
-    family, any family on two nodes (one edge), a cycle on three nodes (K3),
-    and Erdos-Renyi at p = 1, which keeps every pair. Such a schedule draws
-    nothing, stores one edge array and solves one spectrum."""
-    family = values.family
-    return family == "complete" or values.m == 2 or (family == "cycle" and values.m == 3) or (
-        family == "erdos_renyi" and values.p == 1
+def _one_graph(schedule: NetworkSchedule) -> bool:
+    """True when every epoch of ``schedule`` is the complete graph: the
+    complete family, any family on two nodes (one edge), a cycle on three
+    nodes (K3), and Erdos-Renyi at p = 1, which keeps every pair. Such a
+    schedule draws nothing, stores one edge array and solves one spectrum,
+    whatever its family, so ``harness.run_inputs`` leaves the family out."""
+    family = schedule.family
+    return family == "complete" or schedule.m == 2 or (family == "cycle" and schedule.m == 3) or (
+        family == "erdos_renyi" and schedule.p == 1
     )
-
-
-def unread_keys(values, horizon: int) -> set[str]:
-    """The init fields of :class:`NetworkSchedule` that a schedule of
-    ``values`` (any object with those fields as attributes, raw: nothing is
-    validated) does not read over iterations 0..horizon-1, or reads to no
-    effect: any other value of a returned key for which it is still returned
-    gives every iteration the same graph.
-
-    A cycle, star or complete graph draws no edge, so no ``p``, and neither
-    does any family on two nodes, whose one graph is the single edge. An
-    epoch at least as long as the horizon is the static graph. A schedule
-    whose every epoch is the complete graph (see ``_one_graph``) reads
-    neither its epochs nor its seed.
-    """
-    one = _one_graph(values)
-    static = one or values.epoch_len is None or values.epoch_len >= horizon
-    drawn = values.family in _RANDOM_FAMILIES and values.m != 2
-    reads = {"p": drawn, "epoch_len": not static, "seed": not one}
-    return {key for key, read in reads.items() if not read}
 
 
 def _epoch_rng(schedule: NetworkSchedule, epoch: int) -> np.random.Generator:
@@ -316,11 +295,12 @@ def _connected_er(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
 
     After ``_ER_MAX_DRAWS`` failures the last draw is unioned with a random
     spanning tree, which forces connectivity without biasing dense regimes.
-    The union is returned sorted, as (i, j) pairs with i < j.
+    The union is returned sorted, as (i, j) pairs with i < j. A draw with
+    fewer than m - 1 edges cannot be connected and is refused unswept.
     """
     for _ in range(_ER_MAX_DRAWS):
         edges = _er_draw(rng, m, p)
-        if _reach(_adjacency(m, edges), 0)[1] == m:
+        if len(edges) >= m - 1 and _reach(_adjacency(m, edges), 0)[1] == m:
             return edges
     merged = np.concatenate([edges, np.sort(_random_spanning_tree(rng, m), axis=1)])
     keys = np.unique(merged[:, 0] * m + merged[:, 1])

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import collections
 import dataclasses
 import json
 import os
@@ -49,10 +50,6 @@ NON_DEFAULTS = {
     "n_iters": "17",
     "record_every": "4",
     "delta": "1e-5",
-    "mean_low": "0.3",
-    "mean_high": "0.7",
-    "std_low": "0.1",
-    "std_high": "0.3",
     "mnist_images": "images.idx",
     "mnist_labels": "labels.idx",
     "digit": "2",
@@ -352,21 +349,15 @@ class TestRun:
         assert code == 1
         assert captured.err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("key, low, high", [("mean", "0.9", "0.1"), ("std", "0.3", "0.2")])
-    def test_reversed_gaussian_range_is_named_before_any_output(
-        self, tmp_path, capsys, key, low, high
-    ):
-        cfg_path = _write_config(tmp_path)
+    @pytest.mark.parametrize("key", ["mean_low", "mean_high", "std_low", "std_high"])
+    def test_a_gaussian_draw_range_is_not_a_config_key(self, tmp_path, capsys, key):
+        # The draw ranges are harness constants.
+        cfg_path = _write_config(tmp_path, SMALL_CONFIG + f"{key} = 0.5\n")
         out_dir = tmp_path / "out"
-        code = main(
-            [
-                "run", "--config", str(cfg_path), "--out", str(out_dir),
-                f"--{key}-low", low, f"--{key}-high", high,
-            ]
-        )
+        code = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err == f"error: {key}_low = {low} exceeds {key}_high = {high}\n"
+        assert captured.err == f"error: unknown config key {key!r}\n"
         assert not out_dir.exists()
 
     def test_gaussian_run_never_imports_scipy(self, tmp_path, fresh_python):
@@ -516,6 +507,7 @@ class TestSweep:
             [
                 "sweep",
                 "--config", str(cfg_path),
+                "--m", "4",
                 "--vary", "family=cycle,complete",
                 "--out", str(out_dir),
                 "--jobs", "2",
@@ -576,12 +568,17 @@ class TestSweep:
         label = f"{key}-{text}"
         variants = _variants(cfg, [f"{key}={text}"])
         assert list(variants) == [label]
-        raw = variants.pop(label)
-        assert harness.config_value(key, raw.pop(key)) == harness.config_value(key, text)
-        assert raw.pop("out") == str(tmp_path / "sweep" / label)
-        unchanged = cfg.to_dict()
-        del unchanged[key], unchanged["out"]
-        assert raw == unchanged
+        # The variant is the base with the one key changed and its own out,
+        # parsed; a config that does not parse (an IDX run without its
+        # files) is the error its run reports.
+        raw = dict(cfg.to_dict(), **{key: text, "out": str(tmp_path / "sweep" / label)})
+        try:
+            expected = harness.ExperimentConfig.from_dict(raw)
+        except ValueError as err:
+            assert isinstance(variants[label], ValueError)
+            assert str(variants[label]) == str(err)
+        else:
+            assert variants[label] == expected
         assert not (tmp_path / "sweep").exists()
 
     def test_failing_variant_keeps_the_others(self, tmp_path, capsys):
@@ -591,6 +588,7 @@ class TestSweep:
             [
                 "sweep",
                 "--config", str(cfg_path),
+                "--m", "4",
                 "--vary", "family=cycle,hypercube,complete",
                 "--out", str(out_dir),
             ]
@@ -741,6 +739,19 @@ class TestSweep:
                 ["--n-iters", "20", "--vary", "record_every=19,20,50"],
                 "record_every-19", "record_every-20", "record_every",
             ),
+            # The family of a schedule whose every epoch is the complete
+            # graph: a 3-node star is a path, and on two nodes every family
+            # is the single edge.
+            (
+                False,
+                ["--m", "3", "--vary", "family=cycle,complete,star"],
+                "family-cycle", "family-complete", "family",
+            ),
+            (
+                True,
+                ["--m", "2", "--vary", "family=cycle,star,complete,erdos_renyi,mst_of_er"],
+                "family-cycle", "family-star", "family",
+            ),
         ],
     )
     def test_variants_that_read_the_same_inputs_rejected_before_any_variant(
@@ -772,15 +783,44 @@ class TestSweep:
         cycle = harness.ExperimentConfig(m=4, n_iters=20, out=str(tmp_path / "sweep"))
         assert list(_variants(cycle, ["epoch_len=3,5"])) == ["epoch_len-3", "epoch_len-5"]
 
+    def test_every_family_on_two_nodes_reads_the_same_inputs(self, tmp_path):
+        base = harness.ExperimentConfig.from_dict(harness.load_config(_write_config(tmp_path)))
+        digests = {
+            harness.run_inputs(dataclasses.replace(base, m=2, family=family))
+            for family in netgraph.FAMILIES
+        }
+        assert len(digests) == 1
+
+    def test_a_sweep_draws_each_epoch_once(self, tmp_path, monkeypatch):
+        # The check and the run of a variant read one schedule, so the
+        # epochs the check draws are the ones the run reads.
+        draws = collections.Counter()
+        epoch_rng = netgraph._epoch_rng
+
+        def spy(schedule, epoch):
+            draws[schedule, epoch] += 1
+            return epoch_rng(schedule, epoch)
+
+        monkeypatch.setattr(netgraph, "_epoch_rng", spy)
+        cfg_path = _write_config(tmp_path)
+        flags = ["--family", "erdos_renyi", "--p", "0.5", "--m", "5", "--vary", "epoch_len=3,5"]
+        code = main(["sweep", "--config", str(cfg_path), *flags, "--out", str(tmp_path / "sweep")])
+        assert code == 0
+        # The base runs 40 iterations from seed 5.
+        assert draws == collections.Counter({
+            (netgraph.NetworkSchedule("erdos_renyi", 5, epoch_len, 5, 0.5), epoch): 1
+            for epoch_len in (3, 5) for epoch in range(-(-40 // epoch_len))
+        })
+
     @staticmethod
     def _assert_same_artifacts(tmp_path, base, changes):
         """Runs ``base`` and each change of it (a dict of key: value), which
-        must compare equal to it once unread keys are reset, and checks that
-        every run writes the same metrics.csv and histograms.npy."""
+        must read the same inputs, and checks that every run writes the same
+        metrics.csv and histograms.npy."""
         outputs = []
         for i, changed in enumerate([{}, *changes]):
             cfg = dataclasses.replace(base, out=str(tmp_path / f"run{i}"), **changed)
-            assert dataclasses.replace(cfg, out=None).as_read() == base.as_read()
+            assert harness.run_inputs(cfg) == harness.run_inputs(base)
             harness.run_experiment(cfg)
             names = ("metrics.csv", "histograms.npy")
             outputs.append([(Path(cfg.out) / name).read_bytes() for name in names])
@@ -797,15 +837,15 @@ class TestSweep:
             ("p",),
             ("epoch_len",),
             ("seed",),
-            ("d", "mean_low", "mean_high", "std_low", "std_high"),
+            ("d",),
             ("mnist_images", "mnist_labels", "digit"),
         ],
         ids=lambda keys: keys[0],
     )
     def test_unread_keys_change_no_output(self, tmp_path, keys):
         # Each key a run can leave unread, set away from its default on a
-        # config whose as_read() drops the change, leaves metrics.csv and
-        # histograms.npy as they are; the first such base of four is used.
+        # config whose run_inputs it leaves as they are, leaves metrics.csv
+        # and histograms.npy as they are; the first such base of four is used.
         gaussians = harness.load_config(_write_config(tmp_path))
         raster = harness.load_config(_write_config(tmp_path, _raster_config(tmp_path)))
         bases = [
@@ -816,7 +856,7 @@ class TestSweep:
         changes = [{key: harness.config_value(key, NON_DEFAULTS[key])} for key in keys]
         base = next(
             cfg for cfg in bases
-            if all(dataclasses.replace(cfg, **changed).as_read() == cfg.as_read()
+            if all(harness.run_inputs(dataclasses.replace(cfg, **changed)) == harness.run_inputs(cfg)
                    for changed in changes)
         )
         self._assert_same_artifacts(tmp_path, base, changes)
@@ -875,9 +915,8 @@ class TestSweep:
     def test_a_value_the_schedule_refuses_fails_in_its_own_variant(
         self, tmp_path, capsys, vary, refused, message
     ):
-        # Which keys a schedule reads is decided from raw values, so a value
-        # the schedule refuses reaches its own run. On 4 nodes a cycle reads
-        # its epochs, so epoch_len-0 is not the static epoch_len-5.
+        # A variant whose inputs cannot be read is left to its own run,
+        # which names the value the schedule refuses.
         cfg_path = _write_config(tmp_path)
         out_dir = tmp_path / "sweep"
         flags = ["--m", "4", "--vary", vary]

@@ -1,9 +1,11 @@
 """Tests for dataset generation, config parsing, and experiment runs."""
 
+import collections
 import csv
 import dataclasses
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -355,6 +357,17 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(family="mst_of_er", m=7, epoch_len=3, seed=9, p=0.25)
         assert cfg.schedule() == netgraph.NetworkSchedule("mst_of_er", 7, 3, 9, 0.25)
 
+    def test_schedule_is_built_once_per_config(self):
+        # A run reads the epochs that run_inputs drew on its config; a copy
+        # draws its own.
+        cfg = ExperimentConfig(family="erdos_renyi", epoch_len=2, n_iters=8)
+        harness.run_inputs(cfg)
+        assert cfg.schedule() is cfg.schedule()
+        assert len(cfg.schedule()._edges) == 4
+        copy = dataclasses.replace(cfg)
+        assert copy == cfg and copy.schedule() is not cfg.schedule()
+        assert copy.schedule()._edges == {}
+
     def test_to_dict_round_trip(self):
         cfg = ExperimentConfig.from_dict({"m": 4, "gamma": 0.2})
         again = ExperimentConfig.from_dict(cfg.to_dict())
@@ -517,14 +530,16 @@ class TestRunExperiment:
         timed = run_experiment(_small_config(measure_walltime="true"))
         assert timed.rows[-1].wall_time > 0.0
 
-    def test_gap_stays_above_exactness_floor(self):
+    def test_gap_stays_above_exactness_floor(self, monkeypatch):
         # Identical specs make the analytic reference exactly optimal, so
         # the gap can only dip below zero by numerical error; what remains
         # is the entropic smoothing bias, bounded by 2 gamma ln d.
-        cfg = _small_config(
-            mean_low=0.5, mean_high=0.5, std_low=0.2, std_high=0.2, n_iters=200
+        draw = draw_gaussian_specs
+        monkeypatch.setattr(
+            harness, "draw_gaussian_specs",
+            lambda m, grid, seed: draw(m, grid, seed, mean_range=(0.5, 0.5), std_range=(0.2, 0.2)),
         )
-        result = run_experiment(cfg)
+        result = run_experiment(_small_config(n_iters=200))
         for row in result.rows:
             assert row.objective_gap >= -1e-6
             assert row.consensus == 0.0
@@ -725,6 +740,230 @@ class TestRunExperiment:
         # The manifest is written before the run starts, so it survives too.
         assert (out / "manifest.json").exists()
         assert not (out / "histograms.npy").exists()
+
+
+class TestRunInputs:
+    """``run_inputs`` digests what a run reads: two configs with one digest
+    write the same artifacts."""
+
+    def test_equal_digests_write_identical_artifacts(self, tmp_path, monkeypatch):
+        # Every family at m 2, 3 and 4; static epochs, epochs of 1 and 3 and
+        # one of the whole run; seeds 0 and 1; p 0.5 and 1; both datasets,
+        # IDX on four 2 x 2 images.
+        images = np.random.default_rng(3).integers(0, 256, size=(4, 2, 2))
+        _write_idx_images(tmp_path / "images.idx", images)
+        _write_idx_labels(tmp_path / "labels.idx", [7] * 4)
+        idx = {
+            "mnist_images": str(tmp_path / "images.idx"),
+            "mnist_labels": str(tmp_path / "labels.idx"), "digit": 7,
+        }
+        grid = itertools.product(
+            ("gaussians", "mnist"), netgraph.FAMILIES, (2, 3, 4), (None, 1, 3, 5), (0, 1), (0.5, 1.0)
+        )
+        groups = collections.defaultdict(list)
+        for i, (dataset, family, m, epoch_len, seed, p) in enumerate(grid):
+            cfg = ExperimentConfig(
+                dataset=dataset, family=family, m=m, epoch_len=epoch_len, seed=seed, p=p,
+                d=3, gamma=0.1, r=0.05, n_iters=5, record_every=4, out=str(tmp_path / f"run{i}"),
+                **(idx if dataset == "mnist" else {}),
+            )
+            groups[harness.run_inputs(cfg)].append(cfg)
+        shared = [group for group in groups.values() if len(group) > 1]
+        # Not vacuous: some digest is shared across each schedule key, and
+        # most configs are told apart.
+        differ = {
+            f.name for group in shared for f in dataclasses.fields(ExperimentConfig)
+            if f.name != "out" and len({getattr(cfg, f.name) for cfg in group}) > 1
+        }
+        assert differ == {"family", "epoch_len", "seed", "p"}
+        assert len(groups) > 100
+        # git describe is one subprocess per run, and only the manifest reads it.
+        monkeypatch.setattr(harness, "git_describe", lambda: "unknown")
+        for group in shared:
+            outputs = set()
+            for cfg in group:
+                run_experiment(cfg)
+                outputs.add(tuple(
+                    (Path(cfg.out) / name).read_bytes() for name in ("metrics.csv", "histograms.npy")
+                ))
+            assert len(outputs) == 1, group
+
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("m", 5), ("d", 7), ("family", "star"), ("p", 0.6), ("epoch_len", 1), ("seed", 6),
+            ("gamma", 0.06), ("r", 0.02), ("n_iters", 41), ("record_every", 7),
+            ("delta", 1e-5), ("measure_walltime", True),
+        ],
+    )
+    def test_a_key_a_gaussian_run_reads_changes_the_digest(self, key, value):
+        # The base draws a 4-node Erdos-Renyi graph every 5 of its 40 iterations.
+        base = _small_config(m=4, family="erdos_renyi", p=0.5, epoch_len=5)
+        assert harness.run_inputs(dataclasses.replace(base, **{key: value})) != harness.run_inputs(base)
+
+
+@pytest.fixture(scope="module")
+def idx_files(tmp_path_factory):
+    """Config keys of an IDX dataset of eight 2 x 2 images of one digit.
+    Its marginals do not read the seed, so only the schedule does."""
+    root = tmp_path_factory.mktemp("idx")
+    _write_idx_images(root / "images.idx", np.random.default_rng(4).integers(1, 256, size=(8, 2, 2)))
+    _write_idx_labels(root / "labels.idx", [7] * 8)
+    return {
+        "dataset": "mnist", "mnist_images": str(root / "images.idx"),
+        "mnist_labels": str(root / "labels.idx"), "digit": 7,
+    }
+
+
+class TestRunInputsBySchedule:
+    """``run_inputs`` is held to the graphs a schedule realizes: a schedule
+    key whose other value changes no stored edge array of the run leaves the
+    digest, and one whose other value changes some Laplacian changes it."""
+
+    # Other valid values of each schedule key.
+    OTHERS = {
+        "family": netgraph.FAMILIES,
+        "p": (0.0, 0.3, 1.0),
+        "epoch_len": (None, 1, 2, 4, 5, 12),
+        "seed": (0, 1, 7, 2**40),
+    }
+
+    # Epochs of 4 over horizons below and above them, and the static graph.
+    BASES = ((4, 3), (4, 10), (None, 10))
+
+    # Every family at m 2, 3 and 8 with p 0.6, and Erdos-Renyi at p 1.
+    SCHEDULES = [
+        *[pytest.param(family, m, 0.6, id=f"{family}-{m}")
+          for family in netgraph.FAMILIES for m in (2, 3, 8)],
+        pytest.param("erdos_renyi", 8, 1.0, id="erdos_renyi-8-p1"),
+    ]
+
+    @staticmethod
+    def _config(idx_files, family, m, p, epoch_len, horizon, seed=0):
+        return ExperimentConfig(
+            family=family, m=m, p=p, epoch_len=epoch_len, seed=seed, n_iters=horizon,
+            record_every=horizon, gamma=0.1, r=0.05, **idx_files,
+        )
+
+    def _variants(self, base, key):
+        """``base`` with ``key`` set to each other value."""
+        for value in self.OTHERS[key]:
+            if value != getattr(base, key):
+                yield dataclasses.replace(base, **{key: value})
+
+    @staticmethod
+    def _same_edges(a, b):
+        epochs = [(a.schedule().epoch_of(n), b.schedule().epoch_of(n)) for n in range(a.n_iters)]
+        return all(
+            np.array_equal(
+                netgraph._epoch_edges(a.schedule(), i), netgraph._epoch_edges(b.schedule(), j)
+            )
+            for i, j in epochs
+        )
+
+    @staticmethod
+    def _same_laplacians(a, b):
+        return all(
+            np.array_equal(
+                netgraph.schedule_laplacian(a.schedule(), n).entries,
+                netgraph.schedule_laplacian(b.schedule(), n).entries,
+            )
+            for n in range(a.n_iters)
+        )
+
+    @staticmethod
+    def _one_graph(cfg):
+        return netgraph._one_graph(cfg.schedule())
+
+    @pytest.mark.parametrize("family, m, p", SCHEDULES)
+    def test_a_key_that_changes_no_edge_array_leaves_the_digest(self, idx_files, family, m, p):
+        # A family is left out only where both schedules are the complete
+        # graph at every epoch: elsewhere spectral_bounds reads it.
+        checked = set()
+        for epoch_len, horizon in self.BASES:
+            base = self._config(idx_files, family, m, p, epoch_len, horizon)
+            for key in self.OTHERS:
+                for other in self._variants(base, key):
+                    if not self._same_edges(base, other):
+                        continue
+                    if key == "family" and not (self._one_graph(base) and self._one_graph(other)):
+                        assert harness.run_inputs(other) != harness.run_inputs(base), other
+                        continue
+                    assert harness.run_inputs(other) == harness.run_inputs(base), (key, other)
+                    checked.add(key)
+        # Not vacuous: each key that some base leaves unread was tried. No
+        # edge is drawn off the random families or on two nodes, a schedule
+        # whose every epoch is the complete graph reads no seed, and it
+        # shares its graphs with every other family that is one graph too:
+        # on three nodes a cycle, at p = 1 Erdos-Renyi. On three nodes a
+        # random family draws one of at most four graphs, and some other p
+        # draws the same one over a horizon of one epoch.
+        expected = {"epoch_len"}
+        if family not in ("erdos_renyi", "mst_of_er") or m <= 3:
+            expected.add("p")
+        if self._one_graph(self._config(idx_files, family, m, p, None, 1)):
+            expected.add("seed")
+            if m <= 3 or p == 1:
+                expected.add("family")
+        assert checked == expected
+
+    @pytest.mark.parametrize("family, m, p", SCHEDULES)
+    def test_a_key_that_changes_some_laplacian_changes_the_digest(self, idx_files, family, m, p):
+        checked = set()
+        for epoch_len, horizon in self.BASES:
+            base = self._config(idx_files, family, m, p, epoch_len, horizon)
+            for key in self.OTHERS:
+                for other in self._variants(base, key):
+                    if self._same_laplacians(base, other):
+                        continue
+                    assert harness.run_inputs(other) != harness.run_inputs(base), (key, other)
+                    checked.add(key)
+        # Not vacuous: each key that some base reads was tried. Two nodes
+        # have one graph whatever the keys; on more, some family draws
+        # another.
+        expected = set() if m == 2 else {"family"}
+        if not self._one_graph(self._config(idx_files, family, m, p, None, 1)):
+            expected |= {"epoch_len", "seed"}
+        if family in ("erdos_renyi", "mst_of_er") and m != 2:
+            expected.add("p")
+        assert checked == expected
+
+    @pytest.mark.parametrize(
+        "family, m, p, epoch_len, horizon, unread",
+        [
+            ("cycle", 5, 0.5, 4, 10, {"p"}),
+            ("cycle", 5, 0.5, 10, 10, {"p", "epoch_len"}),
+            ("star", 5, 0.5, None, 10, {"p", "epoch_len"}),
+            ("complete", 5, 0.5, 4, 10, {"p", "epoch_len", "seed"}),
+            ("erdos_renyi", 5, 0.5, 4, 10, set()),
+            ("mst_of_er", 5, 0.5, 12, 10, {"epoch_len"}),
+            # Two nodes: one edge, whatever the family.
+            ("star", 2, 0.5, 4, 10, {"p", "epoch_len", "seed"}),
+            ("erdos_renyi", 2, 0.5, 4, 10, {"p", "epoch_len", "seed"}),
+            ("mst_of_er", 2, 0.0, 4, 10, {"p", "epoch_len", "seed"}),
+            # Three nodes: a cycle is K3, a star a path.
+            ("cycle", 3, 0.5, 4, 10, {"p", "epoch_len", "seed"}),
+            ("complete", 3, 0.5, 4, 10, {"p", "epoch_len", "seed"}),
+            ("star", 3, 0.5, 4, 10, {"p"}),
+            ("erdos_renyi", 3, 0.5, 4, 10, set()),
+            ("mst_of_er", 3, 0.5, 4, 10, set()),
+            # p = 1: Erdos-Renyi keeps every pair, its spanning trees vary.
+            ("erdos_renyi", 5, 1.0, 4, 10, {"epoch_len", "seed"}),
+            ("mst_of_er", 5, 1.0, 4, 10, set()),
+        ],
+    )
+    def test_keys_left_out_by_family_and_horizon(
+        self, idx_files, family, m, p, epoch_len, horizon, unread
+    ):
+        # The keys some other value of which leaves the digest as it is.
+        base = self._config(idx_files, family, m, p, epoch_len, horizon)
+        left_out = {
+            key for key in ("p", "epoch_len", "seed")
+            if any(harness.run_inputs(other) == harness.run_inputs(base)
+                   for other in self._variants(base, key))
+        }
+        assert left_out == unread
 
 
 def _benchmark_workloads():
